@@ -4,9 +4,11 @@ An alignment vector is a probability distribution over the N encoder
 positions; a decode of T steps stacks them into an N x T alignment matrix.
 The ops here build candidate alignments from the previous step, score how
 sharp/unimodal a candidate is, and soft-select a final alignment that keeps
-that structure. Everything is polymorphic over plain numpy arrays and
-autodiff Tensors, so the same code runs in diagnostics and inside the
-training graph.
+that structure. They compute on plain numpy arrays. augmented_step, the one
+op the decoder calls, also takes autodiff Tensors: then it returns a single
+graph node whose hand-written backward follows the same formulas, masks
+included (see _metric_grad), so the training graph grows by one node per
+step.
 
 All functions are pure; call them from as many threads as you like.
 """
@@ -16,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp as _np_logsumexp
 
 from . import autodiff as ad
 
@@ -30,13 +31,14 @@ RENORM_FLOOR = 1e-8  # below this total mass, stage 2 falls back to d
 SUM_TOL = 1e-6
 
 
-def _is_tensor(x):
-    return isinstance(x, ad.Tensor)
+def _value(x):
+    """The float64 array behind a Tensor or array-like."""
+    return x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
 
 
 def check_alignment(v, name="alignment"):
     """Validate and return a 1-D float64 probability vector."""
-    arr = v.data if _is_tensor(v) else np.asarray(v, dtype=np.float64)
+    arr = _value(v)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name}: expected non-empty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -58,17 +60,6 @@ def shift_sticky(v):
     and v[N-1] so the output still sums to 1 and attention can dwell on the
     last symbol near the end of an utterance.
     """
-    if _is_tensor(v):
-        n = v.shape[0]
-        if n == 0:
-            raise ValueError("shift_sticky: empty vector")
-        if n == 1:
-            return v
-        zero = ad.Tensor(np.zeros(1))
-        tail = ad.reshape(ad.sum_(v[n - 2:]), (1,))
-        if n == 2:
-            return ad.concat([zero, tail])
-        return ad.concat([zero, v[: n - 2], tail])
     v = np.asarray(v, dtype=np.float64)
     if v.size == 0:
         raise ValueError("shift_sticky: empty vector")
@@ -84,8 +75,7 @@ def shift_sticky(v):
 def candidate_set(b_t, b_prev):
     """The three feasible alignments for this step: stay on the current
     initial alignment, keep the previous one, or advance it by one symbol."""
-    n_t = b_t.shape[0] if _is_tensor(b_t) else np.asarray(b_t).shape[0]
-    n_p = b_prev.shape[0] if _is_tensor(b_prev) else np.asarray(b_prev).shape[0]
+    n_t, n_p = np.shape(b_t)[0], np.shape(b_prev)[0]
     if n_t != n_p:
         raise ValueError(f"candidate_set: length mismatch {n_t} vs {n_p}")
     return b_t, b_prev, shift_sticky(b_prev)
@@ -96,10 +86,15 @@ def candidate_set(b_t, b_prev):
 
 def f1(c):
     """Soft-maximum assessment of the peak height (stabilised log-sum-exp)."""
-    if _is_tensor(c):
-        return ad.mul(ad.logsumexp(ad.mul(c, LSE_SCALE)), LSE_GAIN)
-    c = np.asarray(c, dtype=np.float64)
-    return float(LSE_GAIN * _np_logsumexp(LSE_SCALE * c))
+    x = LSE_SCALE * np.asarray(c, dtype=np.float64)
+    m = x.max()
+    return float(LSE_GAIN * (m + np.log(np.exp(x - m).sum())))
+
+
+def _f2_raw(c):
+    """f2 before its clamp at 1; needs N >= 2."""
+    n = c.size
+    return SHARPNESS_BOOST * (n * float(c @ c) - 1.0) / (n - 1)
 
 
 def f2(c):
@@ -108,32 +103,37 @@ def f2(c):
     A single-symbol alignment is maximally sharp by construction, so N=1
     returns 1.
     """
-    if _is_tensor(c):
-        n = c.shape[0]
-        if n == 1:
-            return ad.Tensor(1.0)
-        sumsq = ad.sum_(ad.mul(c, c))
-        raw = ad.mul(ad.add(ad.mul(sumsq, float(n)), -1.0), SHARPNESS_BOOST / (n - 1))
-        return ad.clamp_max(raw, 1.0)
     c = np.asarray(c, dtype=np.float64)
-    n = c.size
-    if n == 1:
+    if c.size == 1:
         return 1.0
-    raw = SHARPNESS_BOOST * (n * float(c @ c) - 1.0) / (n - 1)
-    return min(raw, 1.0)
+    return min(_f2_raw(c), 1.0)
 
 
 def structure_metric(c):
     """Combined structure score in [0, 1]: f1*f2, zeroed at or below the
     near-zero threshold, clamped to at most 1. Differentiable wherever the
     raw product exceeds the threshold."""
-    if _is_tensor(c):
-        raw = ad.mul(f1(c), f2(c))
-        return ad.clamp_max(ad.threshold_keep(raw, SCORE_THRESHOLD), 1.0)
     raw = f1(c) * f2(c)
     if raw <= SCORE_THRESHOLD:
         return 0.0
     return min(raw, 1.0)
+
+
+def _metric_grad(c):
+    """d structure_metric / dc, zero where the threshold or the clamp of the
+    product holds the metric flat; the f2 term vanishes where f2 is clamped
+    at 1 and for N=1, where f2 is the constant 1."""
+    n = c.size
+    peak = f1(c)
+    raw2 = _f2_raw(c) if n > 1 else 1.0
+    sharp = min(raw2, 1.0)
+    if not SCORE_THRESHOLD < peak * sharp <= 1.0:
+        return np.zeros_like(c)
+    w = np.exp(LSE_SCALE * (c - c.max()))
+    grad = (sharp * LSE_GAIN * LSE_SCALE / w.sum()) * w
+    if n > 1 and raw2 <= 1.0:
+        grad += (peak * SHARPNESS_BOOST * 2.0 * n / (n - 1)) * c
+    return grad
 
 
 # -- two-stage soft-selection ----------------------------------------------------
@@ -149,7 +149,7 @@ class SelectionWeights:
 
 
 def _weight_value(w, name):
-    val = float(w.data) if _is_tensor(w) else float(w)
+    val = float(w)
     if not 0.0 <= val <= 1.0:
         raise ValueError(f"{name} must lie in [0, 1], got {val}")
     return val
@@ -158,15 +158,28 @@ def _weight_value(w, name):
 def stage1_select(b_prev, alpha):
     """Convex mix of the previous alignment with its shifted version:
     alpha picks 'advance one symbol', (1 - alpha) picks 'stay'."""
-    _weight_value(alpha, "alpha")
-    shifted = shift_sticky(b_prev)
-    if _is_tensor(b_prev) or _is_tensor(alpha):
-        b_prev = b_prev if _is_tensor(b_prev) else ad.Tensor(np.asarray(b_prev, dtype=np.float64))
-        shifted = shifted if _is_tensor(shifted) else ad.Tensor(shifted)
-        one_minus = ad.add(ad.mul(alpha, -1.0), 1.0) if _is_tensor(alpha) else 1.0 - alpha
-        return ad.add(ad.mul(shifted, alpha), ad.mul(b_prev, one_minus))
+    alpha = _weight_value(alpha, "alpha")
     b_prev = np.asarray(b_prev, dtype=np.float64)
-    return alpha * shifted + (1.0 - alpha) * b_prev
+    return alpha * shift_sticky(b_prev) + (1.0 - alpha) * b_prev
+
+
+def _stage2(d, b_t, beta):
+    """stage2_select with the intermediates its gradient needs:
+    (out, gamma, metric of b_t, metric of d, raw mix, total), where total is
+    None when the mix fell back to d."""
+    beta = _weight_value(beta, "beta")
+    d = np.asarray(d, dtype=np.float64)
+    b_t = np.asarray(b_t, dtype=np.float64)
+    if d.shape[0] != b_t.shape[0]:
+        raise ValueError(f"stage2_select: length mismatch {d.shape[0]} vs {b_t.shape[0]}")
+    m_b = structure_metric(b_t)
+    m_d = structure_metric(d)
+    gamma = m_b * (1.0 - m_d)
+    raw = (1.0 - gamma) * beta * d + gamma * (1.0 - beta) * b_t
+    total = raw.sum()
+    if total < RENORM_FLOOR:
+        return d.copy(), gamma, m_b, m_d, raw, None
+    return raw / total, gamma, m_b, m_d, raw, total
 
 
 def stage2_select(d, b_t, beta):
@@ -178,48 +191,49 @@ def stage2_select(d, b_t, beta):
     distribution on its own, so it is renormalised to unit sum; a degenerate
     total (< 1e-8) falls back to d.
     """
-    _weight_value(beta, "beta")
-    n_d = d.shape[0] if _is_tensor(d) else np.asarray(d).shape[0]
-    n_b = b_t.shape[0] if _is_tensor(b_t) else np.asarray(b_t).shape[0]
-    if n_d != n_b:
-        raise ValueError(f"stage2_select: length mismatch {n_d} vs {n_b}")
-    if _is_tensor(d) or _is_tensor(b_t) or _is_tensor(beta):
-        d = d if _is_tensor(d) else ad.Tensor(np.asarray(d, dtype=np.float64))
-        b_t = b_t if _is_tensor(b_t) else ad.Tensor(np.asarray(b_t, dtype=np.float64))
-        gamma = ad.mul(structure_metric(b_t), ad.add(ad.mul(structure_metric(d), -1.0), 1.0))
-        one_minus_gamma = ad.add(ad.mul(gamma, -1.0), 1.0)
-        if _is_tensor(beta):
-            one_minus_beta = ad.add(ad.mul(beta, -1.0), 1.0)
-        else:
-            one_minus_beta = 1.0 - beta
-        raw = ad.add(
-            ad.mul(ad.mul(d, beta), one_minus_gamma),
-            ad.mul(ad.mul(b_t, one_minus_beta), gamma),
-        )
-        total = ad.sum_(raw)
-        if float(total.data) < RENORM_FLOOR:
-            return d
-        return ad.div(raw, total)
-    d = np.asarray(d, dtype=np.float64)
-    b_t = np.asarray(b_t, dtype=np.float64)
-    gamma = structure_metric(b_t) * (1.0 - structure_metric(d))
-    raw = (1.0 - gamma) * beta * d + gamma * (1.0 - beta) * b_t
-    total = raw.sum()
-    if total < RENORM_FLOOR:
-        return d.copy()
-    return raw / total
+    return _stage2(d, b_t, beta)[0]
 
 
 def augmented_step(b_t, b_prev, weights):
     """Full post-processing of one decoder step's initial alignment.
 
     With no history (b_prev is None, i.e. the first step) the initial
-    alignment passes through untouched.
+    alignment passes through untouched. On plain arrays the result is an
+    array; if any input is a Tensor it is one graph node that passes
+    gradients to every Tensor input.
     """
     if b_prev is None:
         return b_t
-    d = stage1_select(b_prev, weights.alpha)
-    return stage2_select(d, b_t, weights.beta)
+    inputs = (b_t, b_prev, weights.alpha, weights.beta)
+    bt, bp = _value(b_t), _value(b_prev)
+    alpha = _weight_value(_value(weights.alpha), "alpha")
+    beta = _weight_value(_value(weights.beta), "beta")
+    d = stage1_select(bp, alpha)
+    out, gamma, m_b, m_d, raw, total = _stage2(d, bt, beta)
+    if not any(isinstance(x, ad.Tensor) for x in inputs):
+        return out
+    shifted = shift_sticky(bp)
+
+    def backward(g):
+        if total is None:  # fell back to d
+            g_d, g_bt, g_beta = g, np.zeros_like(bt), 0.0
+        else:
+            g_raw = g / total - np.dot(g, raw) / (total * total)
+            g_d = g_raw * (beta * (1.0 - gamma))
+            g_bt = g_raw * ((1.0 - beta) * gamma)
+            g_beta = (1.0 - gamma) * np.dot(g_raw, d) - gamma * np.dot(g_raw, bt)
+            if m_b > 0.0:  # else gamma is 0 whatever either metric does
+                g_gamma = (1.0 - beta) * np.dot(g_raw, bt) - beta * np.dot(g_raw, d)
+                g_bt = g_bt + (g_gamma * (1.0 - m_d)) * _metric_grad(bt)
+                g_d = g_d - (g_gamma * m_b) * _metric_grad(d)
+        g_alpha = np.dot(g_d, shifted) - np.dot(g_d, bp)
+        g_shift = alpha * g_d
+        g_bp = (1.0 - alpha) * g_d
+        g_bp[:-1] += g_shift[1:]  # shift_sticky moves entry i to i+1 ...
+        g_bp[-1] += g_shift[-1]  # ... and keeps the last one in place
+        return g_bt, g_bp, g_alpha, g_beta
+
+    return ad.fused(out, inputs, backward)
 
 
 # -- diagnostics -----------------------------------------------------------------
@@ -227,7 +241,7 @@ def augmented_step(b_t, b_prev, weights):
 
 def entropy(a):
     """Shannon entropy in nats, with 0*ln(0) = 0."""
-    a = a.data if _is_tensor(a) else np.asarray(a, dtype=np.float64)
+    a = _value(a)
     pos = a[a > 0.0]
     return float(-(pos * np.log(pos)).sum())
 

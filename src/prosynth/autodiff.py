@@ -18,7 +18,7 @@ import itertools
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import DataError, ShapeError
 
 _IDS = itertools.count()
 
@@ -473,6 +473,39 @@ def index_rows(table, ids):
     return _result(data, (table,), backward)
 
 
+def _conv_same(x, w):
+    """'Same'-padded 1-D convolution of plain arrays: x (T, Cin), w (K, Cin,
+    Cout) with odd K. Returns (out, xp); xp is the padded input, which the
+    backward needs."""
+    k = w.shape[0]
+    t = x.shape[0]
+    pad = k // 2
+    xp = np.zeros((t + 2 * pad, x.shape[1]))
+    xp[pad:pad + t] = x
+    out = np.zeros((t, w.shape[2]))
+    for j in range(k):
+        out += xp[j:j + t] @ w[j]
+    return out, xp
+
+
+def _conv_same_grads(g, xp, w, need_x, need_w):
+    """Gradients of _conv_same for output gradient g: (gx, gw), each None
+    unless asked for."""
+    k = w.shape[0]
+    t = g.shape[0]
+    gx = gw = None
+    if need_x:
+        gxp = np.zeros_like(xp)
+        for j in range(k):
+            gxp[j:j + t] += g @ w[j].T
+        gx = gxp[k // 2:k // 2 + t]
+    if need_w:
+        gw = np.empty_like(w)
+        for j in range(k):
+            gw[j] = xp[j:j + t].T @ g
+    return gx, gw
+
+
 def conv1d(x, w, bias=None):
     """'Same'-padded 1-D convolution over time.
 
@@ -487,13 +520,7 @@ def conv1d(x, w, bias=None):
         raise ShapeError(f"conv1d: kernel size must be odd, got {k}")
     if x.data.shape[1] != cin:
         raise ShapeError(f"conv1d: channel mismatch {x.data.shape[1]} vs {cin}")
-    t = x.data.shape[0]
-    pad = k // 2
-    xp = np.zeros((t + 2 * pad, cin))
-    xp[pad:pad + t] = x.data
-    data = np.zeros((t, cout))
-    for j in range(k):
-        data += xp[j:j + t] @ w.data[j]
+    data, xp = _conv_same(x.data, w.data)
     parents = [x, w]
     if bias is not None:
         bias = _wrap(bias)
@@ -501,15 +528,10 @@ def conv1d(x, w, bias=None):
         parents.append(bias)
 
     def backward(g):
-        if x.requires_grad:
-            gxp = np.zeros_like(xp)
-            for j in range(k):
-                gxp[j:j + t] += g @ w.data[j].T
-            x._accum(gxp[pad:pad + t])
-        if w.requires_grad:
-            gw = np.empty_like(w.data)
-            for j in range(k):
-                gw[j] = xp[j:j + t].T @ g
+        gx, gw = _conv_same_grads(g, xp, w.data, x.requires_grad, w.requires_grad)
+        if gx is not None:
+            x._accum(gx)
+        if gw is not None:
             w._accum(gw)
         if bias is not None and bias.requires_grad:
             bias._accum(g.sum(axis=0))
@@ -560,6 +582,77 @@ def lstm_step(x, h, c, wx, wh, b):
 
     hc = _result(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
+
+
+def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
+    """Fused location-sensitive additive attention (single graph node).
+
+    query: (D,), enc_proj: (N, A), prev_align/cum_align: (N,),
+    conv_w: (K, 2, F) with odd K, loc_w: (F, A), query_w: (D, A), v: (A,).
+    loc = conv1d([prev_align, cum_align], conv_w) and the result is
+    softmax(tanh(enc_proj + loc @ loc_w + query @ query_w) @ v), an (N,)
+    distribution. Gradients reach all eight inputs.
+    """
+    query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v = inputs = tuple(
+        _wrap(t) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v))
+    fits = enc_proj.data.ndim == 2 and conv_w.data.ndim == 3 and query.data.ndim == 1
+    if fits:
+        n, a = enc_proj.data.shape
+        k, cin, f = conv_w.data.shape
+        fits = (prev_align.data.shape == cum_align.data.shape == (n,) and cin == 2 and k % 2 == 1
+                and loc_w.data.shape == (f, a) and query_w.data.shape == (query.data.shape[0], a)
+                and v.data.shape == (a,))
+    if not fits:
+        raise ShapeError("location_attention: shapes do not fit: " + ", ".join(str(t.data.shape) for t in inputs))
+    loc_in = np.stack([prev_align.data, cum_align.data], axis=1)
+    loc, loc_pad = _conv_same(loc_in, conv_w.data)
+    th = np.tanh(enc_proj.data + loc @ loc_w.data + query.data @ query_w.data)
+    e = th @ v.data
+    z = np.exp(e - e.max())
+    data = z / z.sum()
+
+    def backward(g):
+        ge = data * (g - np.dot(g, data))
+        if v.requires_grad:
+            v._accum(th.T @ ge)
+        gterms = np.outer(ge, v.data) * (1.0 - th * th)
+        if enc_proj.requires_grad:
+            enc_proj._accum(gterms)
+        gq = gterms.sum(axis=0)
+        if query.requires_grad:
+            query._accum(query_w.data @ gq)
+        if query_w.requires_grad:
+            query_w._accum(np.outer(query.data, gq))
+        if loc_w.requires_grad:
+            loc_w._accum(loc.T @ gterms)
+        need_in = prev_align.requires_grad or cum_align.requires_grad
+        if need_in or conv_w.requires_grad:
+            gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data, need_in, conv_w.requires_grad)
+            if prev_align.requires_grad:
+                prev_align._accum(gin[:, 0].copy())
+            if cum_align.requires_grad:
+                cum_align._accum(gin[:, 1].copy())
+            if gw is not None:
+                conv_w._accum(gw)
+
+    return _result(data, inputs, backward)
+
+
+def fused(data, inputs, backward):
+    """One graph node whose value and gradients are computed by the caller.
+
+    inputs may mix Tensors and plain values; only the Tensors become
+    parents. backward(g) returns one gradient per input, in order, each
+    shaped like that input's value (anything for a plain input).
+    """
+    links = [(i, x) for i, x in enumerate(inputs) if isinstance(x, Tensor) and x.requires_grad]
+
+    def run(g):
+        grads = backward(g)
+        for i, x in links:
+            x._accum(np.reshape(grads[i], x.data.shape))
+
+    return _result(data, tuple(x for _, x in links), run)
 
 
 # -- parameters, optimiser, gradient checking ------------------------------------
@@ -620,10 +713,18 @@ class SGD:
         return {f"opt.velocity.{k}": v for k, v in self.velocity.items()}
 
     def load_state_tensors(self, table):
-        for k in self.velocity:
+        """Restore every momentum buffer; a missing or misshapen one is a
+        DataError, since resuming without it would silently diverge."""
+        loaded = {}
+        for k, v in self.velocity.items():
             key = f"opt.velocity.{k}"
-            if key in table:
-                self.velocity[k] = np.asarray(table[key], dtype=np.float64)
+            if key not in table:
+                raise DataError(f"optimiser state missing {key}")
+            arr = np.asarray(table[key], dtype=np.float64)
+            if arr.shape != v.shape:
+                raise DataError(f"optimiser state {key} has shape {arr.shape}, expected {v.shape}")
+            loaded[k] = arr
+        self.velocity.update(loaded)
 
 
 def finite_diff_check(build, param, step=1e-5):

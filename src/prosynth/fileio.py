@@ -31,28 +31,35 @@ def save_matrix(path, matrix):
         fh.write(m.tobytes())
 
 
+def _read(fh, n, path, what):
+    """Exactly n bytes from fh; a short read is a DataError naming what was
+    being read."""
+    data = fh.read(n)
+    if len(data) != n:
+        raise DataError(f"{path}: truncated {what} ({len(data)} of {n} bytes)")
+    return data
+
+
 def load_matrix(path):
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != MATRIX_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-        version, rows, cols = struct.unpack("<III", fh.read(12))
+        version, rows, cols = struct.unpack("<III", _read(fh, 12, path, "matrix header"))
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported container version {version}")
-        data = fh.read(8 * rows * cols)
-        if len(data) != 8 * rows * cols:
-            raise DataError(f"{path}: truncated matrix payload")
+        data = _read(fh, 8 * rows * cols, path, "matrix payload")
         return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
 
 def save_tensor_table(path, table):
     """Write a name -> array mapping; iteration order is sorted by name so
-    files are byte-reproducible."""
+    files are byte-reproducible. Every shape round-trips, 0-d included."""
     with open(path, "wb") as fh:
         fh.write(TABLE_MAGIC)
         fh.write(struct.pack("<II", FORMAT_VERSION, len(table)))
         for name in sorted(table):
-            arr = np.ascontiguousarray(table[name], dtype="<f8")
+            arr = np.asarray(table[name], dtype="<f8")
             raw = name.encode("utf-8")
             fh.write(struct.pack("<I", len(raw)))
             fh.write(raw)
@@ -67,17 +74,15 @@ def load_tensor_table(path):
         magic = fh.read(4)
         if magic != TABLE_MAGIC:
             raise DataError(f"{path}: bad magic {magic!r}, expected {TABLE_MAGIC!r}")
-        version, count = struct.unpack("<II", fh.read(8))
+        version, count = struct.unpack("<II", _read(fh, 8, path, "table header"))
         if version != FORMAT_VERSION:
             raise DataError(f"{path}: unsupported table version {version}")
-        for _ in range(count):
-            (nlen,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<I", fh.read(4))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
+        for i in range(count):
+            (nlen,) = struct.unpack("<I", _read(fh, 4, path, f"entry {i} header"))
+            name = _read(fh, nlen, path, f"entry {i} name").decode("utf-8")
+            (ndim,) = struct.unpack("<I", _read(fh, 4, path, f"entry {name!r} header"))
+            shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, f"entry {name!r} shape"))
             n = int(np.prod(shape)) if ndim else 1
-            data = fh.read(8 * n)
-            if len(data) != 8 * n:
-                raise DataError(f"{path}: truncated entry {name!r}")
+            data = _read(fh, 8 * n, path, f"entry {name!r}")
             out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return out

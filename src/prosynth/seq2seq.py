@@ -236,12 +236,8 @@ def initial_attention(params, query, enc_proj, prev_align, cum_align):
     n = prev_align.shape[0]
     if enc_proj.shape[0] != n:
         raise DataError(f"attention: {enc_proj.shape[0]} encoder rows vs {n} alignment entries")
-    loc_in = ad.concat([ad.reshape(prev_align, (n, 1)), ad.reshape(cum_align, (n, 1))], axis=1)
-    loc = ad.conv1d(loc_in, params["att.location.conv"])
-    terms = ad.add(enc_proj, ad.matmul(loc, params["att.location.w"]))
-    terms = ad.add(terms, ad.matmul(query, params["att.query.w"]))
-    energies = ad.matmul(ad.tanh(terms), params["att.v"])
-    return ad.softmax(energies)
+    return ad.location_attention(query, enc_proj, prev_align, cum_align, params["att.location.conv"],
+                                 params["att.location.w"], params["att.query.w"], params["att.v"])
 
 
 # -- decoder ---------------------------------------------------------------------

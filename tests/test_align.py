@@ -188,14 +188,19 @@ def test_metric_monotone_under_sharpening():
 
 
 def test_metric_gradient_flow_above_threshold():
-    # differentiable where the raw score clears the threshold
+    # differentiable where the raw score clears the threshold; the metric's
+    # gradient reaches b_t through gamma = metric(b_t) * (1 - metric(d)) in
+    # the fused augmented step, with d scoring 0 so that gamma = metric(b_t)
     base = 0.55 * onehot(8, 3) + 0.45 * flat(8)
     x = ad.parameter(base, name="x")
     raw = align.f1(base) * align.f2(base)
     assert raw > 0.12 + 0.05
+    b_prev = flat(8)
+    assert align.structure_metric(align.stage1_select(b_prev, 0.5)) == 0.0
+    w = ad.Tensor(np.linspace(-1.0, 1.0, 8))
 
     def build():
-        return align.structure_metric(x)
+        return ad.matmul(align.augmented_step(x, b_prev, align.SelectionWeights(0.5, 0.5)), w)
 
     err = ad.finite_diff_check(build, x, step=1e-6)
     assert err < 1e-4
@@ -308,7 +313,7 @@ def test_monotone_support_drift():
         assert prev_peak == 8  # reached and stayed at the last symbol
 
 
-# -- tensor path consistency --------------------------------------------------------
+# -- fused graph node consistency ---------------------------------------------------
 
 
 def test_tensor_path_matches_numpy():
@@ -341,6 +346,9 @@ def test_augmented_gradient_flows_to_weights():
         out = align.augmented_step(b_t, b_prev, align.SelectionWeights(alpha, beta))
         return ad.sum_(ad.mul(out, out))
 
+    # one fused node, wired straight to the weights
+    out = align.augmented_step(b_t, b_prev, align.SelectionWeights(alpha, beta))
+    assert out._parents == (alpha, beta)
     for p in (alpha, beta):
         err = ad.finite_diff_check(build, p, step=1e-6)
         assert err < 1e-4

@@ -1,0 +1,123 @@
+"""Checkpoint files: tensor-table round trips, truncated headers, strict
+optimiser state, and bit-identical resumed training."""
+
+import numpy as np
+import pytest
+
+from prosynth import fileio, seq2seq, synthdata
+from prosynth import autodiff as ad
+from prosynth.errors import DataError
+
+
+def test_tensor_table_roundtrip_keeps_0d_shape(tmp_path):
+    table = {"scalar": np.array(2.5), "vector": np.array([1.0]), "matrix": np.arange(6.0).reshape(2, 3)}
+    path = tmp_path / "t.bin"
+    fileio.save_tensor_table(path, table)
+    back = fileio.load_tensor_table(path)
+    assert sorted(back) == sorted(table)
+    for name, arr in table.items():
+        assert back[name].shape == arr.shape, name
+        assert np.array_equal(back[name], arr), name
+
+
+def test_checkpoint_restores_scalar_parameters(tmp_path):
+    cfg = seq2seq.ModelConfig(seed=3)
+    params = seq2seq.init_params(cfg, vocab_size=14)
+    scalars = [k for k, p in params.items() if p.data.ndim == 0]
+    assert {"att.alpha.b", "att.beta.b", "out.stop.b"} <= set(scalars)
+    for i, k in enumerate(scalars):
+        params[k].data = np.asarray(0.25 * (i + 1))
+    opt = ad.SGD(params, lr=0.1)
+    seq2seq.save_checkpoint(tmp_path / "c.bin", params, opt, 1, [])
+    fresh = seq2seq.init_params(cfg, vocab_size=14)
+    seq2seq.load_checkpoint(tmp_path / "c.bin", fresh, ad.SGD(fresh, lr=0.1))
+    for k in scalars:
+        assert fresh[k].data.shape == () and fresh[k].data == params[k].data, k
+
+
+def _table_file(tmp_path):
+    path = tmp_path / "t.bin"
+    fileio.save_tensor_table(path, {"model.x": np.arange(3.0)})  # name bytes 16..22
+    return path
+
+
+def _matrix_file(tmp_path):
+    path = tmp_path / "m.bin"
+    fileio.save_matrix(path, np.ones((2, 2)))
+    return path
+
+
+@pytest.mark.parametrize("make, load, length", [
+    (_table_file, fileio.load_tensor_table, 6),  # inside the version/count header
+    (_table_file, fileio.load_tensor_table, 14),  # inside the first name length
+    (_table_file, fileio.load_tensor_table, 20),  # inside the first name
+    (_matrix_file, fileio.load_matrix, 10),  # inside the version/rows/cols header
+])
+def test_truncated_header_raises_data_error(tmp_path, make, load, length):
+    path = make(tmp_path)
+    path.write_bytes(path.read_bytes()[:length])
+    with pytest.raises(DataError, match="truncated"):
+        load(path)
+
+
+def _opt():
+    params = {"a": ad.parameter(np.zeros(3)), "b": ad.parameter(np.zeros((2, 2)))}
+    return ad.SGD(params, lr=0.1)
+
+
+def test_sgd_state_roundtrip():
+    opt = _opt()
+    state = {k: v + 1.5 for k, v in opt.state_tensors().items()}
+    other = _opt()
+    other.load_state_tensors(state)
+    for k, v in other.state_tensors().items():
+        assert np.array_equal(v, state[k])
+
+
+def test_sgd_state_missing_key_raises():
+    opt = _opt()
+    state = opt.state_tensors()
+    del state["opt.velocity.b"]
+    with pytest.raises(DataError, match="opt.velocity.b"):
+        _opt().load_state_tensors(state)
+
+
+def test_sgd_state_wrong_shape_raises():
+    state = _opt().state_tensors()
+    state["opt.velocity.a"] = np.zeros(4)
+    target = _opt()
+    with pytest.raises(DataError, match="shape"):
+        target.load_state_tensors(state)
+    assert all(not v.any() for v in target.state_tensors().values())  # nothing half-loaded
+
+
+# -- resume --------------------------------------------------------------------------
+
+TINY = dict(encoder_rnn_width=4, decoder_rnn_width=6, prenet_hidden=6, prenet_out=4, attention_dim=6,
+            location_filters=2, location_kernel=3, postnet_channels=3, symbol_embedding=4,
+            stress_embedding=2, phrase_embedding=2, encoder_conv_channels=6, encoder_conv_kernel=3,
+            batch_size=2, prosody_zero_epochs=1)
+
+
+@pytest.fixture(scope="module")
+def small_corpus():
+    corpus = synthdata.generate_corpus(synthdata.CorpusConfig(utterance_count=5, validation_count=1, seed=9))
+    rng = np.random.default_rng(9)
+    return corpus, {u.utt_id: rng.normal(size=2) for u in corpus.utterances}
+
+
+@pytest.mark.parametrize("mode", ["augmented", "plain"])
+def test_resume_is_bit_identical(tmp_path, small_corpus, mode):
+    corpus, table = small_corpus
+    (tmp_path / "a").mkdir()
+    straight = seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=2, **TINY), mode, out_dir=tmp_path / "a")
+    (tmp_path / "b").mkdir()
+    first = seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), mode, out_dir=tmp_path / "b")
+    assert len(first.history) == 1
+    resumed = seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=2, **TINY), mode, out_dir=tmp_path / "b",
+                            resume=True)
+    assert resumed.history == straight.history
+    for k, p in straight.params.items():
+        assert p.data.shape == resumed.params[k].data.shape, k
+        assert np.array_equal(p.data, resumed.params[k].data), k
+    assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (tmp_path / "b" / "checkpoint.bin").read_bytes()

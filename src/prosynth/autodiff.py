@@ -7,20 +7,50 @@ arithmetic is float64. Broadcasting is deliberately restricted to bias-add
 ((m,n)+(n,)) and scalar-with-anything; everything else must match shapes
 exactly so that mistakes surface as errors, not silent expansion.
 
+Inside no_grad(), operations return constants: the value only, with no
+parents and no backward closure, so inference leaves no graph behind.
+
 Thread-safety: construction and backward are single-threaded per graph;
-distinct graphs on distinct threads are fine because there is no shared
-mutable state beyond the id counter (itertools.count is atomic in CPython).
+distinct graphs on distinct threads are fine. The grad mode is per-thread
+state, so no_grad() in one thread leaves graph building in every other
+thread on; the only state shared between threads is the id counter
+(itertools.count is atomic in CPython).
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
+import threading
 
 import numpy as np
 
 from .errors import DataError, ShapeError
 
 _IDS = itertools.count()
+
+
+class _GradMode(threading.local):
+    enabled = True  # class-level default: every new thread starts with grad on
+
+
+_GRAD_MODE = _GradMode()
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within this block, in this thread, operations record no graph.
+
+    Results are constants (requires_grad=False, no parents); values are the
+    same as with graph building on. Nests, and restores the previous mode on
+    exit, also when the block raises. Also a decorator: @no_grad().
+    """
+    prev = _GRAD_MODE.enabled
+    _GRAD_MODE.enabled = False
+    try:
+        yield
+    finally:
+        _GRAD_MODE.enabled = prev
 
 
 def _as_array(x):
@@ -152,6 +182,8 @@ def _wrap(x):
 
 
 def _result(data, parents, backward):
+    if not _GRAD_MODE.enabled:
+        return Tensor(data)
     req = any(p.requires_grad for p in parents)
     out = Tensor(data, requires_grad=req, _parents=tuple(p for p in parents if p.requires_grad))
     if req:

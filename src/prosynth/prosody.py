@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .errors import DataError
 
 MIN_VOICED_FRAMES = 20
 MIN_STATS_UTTERANCES = 10
@@ -134,27 +135,6 @@ def apply_offset(norm, offset):
     return NormalizedProsody(norm.pace + dp, norm.pitch_span + ds)
 
 
-# -- embedding and conditioning ------------------------------------------------------
-
-
-def embed(norm, weight):
-    """tanh(W @ p): unbiased 2x2 projection into (-1, 1)^2."""
-    weight = np.asarray(weight, dtype=np.float64)
-    if weight.shape != (2, 2):
-        raise ValueError(f"embed: weight must be 2x2, got {weight.shape}")
-    vec = norm.as_array() if hasattr(norm, "as_array") else np.asarray(norm, dtype=np.float64)
-    return np.tanh(weight @ vec)
-
-
-def condition_encoder(encoder_outputs, embedding):
-    """Append the same 2 embedding values to every encoder output vector."""
-    seq = np.asarray(encoder_outputs, dtype=np.float64)
-    if seq.ndim != 2 or seq.shape[0] == 0:
-        raise ValueError(f"condition_encoder: expected non-empty (T, D) sequence, got {seq.shape}")
-    emb = np.asarray(embedding, dtype=np.float64).reshape(2)
-    return np.concatenate([seq, np.tile(emb, (seq.shape[0], 1))], axis=1)
-
-
 # -- the prediction module --------------------------------------------------------------
 
 
@@ -211,8 +191,9 @@ class ProsodyPredictor:
                 x = h[l]
         return ad.add(ad.matmul(x, self.params["out.w"]), self.params["out.b"])
 
+    @ad.no_grad()
     def predict(self, sequence):
-        """Deterministic (2,) prediction as NormalizedProsody."""
+        """Deterministic (2,) prediction as NormalizedProsody; builds no graph."""
         out = self.forward(sequence).data
         return NormalizedProsody(float(out[0]), float(out[1]))
 
@@ -261,8 +242,9 @@ def train_predictor(dataset, config=None, log=None):
     return predictor, history
 
 
+@ad.no_grad()
 def evaluate_predictor(predictor, dataset):
-    """Mean squared error over a dataset."""
+    """Mean squared error over a dataset, computed without building a graph."""
     total = 0.0
     for seq, target in dataset:
         out = predictor.forward(seq).data
@@ -280,11 +262,18 @@ STATS_FORMAT_VERSION = 1
 
 def write_prosody_table(path, rows):
     """rows: (utt_id, pace, pitch_span, norm_pace, norm_pitch_span, status);
-    numeric fields may be None for flagged utterances."""
+    numeric fields may be None for flagged utterances. The format has no
+    escaping, so an utt_id or status holding a comma or a line break is a
+    ValueError, raised before the file is opened."""
 
     def fmt(x):
         return "" if x is None else repr(float(x))
 
+    rows = list(rows)
+    for row in rows:
+        for label, text in (("utt_id", str(row[0])), ("status", str(row[5]))):
+            if any(ch in text for ch in ",\n\r"):
+                raise ValueError(f"write_prosody_table: {label} {text!r} contains a comma or line break")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(PROSODY_CSV_HEADER + "\n")
         for utt_id, pace, span, npace, nspan, status in rows:
@@ -292,15 +281,23 @@ def write_prosody_table(path, rows):
 
 
 def read_prosody_table(path):
+    """Rows as written by write_prosody_table; a row with the wrong number
+    of fields or an unparsable number is a DataError naming its line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != PROSODY_CSV_HEADER:
             raise ValueError(f"{path}: unexpected prosody table header {header!r}")
-        for line in fh:
-            utt_id, pace, span, npace, nspan, status = line.rstrip("\n").split(",")
-            num = lambda s: None if s == "" else float(s)
-            rows.append((utt_id, num(pace), num(span), num(npace), num(nspan), status))
+        for lineno, line in enumerate(fh, start=2):
+            fields = line.rstrip("\n").split(",")
+            if len(fields) != 6:
+                raise DataError(f"{path}:{lineno}: {len(fields)} fields, expected 6")
+            utt_id, *numbers, status = fields
+            try:
+                values = [None if s == "" else float(s) for s in numbers]
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: {exc}") from None
+            rows.append((utt_id, *values, status))
     return rows
 
 

@@ -392,9 +392,11 @@ def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     return loss, trace
 
 
+@ad.no_grad()
 def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     """Autoregressive decode: stops when the stop probability clears the
-    threshold, or truncates at max_decode_ratio times the input length."""
+    threshold, or truncates at max_decode_ratio times the input length.
+    Builds no graph, so each step's values are freed as the decode moves on."""
     enc_cond = encode(params, symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
     state = init_decoder_state(params, cfg, len(symbols))
@@ -432,7 +434,10 @@ def _epoch_order(seed, epoch, n):
     return np.random.default_rng((seed, 0xE90C4, epoch)).permutation(n)
 
 
+@ad.no_grad()
 def validation_metrics(params, cfg, val_utts, prosody_table, attention_mode):
+    """Mean teacher-forced loss and mean alignment entropy over val_utts,
+    computed without building a graph."""
     losses, matrices = [], []
     for u in val_utts:
         vec = prosody_table[u.utt_id]
@@ -448,9 +453,10 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
 
     prosody_table maps utt_id -> normalised (pace, pitch_span) pair; the
     conditioning is forced to zero for the first prosody_zero_epochs. The
-    entropy log gets one entry per epoch. Checkpoints land in out_dir each
-    epoch; with resume=True training continues from the last one and the
-    result is bit-identical to an uninterrupted run.
+    entropy log gets one entry per epoch. Checkpoints land in out_dir, which
+    is created before the first epoch if missing; with resume=True training
+    continues from the last one and the result is bit-identical to an
+    uninterrupted run.
     """
     train_utts = corpus.split("train")
     val_utts = corpus.split("val")
@@ -462,6 +468,8 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     if missing:
         raise DataError(f"train: prosody table missing {len(missing)} utterances (e.g. {missing[0]})")
 
+    if out_dir is not None:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)  # an unusable path fails before any training
     params = init_params(cfg, corpus.config.vocab_size)
     opt = ad.SGD(params, lr=cfg.learning_rate, momentum=cfg.momentum, grad_clip=cfg.grad_clip)
     history = []
@@ -544,7 +552,3 @@ def load_checkpoint(path, params, opt=None):
                 "val_loss": float(row[2]), "val_entropy": float(row[3]),
             })
     return next_epoch, history
-
-
-def checkpoint_tensor_table(path):
-    return fileio.load_tensor_table(path)

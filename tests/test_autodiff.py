@@ -1,5 +1,7 @@
 """Engine tests: every primitive op against central finite differences."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -288,6 +290,96 @@ def test_detach_blocks_gradient():
     y = ad.sum_(ad.mul(x.detach(), x))
     y.backward()
     assert np.allclose(x.grad, [1.0, 2.0])  # only the live path contributes
+
+
+# -- no_grad ---------------------------------------------------------------------------
+
+
+def _lstm_inputs(rng):
+    x = ad.Tensor(rand(rng, 3))
+    h, c = ad.Tensor(rand(rng, 2)), ad.Tensor(rand(rng, 2))
+    wx, wh, b = (ad.parameter(rand(rng, *shape), name=n) for n, shape in
+                 (("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,))))
+    return x, h, c, wx, wh, b
+
+
+def _next_id():
+    return ad.Tensor(0.0)._id
+
+
+def test_no_grad_results_are_constants():
+    rng = np.random.default_rng(21)
+    inputs = _lstm_inputs(rng)
+    wx = inputs[3]
+    start = _next_id()
+    h_ref, c_ref = ad.lstm_step(*inputs)
+    ids_with_grad = _next_id() - start
+    wx.grad = np.full_like(wx.data, 7.0)
+    with ad.no_grad():
+        start = _next_id()
+        h, c = ad.lstm_step(*inputs)
+        ids_without = _next_id() - start
+        loss = ad.sum_(ad.mul(ad.tanh(h), c))
+        loss.backward()
+    assert ids_without == ids_with_grad  # nodes keep their numbering
+    assert np.array_equal(h.data, h_ref.data) and np.array_equal(c.data, c_ref.data)
+    for t in (h, c, loss):
+        assert t._parents == () and t._backward is None and not t.requires_grad
+    assert np.array_equal(wx.grad, np.full_like(wx.data, 7.0))  # untouched
+
+
+def test_no_grad_nests_and_restores_on_exception():
+    w = ad.parameter([1.0, 2.0], name="w")
+
+    def builds_graph():
+        return ad.mul(w, 2.0)._parents == (w,)
+
+    with ad.no_grad():
+        with ad.no_grad():
+            assert not builds_graph()
+        assert not builds_graph()  # leaving the inner block keeps the outer one's mode
+        with pytest.raises(KeyError):
+            with ad.no_grad():
+                raise KeyError("inner")
+        assert not builds_graph()
+    assert builds_graph()
+    with pytest.raises(RuntimeError):
+        with ad.no_grad():
+            raise RuntimeError("boom")
+    assert builds_graph()
+
+
+def test_no_grad_is_per_thread():
+    entered, release = threading.Event(), threading.Event()
+    seen = {}
+
+    def held_in_no_grad():
+        with ad.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+            seen["parents"] = ad.mul(ad.parameter([1.0]), 2.0)._parents
+
+    worker = threading.Thread(target=held_in_no_grad)
+    worker.start()
+    try:
+        assert entered.wait(timeout=10)
+        w = ad.parameter([1.0, -2.0], name="w")
+        ad.sum_(ad.mul(ad.tanh(w), 3.0)).backward()
+        assert w.grad is not None
+        assert np.allclose(w.grad, 3.0 * (1.0 - np.tanh([1.0, -2.0]) ** 2))
+    finally:
+        release.set()
+        worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert seen["parents"] == ()
+
+    # a thread started inside no_grad builds graphs: the mode is not inherited
+    with ad.no_grad():
+        fresh = threading.Thread(target=lambda: seen.update(fresh=ad.mul(ad.parameter([1.0]), 2.0)._parents))
+        fresh.start()
+        fresh.join(timeout=10)
+    assert not fresh.is_alive()
+    assert len(seen["fresh"]) == 1
 
 
 def test_bias_add_shapes():

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from prosynth import prosody
+from prosynth import prosody, seq2seq, synthdata
+from prosynth import autodiff as ad
+from prosynth.errors import DataError
 from prosynth.prosody import (
     NormalizedProsody,
     PredictorConfig,
@@ -14,9 +16,7 @@ from prosynth.prosody import (
     apply_offset,
     compute_pace,
     compute_pitch_span,
-    condition_encoder,
     denormalize,
-    embed,
     fit_speaker_stats,
     normalize,
     train_predictor,
@@ -201,13 +201,19 @@ def test_offset_additivity():
 # -- embedding and conditioning -------------------------------------------------------------
 
 
+def _embedding_params(weight):
+    return {"prosody.embed": ad.parameter(np.asarray(weight, dtype=np.float64))}
+
+
 def test_embed_zero_input():
-    out = embed(NormalizedProsody(0.0, 0.0), np.eye(2))
-    assert np.array_equal(out, [0.0, 0.0])
+    out = seq2seq.prosody_embedding(_embedding_params(np.eye(2)), NormalizedProsody(0.0, 0.0).as_array())
+    assert np.array_equal(out.data, [0.0, 0.0])
+    none = seq2seq.prosody_embedding(_embedding_params(np.eye(2)), None)
+    assert np.array_equal(none.data, [0.0, 0.0])
 
 
 def test_embed_identity_weight():
-    out = embed(NormalizedProsody(0.5, -0.5), np.eye(2))
+    out = seq2seq.prosody_embedding(_embedding_params(np.eye(2)), NormalizedProsody(0.5, -0.5).as_array()).data
     assert np.allclose(out, [math.tanh(0.5), -math.tanh(0.5)])
     assert out[0] == pytest.approx(0.462117, abs=1e-6)
 
@@ -217,17 +223,26 @@ def test_embed_output_bounded():
     rng = np.random.default_rng(3)
     for _ in range(100):
         p = NormalizedProsody(*rng.uniform(-2, 2, size=2))
-        out = embed(p, rng.uniform(-2, 2, size=(2, 2)))
+        out = seq2seq.prosody_embedding(_embedding_params(rng.uniform(-2, 2, size=(2, 2))), p.as_array()).data
         assert (np.abs(out) < 1.0).all()
 
 
 def test_condition_encoder_shapes():
-    seq = np.ones((5, 7))
-    out = condition_encoder(seq, [0.0, 0.0])
-    assert out.shape == (5, 9)
-    assert np.array_equal(out[:, 7:], np.zeros((5, 2)))
-    out2 = condition_encoder(seq, [0.3, -0.4])
-    assert (out2[:, 7] == 0.3).all() and (out2[:, 8] == -0.4).all()
+    cfg = seq2seq.ModelConfig(encoder_rnn_width=3, encoder_conv_channels=4, encoder_conv_kernel=3,
+                              symbol_embedding=4, stress_embedding=2, phrase_embedding=2)
+    corpus = synthdata.generate_corpus(synthdata.CorpusConfig(utterance_count=2, validation_count=0, seed=1))
+    symbols = corpus.utterances[0].symbols
+    n, width = len(symbols), 2 * cfg.encoder_rnn_width
+    params = seq2seq.init_params(cfg, corpus.config.vocab_size)
+    params["prosody.embed"].data = np.eye(2)
+    latents = seq2seq.encoder_latents(params, symbols).data
+    out = seq2seq.encode(params, symbols, [0.0, 0.0]).data
+    assert out.shape == (n, width + 2)
+    assert np.array_equal(out[:, :width], latents)
+    assert np.array_equal(out[:, width:], np.zeros((n, 2)))
+    out2 = seq2seq.encode(params, symbols, [0.3, -0.4]).data
+    assert np.array_equal(out2[:, :width], latents)
+    assert np.array_equal(out2[:, width:], np.tile(np.tanh([0.3, -0.4]), (n, 1)))
 
 
 # -- predictor -------------------------------------------------------------------------------
@@ -275,6 +290,19 @@ def test_predictor_learns_signal():
     assert history[-1] <= history[-2] <= history[-3]  # settled by the end
 
 
+def test_predict_builds_no_graph(made_nodes):
+    rng = np.random.default_rng(8)
+    data = tiny_dataset(rng, n=4)
+    predictor = prosody.ProsodyPredictor(5, width=4, layers=2, seed=1)
+    expected = predictor.forward(data[0][0]).data
+    expected_mse = prosody.evaluate_predictor.__wrapped__(predictor, data)  # grad mode
+    made_nodes.clear()
+    out = predictor.predict(data[0][0])
+    assert prosody.evaluate_predictor(predictor, data) == expected_mse
+    assert made_nodes and all(t._parents == () and not t.requires_grad for t in made_nodes)
+    assert (out.pace, out.pitch_span) == (expected[0], expected[1])
+
+
 def test_predictor_rejects_empty():
     with pytest.raises(ValueError):
         train_predictor([])
@@ -299,6 +327,32 @@ def test_prosody_table_roundtrip(tmp_path):
     assert back[0][1] == pytest.approx(-2.1)
     assert back[1][1] is None
     assert back[1][5] == "skipped:all-silence"
+
+
+@pytest.mark.parametrize("utt_id, status", [
+    ("utt,0000", "ok"), ("utt_0000", "skipped\nall-silence"), ("utt\r0000", "ok"), ("utt_0000", "a,b"),
+])
+def test_prosody_table_rejects_separators(tmp_path, utt_id, status):
+    path = tmp_path / "prosody.csv"
+    with pytest.raises(ValueError, match="comma or line break"):
+        prosody.write_prosody_table(path, [("utt_ok", 1.0, 1.0, 0.0, 0.0, "ok"),
+                                           (utt_id, 1.0, 1.0, 0.0, 0.0, status)])
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("bad_line, message", [
+    ("utt_0001,-2.0,0.5,0.1,-0.3,ok,extra", "7 fields, expected 6"),
+    ("utt_0001,-2.0,0.5,0.1,ok", "5 fields, expected 6"),
+    ("", "1 fields, expected 6"),
+    ("utt_0001,-2.0,fast,0.1,-0.3,ok", "fast"),
+])
+def test_prosody_table_bad_row_raises_data_error(tmp_path, bad_line, message):
+    path = tmp_path / "prosody.csv"
+    path.write_text(prosody.PROSODY_CSV_HEADER + "\nutt_0000,-2.1,0.5,0.1,-0.3,ok\n" + bad_line + "\n")
+    with pytest.raises(DataError) as info:
+        prosody.read_prosody_table(path)
+    assert f"{path}:3:" in str(info.value)
+    assert message in str(info.value)
 
 
 def test_speaker_stats_sidecar_roundtrip(tmp_path):

@@ -1,0 +1,151 @@
+"""seq2seq: the strict config loader, decode truncation, the training
+output directory, and graph-free inference (values bit-identical to grad
+mode, no graph recorded)."""
+
+import json
+
+import numpy as np
+import pytest
+
+from prosynth import align, seq2seq, synthdata
+from prosynth import autodiff as ad
+from prosynth.errors import ConfigError
+
+TINY = dict(encoder_rnn_width=4, decoder_rnn_width=6, prenet_hidden=6, prenet_out=4, attention_dim=6,
+            location_filters=2, location_kernel=3, postnet_channels=3, symbol_embedding=4,
+            stress_embedding=2, phrase_embedding=2, encoder_conv_channels=6, encoder_conv_kernel=3,
+            batch_size=2, prosody_zero_epochs=1)
+MODES = ["augmented", "plain"]
+
+
+@pytest.fixture(scope="module")
+def corpus():
+    return synthdata.generate_corpus(synthdata.CorpusConfig(utterance_count=5, validation_count=2, seed=9))
+
+
+@pytest.fixture(scope="module")
+def table(corpus):
+    rng = np.random.default_rng(9)
+    return {u.utt_id: rng.normal(size=2) for u in corpus.utterances}
+
+
+@pytest.fixture(scope="module")
+def params(corpus):
+    p = seq2seq.init_params(seq2seq.ModelConfig(**TINY), corpus.config.vocab_size)
+    rng = np.random.default_rng(3)
+    for t in p.values():  # move off the neutral init so every branch carries signal
+        t.data = t.data + rng.normal(scale=0.3, size=t.data.shape)
+    return p
+
+
+def assert_no_graph(nodes):
+    assert nodes
+    for t in nodes:
+        assert t._parents == () and t._backward is None and not t.requires_grad
+
+
+def assert_same_trace(a, b):
+    for key in ("y", "z", "stop_logits", "alignment"):
+        assert np.array_equal(getattr(a, key), getattr(b, key)), key
+    assert a.truncated == b.truncated
+
+
+# -- config loader -------------------------------------------------------------------
+
+
+def test_config_round_trip(tmp_path):
+    cfg = seq2seq.ModelConfig(seed=3, grad_clip=None, learning_rate=0.125, double_feed=False, **TINY)
+    cfg.save(tmp_path / "cfg.json")
+    assert seq2seq.load_model_config(tmp_path / "cfg.json") == cfg
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda raw: raw.pop("stop_threshold"), "stop_threshold"),
+    (lambda raw: raw.update(warmup_steps=10), "warmup_steps"),
+], ids=["missing", "unknown"])
+def test_config_strict_fields(tmp_path, edit, field):
+    path = tmp_path / "cfg.json"
+    seq2seq.ModelConfig().save(path)
+    raw = json.loads(path.read_text())
+    edit(raw)
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=field):
+        seq2seq.load_model_config(path)
+
+
+# -- truncation ----------------------------------------------------------------------
+
+
+def test_decode_truncates_at_cap(corpus, params):
+    symbols = corpus.utterances[0].symbols
+    cfg = seq2seq.ModelConfig(stop_threshold=1.0, max_decode_ratio=3, **TINY)  # a sigmoid never exceeds 1
+    out = seq2seq.synthesize(params, cfg, symbols, [0.2, -0.1])
+    assert out.frame_count == 3 * len(symbols)
+    assert out.truncated
+    assert out.alignment.shape == (len(symbols), 3 * len(symbols))
+
+
+def test_decode_stops_when_threshold_cleared(corpus, params):
+    symbols = corpus.utterances[0].symbols
+    cfg = seq2seq.ModelConfig(stop_threshold=0.0, max_decode_ratio=3, **TINY)
+    out = seq2seq.synthesize(params, cfg, symbols, [0.2, -0.1])
+    assert out.frame_count == 1
+    assert not out.truncated
+
+
+# -- training output directory -------------------------------------------------------
+
+
+def test_train_creates_missing_out_dir(tmp_path, corpus, table):
+    out_dir = tmp_path / "runs" / "a" / "b"
+    seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain", out_dir=out_dir)
+    assert (out_dir / "checkpoint.bin").is_file()
+
+
+def test_train_unusable_out_dir_fails_before_training(tmp_path, corpus, table):
+    blocker = tmp_path / "not_a_dir"
+    blocker.write_text("x")
+    epochs = []
+    with pytest.raises(OSError):
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain",
+                      out_dir=blocker / "run", log=epochs.append)
+    assert epochs == []
+
+
+# -- graph-free inference ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_teacher_forced_same_under_no_grad(corpus, table, params, mode):
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.split("val")[0]
+    loss, trace = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+    with ad.no_grad():
+        loss_ng, trace_ng = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+    assert loss._parents and not loss_ng._parents
+    assert np.array_equal(loss.data, loss_ng.data)
+    assert_same_trace(trace, trace_ng)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_validation_metrics_match_grad_mode(corpus, table, params, mode, made_nodes):
+    cfg = seq2seq.ModelConfig(**TINY)
+    val = corpus.split("val")
+    passes = [seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode) for u in val]
+    expected = (float(np.mean([float(loss.data) for loss, _ in passes])),
+                align.mean_entropy([trace.alignment for _, trace in passes]))
+    made_nodes.clear()
+    assert seq2seq.validation_metrics(params, cfg, val, table, mode) == expected
+    assert_no_graph(made_nodes)
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_synthesize_builds_no_graph(corpus, params, mode, made_nodes):
+    cfg = seq2seq.ModelConfig(stop_threshold=1.0, max_decode_ratio=2, **TINY)
+    symbols = corpus.utterances[1].symbols
+    with_graph = seq2seq.synthesize.__wrapped__(params, cfg, symbols, [0.4, 0.3], mode)  # grad mode
+    assert any(t._parents for t in made_nodes)  # the spy sees the graph when one is built
+    made_nodes.clear()
+    out = seq2seq.synthesize(params, cfg, symbols, [0.4, 0.3], mode)
+    assert_no_graph(made_nodes)
+    assert_same_trace(out, with_graph)

@@ -7,6 +7,13 @@ arithmetic is float64. Broadcasting is deliberately restricted to bias-add
 ((m,n)+(n,)) and scalar-with-anything; everything else must match shapes
 exactly so that mistakes surface as errors, not silent expansion.
 
+The op set is what the synthesiser runs and nothing more: add, mul and
+matmul; tanh, sigmoid, relu and softplus; sum_ and mean_; concat, narrow
+(also spelled tensor[key]), reshape and index_rows; conv1d; and three fused
+nodes with hand-written backward passes: lstm_step, location_attention, and
+fused, whose value and input gradients the caller computes. Tensors define
+no arithmetic operators; call the functions.
+
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
 
@@ -25,7 +32,8 @@ import threading
 
 import numpy as np
 
-from .errors import DataError, ShapeError
+from . import fileio
+from .errors import ShapeError
 
 _IDS = itertools.count()
 
@@ -53,11 +61,6 @@ def no_grad():
         _GRAD_MODE.enabled = prev
 
 
-def _as_array(x):
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
 class Tensor:
     """A node in the computation graph: a float64 array plus gradient plumbing.
 
@@ -68,7 +71,7 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id", "_grad_owned")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=()):
-        self.data = _as_array(data)
+        self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
@@ -82,13 +85,6 @@ class Tensor:
     @property
     def shape(self):
         return self.data.shape
-
-    @property
-    def size(self):
-        return self.data.size
-
-    def item(self):
-        return float(self.data)
 
     def __repr__(self):
         tag = f" name={self.name!r}" if self.name else ""
@@ -143,37 +139,8 @@ class Tensor:
         """Return a constant view of this value (blocks gradient flow)."""
         return Tensor(self.data, requires_grad=False)
 
-    # -- operator sugar -------------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __sub__(self, other):
-        return add(self, -_wrap(other))
-
-    def __rsub__(self, other):
-        return add(_wrap(other), -self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(_wrap(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
+        """Basic slicing, the one operator a Tensor supports (see narrow)."""
         return narrow(self, key)
 
 
@@ -238,22 +205,6 @@ def mul(a, b):
             a._accum(_reduce_to(g * b.data, a.data.shape))
         if b.requires_grad:
             b._accum(_reduce_to(g * a.data, b.data.shape))
-
-    return _result(data, (a, b), backward)
-
-
-def div(a, b):
-    """Elementwise quotient; same shape or scalar-with-anything."""
-    a, b = _wrap(a), _wrap(b)
-    if not (a.data.shape == b.data.shape or _is_scalar(a) or _is_scalar(b)):
-        raise ShapeError(f"div: incompatible shapes {a.data.shape} and {b.data.shape}")
-    data = a.data / b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g / b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _result(data, (a, b), backward)
 
@@ -326,26 +277,6 @@ def relu(x):
     return _result(data, (x,), backward)
 
 
-def exp(x):
-    x = _wrap(x)
-    data = np.exp(x.data)
-
-    def backward(g):
-        x._accum(g * data)
-
-    return _result(data, (x,), backward)
-
-
-def log(x):
-    x = _wrap(x)
-    data = np.log(x.data)
-
-    def backward(g):
-        x._accum(g / x.data)
-
-    return _result(data, (x,), backward)
-
-
 def softplus(x):
     """log(1 + e^x), computed without overflow."""
     x = _wrap(x)
@@ -357,40 +288,7 @@ def softplus(x):
     return _result(data, (x,), backward)
 
 
-def square(x):
-    x = _wrap(x)
-    data = x.data * x.data
-
-    def backward(g):
-        x._accum(g * 2.0 * x.data)
-
-    return _result(data, (x,), backward)
-
-
-def clamp_max(x, cap):
-    """min(x, cap); gradient passes where x <= cap."""
-    x = _wrap(x)
-    data = np.minimum(x.data, cap)
-
-    def backward(g):
-        x._accum(g * (x.data <= cap))
-
-    return _result(data, (x,), backward)
-
-
-def threshold_keep(x, thr):
-    """x where x > thr, else 0. Gradient is identity above, zero below."""
-    x = _wrap(x)
-    mask = x.data > thr
-    data = x.data * mask
-
-    def backward(g):
-        x._accum(g * mask)
-
-    return _result(data, (x,), backward)
-
-
-# -- reductions and softmax family ---------------------------------------------
+# -- reductions ----------------------------------------------------------------
 
 
 def sum_(x):
@@ -412,36 +310,6 @@ def mean_(x):
         x._accum(np.full_like(x.data, float(g) / n))
 
     return _result(data, (x,), backward)
-
-
-def softmax(x):
-    """Stable softmax over a 1-D vector; output sums to 1."""
-    x = _wrap(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"softmax: expected 1-D input, got {x.data.shape}")
-    z = x.data - x.data.max()
-    e = np.exp(z)
-    data = e / e.sum()
-
-    def backward(g):
-        x._accum(data * (g - np.dot(g, data)))
-
-    return _result(data, (x,), backward)
-
-
-def logsumexp(x):
-    """Stable log-sum-exp of a 1-D vector (max-subtraction form)."""
-    x = _wrap(x)
-    if x.data.ndim != 1:
-        raise ShapeError(f"logsumexp: expected 1-D input, got {x.data.shape}")
-    m = x.data.max()
-    data = m + np.log(np.exp(x.data - m).sum())
-
-    def backward(g):
-        s = np.exp(x.data - data)
-        x._accum(float(g) * s)
-
-    return _result(np.asarray(data), (x,), backward)
 
 
 # -- shape manipulation ----------------------------------------------------------
@@ -745,18 +613,11 @@ class SGD:
         return {f"opt.velocity.{k}": v for k, v in self.velocity.items()}
 
     def load_state_tensors(self, table):
-        """Restore every momentum buffer; a missing or misshapen one is a
-        DataError, since resuming without it would silently diverge."""
-        loaded = {}
-        for k, v in self.velocity.items():
-            key = f"opt.velocity.{k}"
-            if key not in table:
-                raise DataError(f"optimiser state missing {key}")
-            arr = np.asarray(table[key], dtype=np.float64)
-            if arr.shape != v.shape:
-                raise DataError(f"optimiser state {key} has shape {arr.shape}, expected {v.shape}")
-            loaded[k] = arr
-        self.velocity.update(loaded)
+        """Restore every momentum buffer, all or nothing: a missing or
+        misshapen one is a DataError, since resuming without it would
+        silently diverge."""
+        shapes = {k: v.shape for k, v in self.velocity.items()}
+        self.velocity.update(fileio.checked_entries(table, shapes, "optimiser state", prefix="opt.velocity."))
 
 
 def finite_diff_check(build, param, step=1e-5):

@@ -86,3 +86,20 @@ def load_tensor_table(path):
             data = _read(fh, 8 * n, path, f"entry {name!r}")
             out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return out
+
+
+def checked_entries(table, shapes, source, prefix=""):
+    """The float64 arrays table[prefix + name] for every name -> shape in
+    shapes, keyed by name. A missing key or a wrong shape is a DataError
+    naming the key, raised before anything is returned, so a caller that
+    assigns only the result restores all of the entries or none."""
+    out = {}
+    for name, shape in shapes.items():
+        key = prefix + name
+        if key not in table:
+            raise DataError(f"{source}: missing {key}")
+        arr = np.asarray(table[key], dtype=np.float64)
+        if arr.shape != shape:
+            raise DataError(f"{source}: {key} has shape {arr.shape}, expected {shape}")
+        out[name] = arr
+    return out

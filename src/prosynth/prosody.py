@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from . import fileio
 from .errors import DataError
 
 MIN_VOICED_FRAMES = 20
@@ -201,8 +202,11 @@ class ProsodyPredictor:
         return {k: p.data for k, p in self.params.items()}
 
     def load_state_tensors(self, table):
-        for k, p in self.params.items():
-            p.data = np.asarray(table[k], dtype=np.float64)
+        """Restore every parameter, all or nothing: a missing or misshapen
+        entry is a DataError and leaves the predictor unchanged."""
+        shapes = {k: p.data.shape for k, p in self.params.items()}
+        for k, arr in fileio.checked_entries(table, shapes, "predictor state").items():
+            self.params[k].data = arr
 
 
 def train_predictor(dataset, config=None, log=None):
@@ -281,13 +285,14 @@ def write_prosody_table(path, rows):
 
 
 def read_prosody_table(path):
-    """Rows as written by write_prosody_table; a row with the wrong number
-    of fields or an unparsable number is a DataError naming its line."""
+    """Rows as written by write_prosody_table; a wrong header, or a row with
+    the wrong number of fields or an unparsable number, is a DataError
+    naming its line."""
     rows = []
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip()
         if header != PROSODY_CSV_HEADER:
-            raise ValueError(f"{path}: unexpected prosody table header {header!r}")
+            raise DataError(f"{path}:1: unexpected prosody table header {header!r}")
         for lineno, line in enumerate(fh, start=2):
             fields = line.rstrip("\n").split(",")
             if len(fields) != 6:
@@ -313,11 +318,18 @@ def save_speaker_stats(path, stats):
 
 
 def load_speaker_stats(path):
+    """Stats as written by save_speaker_stats; another version, or a missing
+    pace or pitch_span object or field, is a DataError."""
     with open(path, "r", encoding="ascii") as fh:
         payload = json.load(fh)
-    if payload.get("version") != STATS_FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported speaker stats version {payload.get('version')}")
-    return SpeakerStats(
-        payload["pace"]["median"], payload["pace"]["std"],
-        payload["pitch_span"]["median"], payload["pitch_span"]["std"],
-    )
+    version = payload.get("version") if isinstance(payload, dict) else None
+    if version != STATS_FORMAT_VERSION:
+        raise DataError(f"{path}: unsupported speaker stats version {version}")
+    values = []
+    for part in ("pace", "pitch_span"):
+        for name in ("median", "std"):
+            try:
+                values.append(payload[part][name])
+            except (KeyError, TypeError):  # TypeError: the part is not an object
+                raise DataError(f"{path}: speaker stats have no {part}.{name}") from None
+    return SpeakerStats(*values)

@@ -4,10 +4,13 @@ The encoder embeds the symbol sequence (phone id, stress, phrase type,
 break/silence flags), runs two 1-D convolutions and a bidirectional
 recurrent layer, then concatenates a 2-dim prosody embedding onto every
 output vector. The autoregressive decoder eats the previous frame through a
-double-feed pre-net, attends with additive content+location attention,
-optionally post-processes each alignment with the structure-preserving
-augmented step, and emits one spectral frame plus a stop logit per step.
-A convolutional post-net refines the whole utterance residually.
+double-feed pre-net: the true previous frame beside the prediction when a
+true frame is given (teacher forcing), the prediction twice when none is
+(free-running decode). It attends with additive content+location
+attention, optionally post-processes each alignment with the
+structure-preserving augmented step, and emits one spectral frame plus a
+stop logit per step. A convolutional post-net refines the whole utterance
+residually.
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -43,7 +46,6 @@ class ModelConfig:
     stop_pos_weight: float = 6.0
     stop_threshold: float = 0.5
     max_decode_ratio: int = 10
-    double_feed: bool = True
     symbol_embedding: int = 32
     stress_embedding: int = 4
     phrase_embedding: int = 4
@@ -134,8 +136,7 @@ def init_params(cfg, vocab_size):
 
     ctx = cfg.context_dim
     d = cfg.decoder_rnn_width
-    prenet_in = 2 * cfg.frame_width if cfg.double_feed else cfg.frame_width
-    par("dec.prenet1.w", ad.glorot(rng, prenet_in, cfg.prenet_hidden))
+    par("dec.prenet1.w", ad.glorot(rng, 2 * cfg.frame_width, cfg.prenet_hidden))
     par("dec.prenet1.b", np.zeros(cfg.prenet_hidden))
     par("dec.prenet2.w", ad.glorot(rng, cfg.prenet_hidden, cfg.prenet_out))
     par("dec.prenet2.b", np.zeros(cfg.prenet_out))
@@ -174,10 +175,6 @@ def init_params(cfg, vocab_size):
     par("post.conv2.w", np.zeros((kp, cfg.postnet_channels, cfg.frame_width)))
     par("post.conv2.b", np.zeros(cfg.frame_width))
     return p
-
-
-def count_parameters(params):
-    return int(sum(p.data.size for p in params.values()))
 
 
 # -- encoder ---------------------------------------------------------------------
@@ -243,27 +240,14 @@ def initial_attention(params, query, enc_proj, prev_align, cum_align):
 # -- decoder ---------------------------------------------------------------------
 
 
-def prenet_double_feed(params, prev_true, prev_pred, mode):
-    """Pre-net input: [true, predicted] while training, the prediction
-    duplicated at inference."""
-    if mode == "train":
-        if prev_true is None:
-            raise ValueError("prenet_double_feed: train mode needs the true previous frame")
-        first = prev_true if isinstance(prev_true, ad.Tensor) else ad.Tensor(np.asarray(prev_true, dtype=np.float64))
-    elif mode == "infer":
-        first = prev_pred
-    else:
-        raise ValueError(f"prenet_double_feed: unknown mode {mode!r}")
+def prenet_double_feed(params, prev_true, prev_pred):
+    """Pre-net input: [true, predicted] under teacher forcing, the
+    prediction duplicated when prev_true is None (free-running decode)."""
+    first = prev_pred if prev_true is None else ad.Tensor(prev_true)
     if first.shape != prev_pred.shape:
         raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
     x = ad.concat([first, prev_pred])
     h = ad.relu(ad.add(ad.matmul(x, params["dec.prenet1.w"]), params["dec.prenet1.b"]))
-    return ad.relu(ad.add(ad.matmul(h, params["dec.prenet2.w"]), params["dec.prenet2.b"]))
-
-
-def prenet_single_feed(params, prev):
-    """Baseline pre-net without the double feed (for cost comparisons)."""
-    h = ad.relu(ad.add(ad.matmul(prev, params["dec.prenet1.w"]), params["dec.prenet1.b"]))
     return ad.relu(ad.add(ad.matmul(h, params["dec.prenet2.w"]), params["dec.prenet2.b"]))
 
 
@@ -278,13 +262,11 @@ def init_decoder_state(params, cfg, n_positions):
     }
 
 
-def decoder_step(params, cfg, state, enc_cond, enc_proj, attention_mode, mode, prev_true=None):
-    """Advance one frame: returns (y_t, stop_logit, alignment a_t, new state)."""
-    if cfg.double_feed:
-        s_p = prenet_double_feed(params, prev_true, state["y_prev"], mode)
-    else:
-        feed = state["y_prev"] if mode == "infer" else ad.Tensor(np.asarray(prev_true, dtype=np.float64))
-        s_p = prenet_single_feed(params, feed)
+def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
+    """Advance one frame: returns (y_t, stop_logit, alignment a_t, new state).
+    prev_true is the true previous frame under teacher forcing, None when
+    decoding free-running."""
+    s_p = prenet_double_feed(params, prev_true, state["y_prev"])
 
     h1, c1 = ad.lstm_step(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
                           params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
@@ -327,23 +309,22 @@ def postnet(params, y):
 
 
 def spectral_loss(y, z, targets):
-    """0.5 MSE(y, q) + 0.25 MSE(z, q) + 0.25 MSE(delta z, delta q).
+    """0.5 MSE(y, q) + 0.25 MSE(z, q) + 0.25 MSE(delta z, delta q), for
+    (T, F) Tensors y and z and a (T, F) array of targets q.
 
     The differential term averages over steps 1..T-1 only; a single-frame
     utterance contributes nothing there.
     """
-    q_np = np.asarray(targets.data if isinstance(targets, ad.Tensor) else targets, dtype=np.float64)
-    y_t = y if isinstance(y, ad.Tensor) else ad.Tensor(y)
-    z_t = z if isinstance(z, ad.Tensor) else ad.Tensor(z)
-    if y_t.shape != q_np.shape or z_t.shape != q_np.shape:
-        raise ValueError(f"spectral_loss: shape mismatch {y_t.shape} / {z_t.shape} / {q_np.shape}")
+    q_np = np.asarray(targets, dtype=np.float64)
+    if y.shape != q_np.shape or z.shape != q_np.shape:
+        raise ValueError(f"spectral_loss: shape mismatch {y.shape} / {z.shape} / {q_np.shape}")
     q = ad.Tensor(q_np)
-    dy = ad.add(y_t, ad.mul(q, -1.0))
-    dz = ad.add(z_t, ad.mul(q, -1.0))
+    dy = ad.add(y, ad.mul(q, -1.0))
+    dz = ad.add(z, ad.mul(q, -1.0))
     loss = ad.add(ad.mul(ad.mean_(ad.mul(dy, dy)), 0.5), ad.mul(ad.mean_(ad.mul(dz, dz)), 0.25))
     t = q_np.shape[0]
     if t > 1:
-        zd = ad.add(z_t[1:], ad.mul(z_t[:-1], -1.0))
+        zd = ad.add(z[1:], ad.mul(z[:-1], -1.0))
         qd = ad.Tensor(q_np[1:] - q_np[:-1])
         dd = ad.add(zd, ad.mul(qd, -1.0))
         loss = ad.add(loss, ad.mul(ad.mean_(ad.mul(dd, dd)), 0.25))
@@ -351,15 +332,15 @@ def spectral_loss(y, z, targets):
 
 
 def stop_loss(stop_logits, true_length, pos_weight=1.0):
-    """Binary cross-entropy against a target that is 1 at and after the
-    final true frame. pos_weight scales the positive frames' contribution."""
-    logits = stop_logits if isinstance(stop_logits, ad.Tensor) else ad.Tensor(np.asarray(stop_logits, dtype=np.float64))
-    t = logits.shape[0]
+    """Binary cross-entropy of a (T,) Tensor of logits against a target
+    that is 1 at and after the final true frame. pos_weight scales the
+    positive frames' contribution."""
+    t = stop_logits.shape[0]
     targets = np.zeros(t)
     targets[true_length - 1:] = 1.0
     weights = np.where(targets > 0, pos_weight, 1.0)
     # bce(x, z) = softplus(x) - x * z, numerically stable in both tails
-    bce = ad.add(ad.softplus(logits), ad.mul(ad.mul(logits, ad.Tensor(targets)), -1.0))
+    bce = ad.add(ad.softplus(stop_logits), ad.mul(ad.mul(stop_logits, ad.Tensor(targets)), -1.0))
     return ad.mul(ad.sum_(ad.mul(bce, ad.Tensor(weights))), 1.0 / t)
 
 
@@ -376,8 +357,7 @@ def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     ys, stops, aligns = [], [], []
     for t in range(t_len):
         prev_true = targets[t - 1] if t > 0 else np.zeros(cfg.frame_width)
-        y_t, stop, a_t, state = decoder_step(params, cfg, state, enc_cond, enc_proj,
-                                             attention_mode, "train", prev_true=prev_true)
+        y_t, stop, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=prev_true)
         ys.append(ad.reshape(y_t, (1, cfg.frame_width)))
         stops.append(ad.reshape(stop, (1,)))
         aligns.append(a_t.data)
@@ -404,8 +384,7 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     ys, stops, aligns = [], [], []
     truncated = True
     for _ in range(cap):
-        y_t, stop, a_t, state = decoder_step(params, cfg, state, enc_cond, enc_proj,
-                                             attention_mode, "infer")
+        y_t, stop, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode)
         ys.append(ad.reshape(y_t, (1, cfg.frame_width)))
         stops.append(float(stop.data))
         aligns.append(a_t.data)
@@ -517,7 +496,7 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
 # -- checkpoints -----------------------------------------------------------------
 
 
-def save_checkpoint(path, params, opt, next_epoch, history, extra=None):
+def save_checkpoint(path, params, opt, next_epoch, history):
     table = {f"model.{k}": p.data for k, p in params.items()}
     table.update(opt.state_tensors())
     table["meta.next_epoch"] = np.array([float(next_epoch)])
@@ -525,24 +504,16 @@ def save_checkpoint(path, params, opt, next_epoch, history, extra=None):
         [row["epoch"], row["train_loss"], row["val_loss"], row["val_entropy"]]
         for row in history
     ]).reshape(len(history), 4)
-    if extra:
-        table.update(extra)
     fileio.save_tensor_table(path, table)
 
 
 def load_checkpoint(path, params, opt=None):
-    """Restore parameters (and optimiser state) in place; returns
+    """Restore parameters (and optimiser state) in place, all or nothing: a
+    missing or misshapen tensor is a DataError and changes nothing. Returns
     (next_epoch, history)."""
     table = fileio.load_tensor_table(path)
-    for k, p in params.items():
-        key = f"model.{k}"
-        if key not in table:
-            raise DataError(f"{path}: checkpoint missing tensor {key}")
-        if table[key].shape != p.data.shape:
-            raise DataError(f"{path}: tensor {key} has shape {table[key].shape}, expected {p.data.shape}")
-        p.data = table[key]
-    if opt is not None:
-        opt.load_state_tensors(table)
+    shapes = {k: p.data.shape for k, p in params.items()}
+    arrays = fileio.checked_entries(table, shapes, f"{path}: checkpoint", prefix="model.")
     next_epoch = int(table["meta.next_epoch"][0]) if "meta.next_epoch" in table else 0
     history = []
     if "meta.history" in table and table["meta.history"].size:
@@ -551,4 +522,8 @@ def load_checkpoint(path, params, opt=None):
                 "epoch": int(row[0]), "train_loss": float(row[1]),
                 "val_loss": float(row[2]), "val_entropy": float(row[3]),
             })
+    if opt is not None:
+        opt.load_state_tensors(table)  # all or nothing too, and before any parameter is assigned
+    for k, arr in arrays.items():
+        params[k].data = arr
     return next_epoch, history

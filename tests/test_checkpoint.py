@@ -1,10 +1,11 @@
 """Checkpoint files: tensor-table round trips, truncated headers, strict
-optimiser state, and bit-identical resumed training."""
+optimiser state, all-or-nothing restores, and bit-identical resumed
+training."""
 
 import numpy as np
 import pytest
 
-from prosynth import fileio, seq2seq, synthdata
+from prosynth import fileio, prosody, seq2seq, synthdata
 from prosynth import autodiff as ad
 from prosynth.errors import DataError
 
@@ -89,6 +90,62 @@ def test_sgd_state_wrong_shape_raises():
     with pytest.raises(DataError, match="shape"):
         target.load_state_tensors(state)
     assert all(not v.any() for v in target.state_tensors().values())  # nothing half-loaded
+
+
+# -- all-or-nothing restores ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda t: t.update({"model.post.conv2.b": np.zeros(3)}), "shape"),  # the last parameter restored
+    (lambda t: t.pop("model.post.conv2.b"), "model.post.conv2.b"),
+    (lambda t: t.pop("opt.velocity.post.conv2.b"), "opt.velocity.post.conv2.b"),
+    (lambda t: t.update({"opt.velocity.att.v": np.zeros(2)}), "shape"),
+], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape"])
+def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
+    params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
+    assert list(params)[-1] == "post.conv2.b"
+    opt = ad.SGD(params, lr=0.1)
+    for v in opt.velocity.values():
+        v += 0.5
+    path = tmp_path / "c.bin"
+    seq2seq.save_checkpoint(path, params, opt, 1, [])
+    table = fileio.load_tensor_table(path)
+    corrupt(table)
+    fileio.save_tensor_table(path, table)
+    target = seq2seq.init_params(seq2seq.ModelConfig(seed=4), vocab_size=14)
+    target_opt = ad.SGD(target, lr=0.1)
+    before = {k: p.data.copy() for k, p in target.items()}
+    with pytest.raises(DataError, match=match):
+        seq2seq.load_checkpoint(path, target, target_opt)
+    for k, p in target.items():
+        assert np.array_equal(p.data, before[k]), k
+    assert all(not v.any() for v in target_opt.velocity.values())
+
+
+def _predictor(seed):
+    return prosody.ProsodyPredictor(5, width=4, layers=2, seed=seed)
+
+
+def test_predictor_state_roundtrip():
+    source, target = _predictor(1), _predictor(2)
+    target.load_state_tensors({k: v.copy() for k, v in source.state_tensors().items()})
+    x = np.random.default_rng(0).normal(size=(6, 5))
+    assert target.predict(x) == source.predict(x)
+
+
+@pytest.mark.parametrize("corrupt, match", [
+    (lambda t: t.update({"out.w": np.zeros((3, 3))}), "shape"),
+    (lambda t: t.pop("out.b"), "out.b"),
+], ids=["wrong_shape", "missing"])
+def test_bad_predictor_state_changes_nothing(corrupt, match):
+    table = {k: v.copy() for k, v in _predictor(1).state_tensors().items()}
+    corrupt(table)
+    target = _predictor(2)
+    before = {k: p.data.copy() for k, p in target.params.items()}
+    with pytest.raises(DataError, match=match):
+        target.load_state_tensors(table)
+    for k, p in target.params.items():
+        assert np.array_equal(p.data, before[k]), k
 
 
 # -- resume --------------------------------------------------------------------------

@@ -216,6 +216,14 @@ def test_segments_too_long_rejected():
 # -- mel features -----------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [512, 1024])
+def test_hann_window_is_periodic(n):
+    w = dsp.hann_window(n)
+    k = np.arange(1, n)
+    assert w.shape == (n,) and w[0] == 0.0 and w[n // 2] == 1.0
+    assert np.max(np.abs(w[k] - w[n - k])) < 1e-15  # symmetric about n / 2, up to cos rounding
+
+
 def test_mel_silence_is_floor():
     out = dsp.melspectrogram(np.zeros(4096))
     assert np.allclose(out, np.log(1e-5))

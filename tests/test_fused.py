@@ -1,6 +1,7 @@
 """Fused attention nodes: gradients against finite differences, and the
 whole teacher-forced pass against a reference built from engine
-primitives (the oracle below, one graph node per primitive op)."""
+primitives and the test-side ops in oracle_ops.py (the oracle below, one
+graph node per primitive op)."""
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ import pytest
 from prosynth import align, seq2seq, synthdata
 from prosynth import autodiff as ad
 from prosynth.errors import ShapeError
+
+from oracle_ops import clamp_max, div, logsumexp, softmax, threshold_keep
 
 # -- composed-primitive oracle ---------------------------------------------------------
 
@@ -18,7 +21,7 @@ def composed_initial_attention(params, query, enc_proj, prev_align, cum_align):
     loc = ad.conv1d(loc_in, params["att.location.conv"])
     terms = ad.add(enc_proj, ad.matmul(loc, params["att.location.w"]))
     terms = ad.add(terms, ad.matmul(query, params["att.query.w"]))
-    return ad.softmax(ad.matmul(ad.tanh(terms), params["att.v"]))
+    return softmax(ad.matmul(ad.tanh(terms), params["att.v"]))
 
 
 def composed_shift(v):
@@ -34,13 +37,13 @@ def composed_shift(v):
 
 def composed_metric(c):
     n = c.shape[0]
-    peak = ad.mul(ad.logsumexp(ad.mul(c, 10.0)), 0.1)
+    peak = ad.mul(logsumexp(ad.mul(c, 10.0)), 0.1)
     if n == 1:
         sharp = ad.Tensor(1.0)
     else:
         sumsq = ad.sum_(ad.mul(c, c))
-        sharp = ad.clamp_max(ad.mul(ad.add(ad.mul(sumsq, float(n)), -1.0), 1.67 / (n - 1)), 1.0)
-    return ad.clamp_max(ad.threshold_keep(ad.mul(peak, sharp), 0.12), 1.0)
+        sharp = clamp_max(ad.mul(ad.add(ad.mul(sumsq, float(n)), -1.0), 1.67 / (n - 1)), 1.0)
+    return clamp_max(threshold_keep(ad.mul(peak, sharp), 0.12), 1.0)
 
 
 def one_minus(x):
@@ -57,7 +60,7 @@ def composed_augmented_step(b_t, b_prev, weights):
     total = ad.sum_(raw)
     if float(total.data) < 1e-8:
         return d
-    return ad.div(raw, total)
+    return div(raw, total)
 
 
 def node_count(build):
@@ -252,8 +255,7 @@ def test_decoder_step_fd(mode):
     def build():
         enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
         state = {**seq2seq.init_decoder_state(params, cfg, n), **history}
-        y, stop, a_t, _ = seq2seq.decoder_step(params, cfg, state, enc_cond, enc_proj, mode, "train",
-                                               prev_true=prev_true)
+        y, stop, a_t, _ = seq2seq.decoder_step(params, state, enc_cond, enc_proj, mode, prev_true=prev_true)
         seen["a_t"] = a_t.data
         return ad.matmul(ad.concat([y, ad.reshape(stop, (1,)), a_t]), w)
 

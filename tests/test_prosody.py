@@ -1,5 +1,6 @@
 """Prosody extraction, normalisation, and predictor tests."""
 
+import json
 import math
 
 import numpy as np
@@ -355,6 +356,14 @@ def test_prosody_table_bad_row_raises_data_error(tmp_path, bad_line, message):
     assert message in str(info.value)
 
 
+def test_prosody_table_bad_header_raises_data_error(tmp_path):
+    path = tmp_path / "prosody.csv"
+    path.write_text("utt_id,pace,pitch_span\nutt_0000,-2.1,0.5\n")
+    with pytest.raises(DataError) as info:
+        prosody.read_prosody_table(path)
+    assert f"{path}:1:" in str(info.value) and "header" in str(info.value)
+
+
 def test_speaker_stats_sidecar_roundtrip(tmp_path):
     s = stats_fixture()
     path = tmp_path / "stats.json"
@@ -363,3 +372,23 @@ def test_speaker_stats_sidecar_roundtrip(tmp_path):
     assert '"version"' in text
     back = prosody.load_speaker_stats(path)
     assert back == s
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: {**raw, "version": 2}, "version 2"),
+    (lambda raw: {k: v for k, v in raw.items() if k != "version"}, "version None"),
+    (lambda raw: [raw], "version None"),
+    (lambda raw: {k: v for k, v in raw.items() if k != "pace"}, "pace.median"),
+    (lambda raw: {k: v for k, v in raw.items() if k != "pitch_span"}, "pitch_span.median"),
+    (lambda raw: {**raw, "pace": 0.5}, "pace.median"),
+    (lambda raw: {**raw, "pace": {"median": 0.0}}, "pace.std"),
+    (lambda raw: {**raw, "pitch_span": {"std": 1.0}}, "pitch_span.median"),
+], ids=["version", "no_version", "not_an_object", "no_pace", "no_pitch_span", "pace_not_an_object",
+        "no_pace_std", "no_span_median"])
+def test_speaker_stats_bad_file_raises_data_error(tmp_path, edit, message):
+    path = tmp_path / "stats.json"
+    prosody.save_speaker_stats(path, stats_fixture())
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(DataError) as info:
+        prosody.load_speaker_stats(path)
+    assert message in str(info.value)

@@ -54,7 +54,7 @@ def assert_same_trace(a, b):
 
 
 def test_config_round_trip(tmp_path):
-    cfg = seq2seq.ModelConfig(seed=3, grad_clip=None, learning_rate=0.125, double_feed=False, **TINY)
+    cfg = seq2seq.ModelConfig(seed=3, grad_clip=None, learning_rate=0.125, **TINY)
     cfg.save(tmp_path / "cfg.json")
     assert seq2seq.load_model_config(tmp_path / "cfg.json") == cfg
 

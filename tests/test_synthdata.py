@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.stats import pearsonr, spearmanr
 
 from prosynth import prosody, synthdata
 from prosynth.errors import ConfigError, DataError
@@ -62,20 +61,22 @@ def test_pace_rank_correlation_exact(corpus):
     paces = [prosody.compute_pace(u.durations, u.symbols.silence, FRAME_PERIOD)
              for u in corpus.utterances]
     factors = [u.pace_factor for u in corpus.utterances]
-    assert spearmanr(paces, factors).statistic == 1.0
+    # rank correlation 1 with ties: every pair is ordered alike (ties alike too)
+    p, f = np.array(paces), np.array(factors)
+    assert np.array_equal(np.sign(p[:, None] - p[None, :]), np.sign(f[:, None] - f[None, :]))
 
 
 def test_prosody_separability(corpus):
     factors = [u.pace_factor for u in corpus.utterances]
     variances = [u.pitch_variance for u in corpus.utterances]
-    assert abs(pearsonr(factors, variances).statistic) < 0.1
+    assert abs(np.corrcoef(factors, variances)[0, 1]) < 0.1
 
 
 def test_measured_span_tracks_variance(corpus):
     spans = [float(np.quantile(u.pitch_contour, 0.95) - np.quantile(u.pitch_contour, 0.05))
              for u in corpus.utterances]
     variances = [u.pitch_variance for u in corpus.utterances]
-    assert pearsonr(variances, spans).statistic > 0.9
+    assert np.corrcoef(variances, spans)[0, 1] > 0.9
 
 
 def test_render_shapes_and_silence_template():

@@ -199,8 +199,8 @@ def augmented_step(b_t, b_prev, weights):
 
     With no history (b_prev is None, i.e. the first step) the initial
     alignment passes through untouched. On plain arrays the result is an
-    array; if any input is a Tensor it is one graph node that passes
-    gradients to every Tensor input.
+    array; if any input is a Tensor it is one graph node whose gradients
+    reach every Tensor input that requires grad.
     """
     if b_prev is None:
         return b_t

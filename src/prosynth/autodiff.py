@@ -1,18 +1,21 @@
 """Minimal reverse-mode differentiation engine.
 
 Eager, tape-free design: every operation immediately computes its numpy
-value and remembers how to push gradients to its parents. The graph is
-whatever Python executed, so data-dependent control flow is free. All
-arithmetic is float64. Broadcasting is deliberately restricted to bias-add
-((m,n)+(n,)) and scalar-with-anything; everything else must match shapes
-exactly so that mistakes surface as errors, not silent expansion.
+value and makes one graph node through fused(value, inputs, backward),
+where backward maps the node's output gradient to one gradient per input.
+Tensor.backward alone decides which inputs receive them: the Tensors that
+require grad. The graph is whatever Python executed, so data-dependent
+control flow is free. All arithmetic is float64. Broadcasting is
+deliberately restricted to bias-add ((m,n)+(n,)) and scalar-with-anything;
+everything else must match shapes exactly so that mistakes surface as
+errors, not silent expansion.
 
 The op set is what the synthesiser runs and nothing more: add, mul and
 matmul; tanh, sigmoid, relu and softplus; sum_ and mean_; concat, narrow
-(also spelled tensor[key]), reshape and index_rows; conv1d; and three fused
-nodes with hand-written backward passes: lstm_step, location_attention, and
-fused, whose value and input gradients the caller computes. Tensors define
-no arithmetic operators; call the functions.
+(also spelled tensor[key]), reshape and index_rows; conv1d; and two fused
+cells with hand-written backward passes, lstm_step and location_attention.
+Other modules build their own nodes with fused. Tensors define no
+arithmetic operators; call the functions.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -68,14 +71,16 @@ class Tensor:
     .grad accumulates across backward calls until zero_grad().
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward", "_id", "_grad_owned")
+    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_inputs", "_backward", "_id",
+                 "_grad_owned")
 
     def __init__(self, data, requires_grad=False, name=None, _parents=()):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
         self.requires_grad = requires_grad
         self.name = name
-        self._parents = _parents
+        self._parents = _parents  # the inputs that require grad
+        self._inputs = ()
         self._backward = None
         self._id = next(_IDS)
         self._grad_owned = False
@@ -132,8 +137,13 @@ class Tensor:
         nodes.sort(key=lambda t: t._id, reverse=True)
         self._accum(np.ones_like(self.data))
         for t in nodes:
-            if t._backward is not None:
-                t._backward(t.grad)
+            if t._backward is None:
+                continue
+            for x, g in zip(t._inputs, t._backward(t.grad)):
+                if isinstance(x, Tensor) and x.requires_grad:
+                    if not (isinstance(g, np.ndarray) and g.shape == x.data.shape):
+                        g = np.reshape(g, x.data.shape)
+                    x._accum(g)
 
     def detach(self):
         """Return a constant view of this value (blocks gradient flow)."""
@@ -148,12 +158,25 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _result(data, parents, backward):
+def fused(data, inputs, backward):
+    """One graph node; every op in this module, and every caller-built node,
+    is made here.
+
+    data is the node's value. inputs may mix Tensors and plain values; the
+    Tensors that require grad become its parents. backward(g) returns one
+    gradient per input, in input order. Tensor.backward gives each to its
+    input when that input is a Tensor that requires grad, reshaped to the
+    input's shape unless it already is an array of that shape (so a scalar
+    input's gradient may be a Python float); the rest are dropped. An input
+    may keep a returned array as its .grad without copying, so backward
+    must not write to it afterwards.
+    """
     if not _GRAD_MODE.enabled:
         return Tensor(data)
-    req = any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=req, _parents=tuple(p for p in parents if p.requires_grad))
-    if req:
+    parents = tuple(x for x in inputs if isinstance(x, Tensor) and x.requires_grad)
+    out = Tensor(data, requires_grad=bool(parents), _parents=parents)
+    if parents:
+        out._inputs = inputs
         out._backward = backward
     return out
 
@@ -172,15 +195,7 @@ def add(a, b):
     bias = a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]
     if not (a.data.shape == b.data.shape or bias or _is_scalar(a) or _is_scalar(b)):
         raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
-    data = a.data + b.data
-
-    def backward(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(g, b.data.shape))
-
-    return _result(data, (a, b), backward)
+    return fused(a.data + b.data, (a, b), lambda g: (_reduce_to(g, a.data.shape), _reduce_to(g, b.data.shape)))
 
 
 def _reduce_to(g, shape):
@@ -198,15 +213,11 @@ def mul(a, b):
     a, b = _wrap(a), _wrap(b)
     if not (a.data.shape == b.data.shape or _is_scalar(a) or _is_scalar(b)):
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-    data = a.data * b.data
 
     def backward(g):
-        if a.requires_grad:
-            a._accum(_reduce_to(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b._accum(_reduce_to(g * a.data, b.data.shape))
+        return _reduce_to(g * b.data, a.data.shape), _reduce_to(g * a.data, b.data.shape)
 
-    return _result(data, (a, b), backward)
+    return fused(a.data * b.data, (a, b), backward)
 
 
 def matmul(a, b):
@@ -217,31 +228,17 @@ def matmul(a, b):
         raise ShapeError(f"matmul: only 1-D/2-D operands, got {ad.shape} @ {bd.shape}")
     if ad.shape[-1] != (bd.shape[0] if bd.ndim >= 1 else None):
         raise ShapeError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    data = ad @ bd
 
     def backward(g):
         if ad.ndim == 2 and bd.ndim == 2:
-            if a.requires_grad:
-                a._accum(g @ bd.T)
-            if b.requires_grad:
-                b._accum(ad.T @ g)
-        elif ad.ndim == 1 and bd.ndim == 2:
-            if a.requires_grad:
-                a._accum(bd @ g)
-            if b.requires_grad:
-                b._accum(np.outer(ad, g))
-        elif ad.ndim == 2 and bd.ndim == 1:
-            if a.requires_grad:
-                a._accum(np.outer(g, bd))
-            if b.requires_grad:
-                b._accum(ad.T @ g)
-        else:  # 1-D @ 1-D -> scalar
-            if a.requires_grad:
-                a._accum(g * bd)
-            if b.requires_grad:
-                b._accum(g * ad)
+            return g @ bd.T, ad.T @ g
+        if ad.ndim == 1 and bd.ndim == 2:
+            return bd @ g, np.outer(ad, g)
+        if ad.ndim == 2:
+            return np.outer(g, bd), ad.T @ g
+        return g * bd, g * ad  # 1-D @ 1-D -> scalar
 
-    return _result(data, (a, b), backward)
+    return fused(ad @ bd, (a, b), backward)
 
 
 # -- elementwise nonlinearities -------------------------------------------------
@@ -250,42 +247,24 @@ def matmul(a, b):
 def tanh(x):
     x = _wrap(x)
     data = np.tanh(x.data)
-
-    def backward(g):
-        x._accum(g * (1.0 - data * data))
-
-    return _result(data, (x,), backward)
+    return fused(data, (x,), lambda g: (g * (1.0 - data * data),))
 
 
 def sigmoid(x):
     x = _wrap(x)
     data = 0.5 * (1.0 + np.tanh(0.5 * x.data))  # stable logistic
-
-    def backward(g):
-        x._accum(g * data * (1.0 - data))
-
-    return _result(data, (x,), backward)
+    return fused(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def relu(x):
     x = _wrap(x)
-    data = np.maximum(x.data, 0.0)
-
-    def backward(g):
-        x._accum(g * (x.data > 0.0))
-
-    return _result(data, (x,), backward)
+    return fused(np.maximum(x.data, 0.0), (x,), lambda g: (g * (x.data > 0.0),))
 
 
 def softplus(x):
     """log(1 + e^x), computed without overflow."""
     x = _wrap(x)
-    data = np.logaddexp(0.0, x.data)
-
-    def backward(g):
-        x._accum(g * 0.5 * (1.0 + np.tanh(0.5 * x.data)))
-
-    return _result(data, (x,), backward)
+    return fused(np.logaddexp(0.0, x.data), (x,), lambda g: (g * 0.5 * (1.0 + np.tanh(0.5 * x.data)),))
 
 
 # -- reductions ----------------------------------------------------------------
@@ -293,23 +272,13 @@ def softplus(x):
 
 def sum_(x):
     x = _wrap(x)
-    data = np.sum(x.data)
-
-    def backward(g):
-        x._accum(np.full_like(x.data, float(g)))
-
-    return _result(data, (x,), backward)
+    return fused(np.sum(x.data), (x,), lambda g: (np.full_like(x.data, float(g)),))
 
 
 def mean_(x):
     x = _wrap(x)
     n = x.data.size
-    data = np.sum(x.data) / n
-
-    def backward(g):
-        x._accum(np.full_like(x.data, float(g) / n))
-
-    return _result(data, (x,), backward)
+    return fused(np.sum(x.data) / n, (x,), lambda g: (np.full_like(x.data, float(g) / n),))
 
 
 # -- shape manipulation ----------------------------------------------------------
@@ -317,42 +286,37 @@ def mean_(x):
 
 def concat(parts, axis=0):
     """Concatenate 1-D or 2-D tensors along axis."""
-    parts = [_wrap(p) for p in parts]
+    parts = tuple(_wrap(p) for p in parts)
     data = np.concatenate([p.data for p in parts], axis=axis)
     sizes = [p.data.shape[axis] for p in parts]
     offsets = np.cumsum([0] + sizes)
 
     def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                sl = [slice(None)] * g.ndim
-                sl[axis] = slice(lo, hi)
-                p._accum(g[tuple(sl)])
+        grads = []
+        for lo, hi in zip(offsets[:-1], offsets[1:]):
+            sl = [slice(None)] * g.ndim
+            sl[axis] = slice(lo, hi)
+            grads.append(g[tuple(sl)])
+        return grads
 
-    return _result(data, tuple(parts), backward)
+    return fused(data, parts, backward)
 
 
 def narrow(x, key):
     """Basic slice/index view; gradient scatters back into place."""
     x = _wrap(x)
-    data = x.data[key]
 
     def backward(g):
         buf = np.zeros_like(x.data)
         buf[key] = g
-        x._accum(buf)
+        return (buf,)
 
-    return _result(data, (x,), backward)
+    return fused(x.data[key], (x,), backward)
 
 
 def reshape(x, shape):
     x = _wrap(x)
-    data = x.data.reshape(shape)
-
-    def backward(g):
-        x._accum(g.reshape(x.data.shape))
-
-    return _result(data, (x,), backward)
+    return fused(x.data.reshape(shape), (x,), lambda g: (g.reshape(x.data.shape),))
 
 
 def index_rows(table, ids):
@@ -363,14 +327,13 @@ def index_rows(table, ids):
         raise ShapeError(f"index_rows: table must be 2-D, got {table.data.shape}")
     if ids.size and (ids.min() < 0 or ids.max() >= table.data.shape[0]):
         raise IndexError(f"index_rows: id out of range 0..{table.data.shape[0] - 1}")
-    data = table.data[ids]
 
     def backward(g):
         buf = np.zeros_like(table.data)
         np.add.at(buf, ids, g)
-        table._accum(buf)
+        return (buf,)
 
-    return _result(data, (table,), backward)
+    return fused(table.data[ids], (table,), backward)
 
 
 def _conv_same(x, w):
@@ -388,22 +351,16 @@ def _conv_same(x, w):
     return out, xp
 
 
-def _conv_same_grads(g, xp, w, need_x, need_w):
-    """Gradients of _conv_same for output gradient g: (gx, gw), each None
-    unless asked for."""
+def _conv_same_grads(g, xp, w):
+    """Gradients (gx, gw) of _conv_same for output gradient g."""
     k = w.shape[0]
     t = g.shape[0]
-    gx = gw = None
-    if need_x:
-        gxp = np.zeros_like(xp)
-        for j in range(k):
-            gxp[j:j + t] += g @ w[j].T
-        gx = gxp[k // 2:k // 2 + t]
-    if need_w:
-        gw = np.empty_like(w)
-        for j in range(k):
-            gw[j] = xp[j:j + t].T @ g
-    return gx, gw
+    gxp = np.zeros_like(xp)
+    gw = np.empty_like(w)
+    for j in range(k):
+        gxp[j:j + t] += g @ w[j].T
+        gw[j] = xp[j:j + t].T @ g
+    return gxp[k // 2:k // 2 + t], gw
 
 
 def conv1d(x, w, bias=None):
@@ -421,22 +378,10 @@ def conv1d(x, w, bias=None):
     if x.data.shape[1] != cin:
         raise ShapeError(f"conv1d: channel mismatch {x.data.shape[1]} vs {cin}")
     data, xp = _conv_same(x.data, w.data)
-    parents = [x, w]
-    if bias is not None:
-        bias = _wrap(bias)
-        data = data + bias.data
-        parents.append(bias)
-
-    def backward(g):
-        gx, gw = _conv_same_grads(g, xp, w.data, x.requires_grad, w.requires_grad)
-        if gx is not None:
-            x._accum(gx)
-        if gw is not None:
-            w._accum(gw)
-        if bias is not None and bias.requires_grad:
-            bias._accum(g.sum(axis=0))
-
-    return _result(data, tuple(parents), backward)
+    if bias is None:
+        return fused(data, (x, w), lambda g: _conv_same_grads(g, xp, w.data))
+    bias = _wrap(bias)
+    return fused(data + bias.data, (x, w, bias), lambda g: (*_conv_same_grads(g, xp, w.data), g.sum(axis=0)))
 
 
 def lstm_step(x, h, c, wx, wh, b):
@@ -467,20 +412,10 @@ def lstm_step(x, h, c, wx, wh, b):
         gz[hid:2 * hid] = gc_total * c.data * f * (1.0 - f)
         gz[2 * hid:3 * hid] = gc_total * i * (1.0 - g * g)
         gz[3 * hid:] = gh * tc * o * (1.0 - o)
-        if x.requires_grad:
-            x._accum(wx.data @ gz)
-        if h.requires_grad:
-            h._accum(wh.data @ gz)
-        if c.requires_grad:
-            c._accum(gc_total * f)
-        if wx.requires_grad:
-            wx._accum(np.outer(x.data, gz))
-        if wh.requires_grad:
-            wh._accum(np.outer(h.data, gz))
-        if b.requires_grad:
-            b._accum(gz.copy())
+        return (wx.data @ gz, wh.data @ gz, gc_total * f,
+                np.outer(x.data, gz), np.outer(h.data, gz), gz.copy())
 
-    hc = _result(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
+    hc = fused(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
 
 
@@ -513,46 +448,13 @@ def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, qu
 
     def backward(g):
         ge = data * (g - np.dot(g, data))
-        if v.requires_grad:
-            v._accum(th.T @ ge)
         gterms = np.outer(ge, v.data) * (1.0 - th * th)
-        if enc_proj.requires_grad:
-            enc_proj._accum(gterms)
         gq = gterms.sum(axis=0)
-        if query.requires_grad:
-            query._accum(query_w.data @ gq)
-        if query_w.requires_grad:
-            query_w._accum(np.outer(query.data, gq))
-        if loc_w.requires_grad:
-            loc_w._accum(loc.T @ gterms)
-        need_in = prev_align.requires_grad or cum_align.requires_grad
-        if need_in or conv_w.requires_grad:
-            gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data, need_in, conv_w.requires_grad)
-            if prev_align.requires_grad:
-                prev_align._accum(gin[:, 0].copy())
-            if cum_align.requires_grad:
-                cum_align._accum(gin[:, 1].copy())
-            if gw is not None:
-                conv_w._accum(gw)
+        gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data)
+        return (query_w.data @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
+                loc.T @ gterms, np.outer(query.data, gq), th.T @ ge)
 
-    return _result(data, inputs, backward)
-
-
-def fused(data, inputs, backward):
-    """One graph node whose value and gradients are computed by the caller.
-
-    inputs may mix Tensors and plain values; only the Tensors become
-    parents. backward(g) returns one gradient per input, in order, each
-    shaped like that input's value (anything for a plain input).
-    """
-    links = [(i, x) for i, x in enumerate(inputs) if isinstance(x, Tensor) and x.requires_grad]
-
-    def run(g):
-        grads = backward(g)
-        for i, x in links:
-            x._accum(np.reshape(grads[i], x.data.shape))
-
-    return _result(data, tuple(x for _, x in links), run)
+    return fused(data, inputs, backward)
 
 
 # -- parameters, optimiser, gradient checking ------------------------------------

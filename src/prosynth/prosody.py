@@ -14,6 +14,7 @@ accept deliberate component-wise offsets.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -285,24 +286,27 @@ def write_prosody_table(path, rows):
 
 
 def read_prosody_table(path):
-    """Rows as written by write_prosody_table; a wrong header, or a row with
-    the wrong number of fields or an unparsable number, is a DataError
-    naming its line."""
+    """Rows as written by write_prosody_table; a file that is not ASCII, a
+    wrong header, or a row with the wrong number of fields or an unparsable
+    number, is a DataError naming the file (and the line, where known)."""
     rows = []
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip()
-        if header != PROSODY_CSV_HEADER:
-            raise DataError(f"{path}:1: unexpected prosody table header {header!r}")
-        for lineno, line in enumerate(fh, start=2):
-            fields = line.rstrip("\n").split(",")
-            if len(fields) != 6:
-                raise DataError(f"{path}:{lineno}: {len(fields)} fields, expected 6")
-            utt_id, *numbers, status = fields
-            try:
-                values = [None if s == "" else float(s) for s in numbers]
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: {exc}") from None
-            rows.append((utt_id, *values, status))
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            header = fh.readline().strip()
+            if header != PROSODY_CSV_HEADER:
+                raise DataError(f"{path}:1: unexpected prosody table header {header!r}")
+            for lineno, line in enumerate(fh, start=2):
+                fields = line.rstrip("\n").split(",")
+                if len(fields) != 6:
+                    raise DataError(f"{path}:{lineno}: {len(fields)} fields, expected 6")
+                utt_id, *numbers, status = fields
+                try:
+                    values = [None if s == "" else float(s) for s in numbers]
+                except ValueError as exc:
+                    raise DataError(f"{path}:{lineno}: {exc}") from None
+                rows.append((utt_id, *values, status))
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: prosody table is not ASCII: {exc}") from None
     return rows
 
 
@@ -318,10 +322,15 @@ def save_speaker_stats(path, stats):
 
 
 def load_speaker_stats(path):
-    """Stats as written by save_speaker_stats; another version, or a missing
-    pace or pitch_span object or field, is a DataError."""
-    with open(path, "r", encoding="ascii") as fh:
-        payload = json.load(fh)
+    """Stats as written by save_speaker_stats. A file that is not ASCII
+    JSON, another version, a missing pace or pitch_span object or field, a
+    median or std that is not a finite number, or a std <= 0, is a
+    DataError naming the file."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            payload = json.load(fh)
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise DataError(f"{path}: speaker stats are not ASCII JSON: {exc}") from None
     version = payload.get("version") if isinstance(payload, dict) else None
     if version != STATS_FORMAT_VERSION:
         raise DataError(f"{path}: unsupported speaker stats version {version}")
@@ -329,7 +338,12 @@ def load_speaker_stats(path):
     for part in ("pace", "pitch_span"):
         for name in ("median", "std"):
             try:
-                values.append(payload[part][name])
+                value = payload[part][name]
             except (KeyError, TypeError):  # TypeError: the part is not an object
                 raise DataError(f"{path}: speaker stats have no {part}.{name}") from None
+            if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+                raise DataError(f"{path}: speaker stats {part}.{name} is not a finite number: {value!r}")
+            if name == "std" and value <= 0:
+                raise DataError(f"{path}: speaker stats {part}.std must be positive, got {value!r}")
+            values.append(value)
     return SpeakerStats(*values)

@@ -30,6 +30,8 @@ from . import autodiff as ad
 from . import fileio
 from .errors import ConfigError, DataError
 
+ATTENTION_MODES = ("augmented", "plain")  # plain: the initial alignment is final
+
 
 @dataclass
 class ModelConfig:
@@ -265,7 +267,10 @@ def init_decoder_state(params, cfg, n_positions):
 def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
     """Advance one frame: returns (y_t, stop_logit, alignment a_t, new state).
     prev_true is the true previous frame under teacher forcing, None when
-    decoding free-running."""
+    decoding free-running. attention_mode is one of ATTENTION_MODES; any
+    other value is a ValueError."""
+    if attention_mode not in ATTENTION_MODES:
+        raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
     s_p = prenet_double_feed(params, prev_true, state["y_prev"])
 
     h1, c1 = ad.lstm_step(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
@@ -507,23 +512,34 @@ def save_checkpoint(path, params, opt, next_epoch, history):
     fileio.save_tensor_table(path, table)
 
 
+def _whole_numbers(arr):
+    return bool(np.all(np.isfinite(arr)) and np.all(arr >= 0) and np.all(arr == np.floor(arr)))
+
+
 def load_checkpoint(path, params, opt=None):
     """Restore parameters (and optimiser state) in place, all or nothing: a
-    missing or misshapen tensor is a DataError and changes nothing. Returns
+    missing or misshapen tensor, a meta.next_epoch that is not one whole
+    number >= 0, or a meta.history that is not k rows of 4 with whole epoch
+    numbers, is a DataError and changes nothing. Returns
     (next_epoch, history)."""
     table = fileio.load_tensor_table(path)
     shapes = {k: p.data.shape for k, p in params.items()}
     arrays = fileio.checked_entries(table, shapes, f"{path}: checkpoint", prefix="model.")
-    next_epoch = int(table["meta.next_epoch"][0]) if "meta.next_epoch" in table else 0
-    history = []
-    if "meta.history" in table and table["meta.history"].size:
-        for row in table["meta.history"].reshape(-1, 4):
-            history.append({
-                "epoch": int(row[0]), "train_loss": float(row[1]),
-                "val_loss": float(row[2]), "val_entropy": float(row[3]),
-            })
+    meta_epoch = table.get("meta.next_epoch")
+    if meta_epoch is None or meta_epoch.shape != (1,) or not _whole_numbers(meta_epoch):
+        raise DataError(f"{path}: checkpoint meta.next_epoch must be one whole number >= 0, got {meta_epoch!r}")
+    meta_history = table.get("meta.history")
+    if (meta_history is None or meta_history.ndim != 2 or meta_history.shape[1] != 4
+            or not _whole_numbers(meta_history[:, 0])):
+        shape = None if meta_history is None else meta_history.shape
+        raise DataError(f"{path}: checkpoint meta.history must be (k, 4) rows with whole epoch numbers, "
+                        f"got shape {shape}")
+    history = [
+        {"epoch": int(row[0]), "train_loss": float(row[1]), "val_loss": float(row[2]), "val_entropy": float(row[3])}
+        for row in meta_history
+    ]
     if opt is not None:
         opt.load_state_tensors(table)  # all or nothing too, and before any parameter is assigned
     for k, arr in arrays.items():
         params[k].data = arr
-    return next_epoch, history
+    return int(meta_epoch[0]), history

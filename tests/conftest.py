@@ -9,12 +9,12 @@ from prosynth import autodiff as ad
 def made_nodes(monkeypatch):
     """A list that records every node the engine makes during the test."""
     made = []
-    real = ad._result
+    real = ad.fused
 
-    def recording(data, parents, backward):
-        out = real(data, parents, backward)
+    def recording(data, inputs, backward):
+        out = real(data, inputs, backward)
         made.append(out)
         return out
 
-    monkeypatch.setattr(ad, "_result", recording)
+    monkeypatch.setattr(ad, "fused", recording)
     return made

@@ -420,3 +420,77 @@ def test_sgd_momentum_step():
         ad.sum_(ad.mul(p, ad.Tensor([2.0]))).backward()
         opt.step()
         assert np.allclose(p.data, [expected])
+
+
+# -- gradient routing ------------------------------------------------------------
+
+
+# op name -> (call, input shapes, positions that must be Tensors, nodes made)
+ROUTING_CASES = {
+    "add": (lambda a, b: ad.add(a, b), [(3,), (3,)], (), 1),
+    "add_bias": (lambda a, b: ad.add(a, b), [(2, 3), (3,)], (), 1),
+    "add_scalar": (lambda a, b: ad.add(a, b), [(), (3,)], (), 1),
+    "mul": (lambda a, b: ad.mul(a, b), [(3,), (3,)], (), 1),
+    "mul_scalar": (lambda a, b: ad.mul(a, b), [(3,), (1,)], (), 1),
+    "matmul_2x2": (lambda a, b: ad.matmul(a, b), [(2, 3), (3, 4)], (), 1),
+    "matmul_1x2": (lambda a, b: ad.matmul(a, b), [(3,), (3, 4)], (), 1),
+    "matmul_2x1": (lambda a, b: ad.matmul(a, b), [(2, 3), (3,)], (), 1),
+    "matmul_1x1": (lambda a, b: ad.matmul(a, b), [(3,), (3,)], (), 1),
+    "tanh": (ad.tanh, [(3,)], (), 1),
+    "sigmoid": (ad.sigmoid, [(3,)], (), 1),
+    "relu": (ad.relu, [(3,)], (), 1),
+    "softplus": (ad.softplus, [(3,)], (), 1),
+    "sum_": (ad.sum_, [(2, 3)], (), 1),
+    "mean_": (ad.mean_, [(2, 3)], (), 1),
+    "concat": (lambda a, b: ad.concat([a, b]), [(2,), (3,)], (), 1),
+    "concat_axis1": (lambda a, b: ad.concat([a, b], axis=1), [(2, 2), (2, 3)], (), 1),
+    "narrow": (lambda x: ad.narrow(x, slice(1, 3)), [(4,)], (), 1),
+    "reshape": (lambda x: ad.reshape(x, (3, 2)), [(2, 3)], (), 1),
+    "index_rows": (lambda x: ad.index_rows(x, [0, 2, 2]), [(4, 3)], (), 1),
+    "conv1d": (lambda x, w: ad.conv1d(x, w), [(5, 2), (3, 2, 4)], (), 1),
+    "conv1d_bias": (lambda x, w, b: ad.conv1d(x, w, b), [(5, 2), (3, 2, 4), (4,)], (), 1),
+    "lstm_step": (ad.lstm_step, [(3,), (2,), (2,), (3, 8), (2, 8), (8,)], (3, 4, 5), 3),
+    "location_attention": (ad.location_attention, [(4,), (5, 6), (5,), (5,), (3, 2, 2), (2, 6), (4, 6), (6,)],
+                           (), 1),
+}
+ROUTING_PARAMS = [(name, k) for name, case in ROUTING_CASES.items() for k in range(len(case[1]))]
+
+
+@pytest.mark.parametrize("name, k", ROUTING_PARAMS, ids=[f"{n}-input{k}" for n, k in ROUTING_PARAMS])
+def test_gradient_reaches_only_the_parameter(made_nodes, name, k):
+    """With input k a parameter and every other input a constant Tensor or
+    a plain array, the op makes its nodes, wires its node to the parameter
+    alone, and backward fills only the parameter's .grad, in its shape."""
+    call, shapes, tensor_only, node_count = ROUTING_CASES[name]
+    rng = np.random.default_rng(5)
+    values = [rng.uniform(0.1, 1.0, size=s) for s in shapes]
+    param = ad.parameter(values[k])
+    constants = {j: ad.Tensor(v) for j, v in enumerate(values) if j != k and (j % 2 == 0 or j in tensor_only)}
+    args = [param if j == k else constants.get(j, v) for j, v in enumerate(values)]
+    out = call(*args)
+    assert len(made_nodes) == node_count
+    assert made_nodes[0]._parents == (param,)
+    outs = out if isinstance(out, tuple) else (out,)
+    loss = ad.sum_(ad.concat([ad.reshape(ad.mul(o, 1.5), (o.data.size,)) for o in outs]))
+    loss.backward()
+    assert param.grad is not None and param.grad.shape == param.data.shape
+    assert all(c.grad is None for c in constants.values())
+
+
+def test_repeated_input_accumulates_both_paths():
+    x = ad.parameter([1.0, -2.0, 3.0])
+    ad.sum_(ad.mul(x, x)).backward()
+    assert np.array_equal(x.grad, [2.0, -4.0, 6.0])
+    y = ad.parameter([0.5, 2.0])
+    ad.sum_(ad.concat([y, ad.narrow(y, slice(1, 2)), y])).backward()
+    assert np.array_equal(y.grad, [2.0, 3.0])
+
+
+def test_fused_gradients_take_their_input_shapes():
+    s = ad.parameter(0.5)
+    v = ad.parameter([[1.0, 2.0]])
+    out = ad.fused(np.array(3.0), (s, v, np.ones(2)), lambda g: (2.0, [3.0, 4.0], None))
+    assert out._parents == (s, v)
+    out.backward()
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 2.0
+    assert v.grad.shape == (1, 2) and np.array_equal(v.grad, [[3.0, 4.0]])

@@ -100,7 +100,20 @@ def test_sgd_state_wrong_shape_raises():
     (lambda t: t.pop("model.post.conv2.b"), "model.post.conv2.b"),
     (lambda t: t.pop("opt.velocity.post.conv2.b"), "opt.velocity.post.conv2.b"),
     (lambda t: t.update({"opt.velocity.att.v": np.zeros(2)}), "shape"),
-], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape"])
+    (lambda t: t.pop("meta.next_epoch"), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.zeros(0)}), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.array([1.0, 2.0])}), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.array(1.0)}), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.array([1.5])}), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.array([-1.0])}), "meta.next_epoch"),
+    (lambda t: t.update({"meta.next_epoch": np.array([np.nan])}), "meta.next_epoch"),
+    (lambda t: t.pop("meta.history"), "meta.history"),
+    (lambda t: t.update({"meta.history": np.zeros(6)}), "meta.history"),
+    (lambda t: t.update({"meta.history": np.zeros((2, 3))}), "meta.history"),
+    (lambda t: t.update({"meta.history": np.array([[0.5, 1.0, 1.0, 1.0]])}), "meta.history"),
+], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "epoch_missing", "epoch_empty",
+        "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative", "epoch_nan", "history_missing",
+        "history_six_values", "history_width_3", "history_epoch_fraction"])
 def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
     assert list(params)[-1] == "post.conv2.b"

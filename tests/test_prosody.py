@@ -392,3 +392,44 @@ def test_speaker_stats_bad_file_raises_data_error(tmp_path, edit, message):
     with pytest.raises(DataError) as info:
         prosody.load_speaker_stats(path)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: {**raw, "pace": {**raw["pace"], "std": "0.1"}}, "pace.std is not a finite number"),
+    (lambda raw: {**raw, "pace": {**raw["pace"], "std": None}}, "pace.std is not a finite number"),
+    (lambda raw: {**raw, "pace": {**raw["pace"], "std": True}}, "pace.std is not a finite number"),
+    (lambda raw: {**raw, "pitch_span": {**raw["pitch_span"], "std": float("nan")}}, "pitch_span.std is not a finite"),
+    (lambda raw: {**raw, "pitch_span": {**raw["pitch_span"], "median": float("inf")}}, "pitch_span.median is not a"),
+    (lambda raw: {**raw, "pace": {**raw["pace"], "median": [1.0]}}, "pace.median is not a finite number"),
+    (lambda raw: {**raw, "pace": {**raw["pace"], "std": 0}}, "pace.std must be positive"),
+    (lambda raw: {**raw, "pitch_span": {**raw["pitch_span"], "std": -0.5}}, "pitch_span.std must be positive"),
+], ids=["std_string", "std_null", "std_bool", "std_nan", "median_inf", "median_list", "std_zero", "std_negative"])
+def test_speaker_stats_bad_value_raises_data_error(tmp_path, edit, message):
+    path = tmp_path / "stats.json"
+    prosody.save_speaker_stats(path, stats_fixture())
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    with pytest.raises(DataError) as info:
+        prosody.load_speaker_stats(path)
+    assert str(path) in str(info.value) and message in str(info.value)
+
+
+@pytest.mark.parametrize("damage", [
+    lambda raw: raw[:-5],  # cut mid-object
+    lambda raw: raw.replace(b'"version"', b'"v\xc3\xa9rsion"'),  # UTF-8, not ASCII
+], ids=["bad_json", "non_ascii"])
+def test_speaker_stats_unreadable_file_raises_data_error(tmp_path, damage):
+    path = tmp_path / "stats.json"
+    prosody.save_speaker_stats(path, stats_fixture())
+    path.write_bytes(damage(path.read_bytes()))
+    with pytest.raises(DataError, match="not ASCII JSON") as info:
+        prosody.load_speaker_stats(path)
+    assert str(path) in str(info.value)
+
+
+def test_prosody_table_non_ascii_raises_data_error(tmp_path):
+    path = tmp_path / "prosody.csv"
+    path.write_bytes((prosody.PROSODY_CSV_HEADER + "\nutt_0000,-2.1,0.5,0.1,-0.3,ok\n").encode("ascii")
+                     + "utt_\u00e9,-2.1,0.5,0.1,-0.3,ok\n".encode("utf-8"))
+    with pytest.raises(DataError, match="not ASCII") as info:
+        prosody.read_prosody_table(path)
+    assert str(path) in str(info.value)

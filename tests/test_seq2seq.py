@@ -2,6 +2,7 @@
 output directory, and graph-free inference (values bit-identical to grad
 mode, no graph recorded)."""
 
+import gc
 import json
 
 import numpy as np
@@ -149,3 +150,37 @@ def test_synthesize_builds_no_graph(corpus, params, mode, made_nodes):
     out = seq2seq.synthesize(params, cfg, symbols, [0.4, 0.3], mode)
     assert_no_graph(made_nodes)
     assert_same_trace(out, with_graph)
+
+
+# -- attention mode ------------------------------------------------------------------
+
+
+def test_unknown_attention_mode_raises(corpus, table, params, tmp_path):
+    cfg = seq2seq.ModelConfig(epochs=1, **TINY)
+    with pytest.raises(ValueError, match="'augmneted'"):
+        seq2seq.train(corpus, table, cfg, attention_mode="augmneted", out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())  # failed in the first step, before any checkpoint
+    with pytest.raises(ValueError, match="'Plain'"):
+        seq2seq.synthesize(params, cfg, corpus.utterances[0].symbols, table[corpus.utterances[0].utt_id], "Plain")
+
+
+# -- graph shape -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_training_graph_is_acyclic(corpus, table, params, mode):
+    # every training graph is freed by reference counting alone: with the
+    # cyclic collector off, a forward and backward leave nothing for it
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.utterances[0]
+    gc.collect()
+    gc.disable()
+    try:
+        loss, _ = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+        loss.backward()
+        del loss
+        for p in params.values():
+            p.zero_grad()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

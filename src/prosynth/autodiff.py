@@ -10,6 +10,14 @@ deliberately restricted to bias-add ((m,n)+(n,)) and scalar-with-anything;
 everything else must match shapes exactly so that mistakes surface as
 errors, not silent expansion.
 
+A backward may return a weight gradient that is an outer product as its
+two factors, a pair standing for np.outer(a, b); matmul with one 1-D
+operand, lstm_step (wx, wh) and location_attention (query_w) do.
+Tensor.backward collects each input's pairs over the pass and adds their
+sum once, as one matmul, when the pass reaches that input (by then every
+consumer has run), instead of a full matrix per decoder frame. Leaves,
+such as parameters, and interior nodes are treated alike.
+
 The op set is what the synthesiser runs and nothing more: add, mul and
 matmul; tanh, sigmoid, relu and softplus; sum_ and mean_; concat, narrow
 (also spelled tensor[key]), reshape and index_rows; conv1d; and two fused
@@ -62,6 +70,16 @@ def no_grad():
         yield
     finally:
         _GRAD_MODE.enabled = prev
+
+
+class _Outer:
+    """The gradient np.outer(a, b), kept as its two 1-D factors."""
+
+    __slots__ = ("a", "b")
+
+    def __init__(self, a, b):
+        self.a = a
+        self.b = b
 
 
 class Tensor:
@@ -136,11 +154,20 @@ class Tensor:
             stack.extend(t._parents)
         nodes.sort(key=lambda t: t._id, reverse=True)
         self._accum(np.ones_like(self.data))
+        pairs = {}  # node -> the _Outer gradients it has received so far
         for t in nodes:
+            # every consumer of t has run, so its pairs are complete:
+            # sum_k outer(a_k, b_k) = [a_1 .. a_K] @ [b_1 .. b_K]^T
+            outers = pairs.pop(t, None)
+            if outers:
+                t._accum(np.stack([o.a for o in outers], axis=1) @ np.stack([o.b for o in outers]))
             if t._backward is None:
                 continue
             for x, g in zip(t._inputs, t._backward(t.grad)):
                 if isinstance(x, Tensor) and x.requires_grad:
+                    if type(g) is _Outer:
+                        pairs.setdefault(x, []).append(g)
+                        continue
                     if not (isinstance(g, np.ndarray) and g.shape == x.data.shape):
                         g = np.reshape(g, x.data.shape)
                     x._accum(g)
@@ -167,9 +194,12 @@ def fused(data, inputs, backward):
     gradient per input, in input order. Tensor.backward gives each to its
     input when that input is a Tensor that requires grad, reshaped to the
     input's shape unless it already is an array of that shape (so a scalar
-    input's gradient may be a Python float); the rest are dropped. An input
-    may keep a returned array as its .grad without copying, so backward
-    must not write to it afterwards.
+    input's gradient may be a Python float); the rest are dropped. A 2-D
+    input's gradient may also be a factor pair _Outer(a, b), standing for
+    np.outer(a, b): the input collects its pairs and adds their sum once,
+    in one matmul, when the pass reaches it, leaf or interior node alike.
+    An input may keep a returned array, or a pair's factors, without
+    copying, so backward must not write to them afterwards.
     """
     if not _GRAD_MODE.enabled:
         return Tensor(data)
@@ -233,9 +263,9 @@ def matmul(a, b):
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
         if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, np.outer(ad, g)
+            return bd @ g, _Outer(ad, g)
         if ad.ndim == 2:
-            return np.outer(g, bd), ad.T @ g
+            return _Outer(g, bd), ad.T @ g
         return g * bd, g * ad  # 1-D @ 1-D -> scalar
 
     return fused(ad @ bd, (a, b), backward)
@@ -413,7 +443,7 @@ def lstm_step(x, h, c, wx, wh, b):
         gz[2 * hid:3 * hid] = gc_total * i * (1.0 - g * g)
         gz[3 * hid:] = gh * tc * o * (1.0 - o)
         return (wx.data @ gz, wh.data @ gz, gc_total * f,
-                np.outer(x.data, gz), np.outer(h.data, gz), gz.copy())
+                _Outer(x.data, gz), _Outer(h.data, gz), gz.copy())
 
     hc = fused(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
@@ -452,7 +482,7 @@ def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, qu
         gq = gterms.sum(axis=0)
         gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data)
         return (query_w.data @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
-                loc.T @ gterms, np.outer(query.data, gq), th.T @ ge)
+                loc.T @ gterms, _Outer(query.data, gq), th.T @ ge)
 
     return fused(data, inputs, backward)
 

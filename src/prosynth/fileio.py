@@ -90,9 +90,10 @@ def load_tensor_table(path):
 
 def checked_entries(table, shapes, source, prefix=""):
     """The float64 arrays table[prefix + name] for every name -> shape in
-    shapes, keyed by name. A missing key or a wrong shape is a DataError
-    naming the key, raised before anything is returned, so a caller that
-    assigns only the result restores all of the entries or none."""
+    shapes, keyed by name. A missing key, a wrong shape or a non-finite
+    value is a DataError naming the key, raised before anything is
+    returned, so a caller that assigns only the result restores all of the
+    entries or none."""
     out = {}
     for name, shape in shapes.items():
         key = prefix + name
@@ -101,5 +102,7 @@ def checked_entries(table, shapes, source, prefix=""):
         arr = np.asarray(table[key], dtype=np.float64)
         if arr.shape != shape:
             raise DataError(f"{source}: {key} has shape {arr.shape}, expected {shape}")
+        if not np.all(np.isfinite(arr)):
+            raise DataError(f"{source}: {key} holds a non-finite value")
         out[name] = arr
     return out

@@ -269,7 +269,8 @@ def write_prosody_table(path, rows):
     """rows: (utt_id, pace, pitch_span, norm_pace, norm_pitch_span, status);
     numeric fields may be None for flagged utterances. The format has no
     escaping, so an utt_id or status holding a comma or a line break is a
-    ValueError, raised before the file is opened."""
+    ValueError, and so is a non-finite number; both are raised before the
+    file is opened."""
 
     def fmt(x):
         return "" if x is None else repr(float(x))
@@ -279,6 +280,9 @@ def write_prosody_table(path, rows):
         for label, text in (("utt_id", str(row[0])), ("status", str(row[5]))):
             if any(ch in text for ch in ",\n\r"):
                 raise ValueError(f"write_prosody_table: {label} {text!r} contains a comma or line break")
+        for value in row[1:5]:
+            if value is not None and not math.isfinite(float(value)):
+                raise ValueError(f"write_prosody_table: {row[0]} has a non-finite value {value!r}")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(PROSODY_CSV_HEADER + "\n")
         for utt_id, pace, span, npace, nspan, status in rows:
@@ -288,7 +292,8 @@ def write_prosody_table(path, rows):
 def read_prosody_table(path):
     """Rows as written by write_prosody_table; a file that is not ASCII, a
     wrong header, or a row with the wrong number of fields or an unparsable
-    number, is a DataError naming the file (and the line, where known)."""
+    or non-finite number, is a DataError naming the file (and the line,
+    where known). Empty numeric fields read as None."""
     rows = []
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -304,6 +309,8 @@ def read_prosody_table(path):
                     values = [None if s == "" else float(s) for s in numbers]
                 except ValueError as exc:
                     raise DataError(f"{path}:{lineno}: {exc}") from None
+                if not all(v is None or math.isfinite(v) for v in values):
+                    raise DataError(f"{path}:{lineno}: non-finite number in {line.strip()!r}")
                 rows.append((utt_id, *values, status))
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: prosody table is not ASCII: {exc}") from None

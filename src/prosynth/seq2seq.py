@@ -19,6 +19,7 @@ alignment entropy is logged every epoch as the convergence diagnostic.
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -431,6 +432,21 @@ def validation_metrics(params, cfg, val_utts, prosody_table, attention_mode):
     return float(np.mean(losses)), align.mean_entropy(matrices)
 
 
+def _train_batch(params, cfg, opt, utts, vecs, attention_mode):
+    """One optimiser step on the mean teacher-forced loss of utts, each
+    conditioned on its prosody vector in vecs; returns that loss as a float.
+    The graph is freed when this returns: nothing outside keeps a node."""
+    opt.zero_grad()
+    losses = [teacher_forced(params, cfg, u, vec, attention_mode)[0] for u, vec in zip(utts, vecs)]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ad.add(total, extra)
+    batch_loss = ad.mul(total, 1.0 / len(utts))
+    batch_loss.backward()
+    opt.step()
+    return float(batch_loss.data)
+
+
 def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
           resume=False, log=None):
     """Teacher-forced training over the corpus train split.
@@ -441,6 +457,13 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     is created before the first epoch if missing; with resume=True training
     continues from the last one and the result is bit-identical to an
     uninterrupted run.
+
+    Each batch's forward, backward and optimiser step run with Python's
+    cyclic garbage collector paused, since training graphs hold no
+    reference cycles and reference counting frees them. The collector is
+    process-wide, so cycles made meanwhile by other threads wait until the
+    batch ends. It is turned back on after each batch, also when the batch
+    raises, unless the caller had it off already.
     """
     train_utts = corpus.split("train")
     val_utts = corpus.split("val")
@@ -467,21 +490,17 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
         order = _epoch_order(cfg.seed, epoch, len(train_utts))
         epoch_losses = []
         for start in range(0, len(order), cfg.batch_size):
-            batch = order[start:start + cfg.batch_size]
-            opt.zero_grad()
-            losses = []
-            for i in batch:
-                u = train_utts[i]
-                vec = prosody_table[u.utt_id] if use_prosody else zeros
-                loss, _ = teacher_forced(params, cfg, u, vec, attention_mode)
-                losses.append(loss)
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            batch_loss = ad.mul(total, 1.0 / len(batch))
-            batch_loss.backward()
-            opt.step()
-            epoch_losses.append(float(batch_loss.data))
+            batch = [train_utts[i] for i in order[start:start + cfg.batch_size]]
+            vecs = [prosody_table[u.utt_id] if use_prosody else zeros for u in batch]
+            # paused around the call, not inside it, so the batch's graph is
+            # gone before the collector can walk it
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                epoch_losses.append(_train_batch(params, cfg, opt, batch, vecs, attention_mode))
+            finally:
+                if collecting:
+                    gc.enable()
         val_prosody = prosody_table if use_prosody else {u.utt_id: zeros for u in val_utts}
         val_loss, val_entropy = validation_metrics(params, cfg, val_utts, val_prosody, attention_mode)
         row = {

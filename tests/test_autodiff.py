@@ -262,21 +262,23 @@ def test_conv1d_fd():
 
 
 def test_lstm_step_fd():
+    # three steps share wx and wh, so each weight sums three factor pairs
     rng = np.random.default_rng(12)
     hid = 4
     wx = ad.parameter(rand(rng, 3, 4 * hid) * 0.4, name="wx")
     wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
     b = ad.parameter(rand(rng, 4 * hid) * 0.1, name="b")
-    x = ad.Tensor(rand(rng, 3))
-    h0 = ad.Tensor(np.zeros(hid))
+    h0 = ad.parameter(rand(rng, hid) * 0.5, name="h0")
+    xs = [ad.Tensor(x) for x in rand(rng, 3, 3)]
     c0 = ad.Tensor(np.zeros(hid))
 
     def build():
-        h, c = ad.lstm_step(x, h0, c0, wx, wh, b)
-        h, c = ad.lstm_step(x, h, c, wx, wh, b)
+        h, c = h0, c0
+        for x in xs:
+            h, c = ad.lstm_step(x, h, c, wx, wh, b)
         return ad.sum_(ad.mul(h, h))
 
-    check_grads(build, [wx, wh, b])
+    check_grads(build, [wx, wh, b, h0])
 
 
 def test_mean_clamp_threshold_fd():
@@ -494,3 +496,62 @@ def test_fused_gradients_take_their_input_shapes():
     out.backward()
     assert isinstance(s.grad, np.ndarray) and s.grad.shape == () and s.grad == 2.0
     assert v.grad.shape == (1, 2) and np.array_equal(v.grad, [[3.0, 4.0]])
+
+
+# -- weight gradients as factor pairs ----------------------------------------------
+
+
+def test_outer_gradients_add_up_per_parameter():
+    """W's gradient arrives as factor pairs from five 1-D @ W products and
+    one W @ v product, and as a full matrix from X @ W: the sum equals the
+    hand-summed terms."""
+    rng = np.random.default_rng(20)
+    w = ad.parameter(rand(rng, 3, 4), name="w")
+    xs, cs = rand(rng, 5, 3), rand(rng, 5, 4)
+    big_x, big_c = rand(rng, 2, 3), rand(rng, 2, 4)
+    u, v = rand(rng, 3), rand(rng, 4)
+    terms = [ad.sum_(ad.mul(ad.matmul(x, w), ad.Tensor(c))) for x, c in zip(xs, cs)]
+    terms.append(ad.sum_(ad.mul(ad.matmul(ad.Tensor(big_x), w), ad.Tensor(big_c))))
+    terms.append(ad.sum_(ad.mul(ad.matmul(w, ad.Tensor(v)), ad.Tensor(u))))
+    ad.sum_(ad.concat([ad.reshape(t, (1,)) for t in terms])).backward()
+    expected = sum(np.outer(x, c) for x, c in zip(xs, cs)) + big_x.T @ big_c + np.outer(u, v)
+    assert np.max(np.abs(w.grad - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+def test_outer_gradient_reaches_interior_operand():
+    """A second operand that is itself a node, reshape(V), sums its factor
+    pairs when the pass reaches it and passes the sum on to V."""
+    rng = np.random.default_rng(21)
+    flat = ad.parameter(rand(rng, 12), name="flat")
+    x, c, v = rand(rng, 3), rand(rng, 4), rand(rng, 4)
+    w = ad.reshape(flat, (3, 4))
+    loss = ad.add(ad.sum_(ad.mul(ad.matmul(ad.Tensor(x), w), ad.Tensor(c))), ad.sum_(ad.matmul(w, ad.Tensor(v))))
+    loss.backward()
+    expected = np.outer(x, c) + np.outer(np.ones(3), v)
+    assert np.allclose(flat.grad, expected.reshape(12), rtol=0.0, atol=1e-14)
+
+
+def test_second_backward_doubles_outer_gradients():
+    """Without zero_grad, a second pass over a rebuilt graph adds exactly
+    the first pass's sum of pairs again."""
+    rng = np.random.default_rng(22)
+    hid = 3
+    wx = ad.parameter(rand(rng, 2, 4 * hid) * 0.4, name="wx")
+    wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
+    w = ad.parameter(rand(rng, hid, 2), name="w")
+    b = ad.Tensor(np.zeros(4 * hid))
+    xs = rand(rng, 4, 2)
+
+    def build():
+        h, c = ad.Tensor(np.zeros(hid)), ad.Tensor(np.zeros(hid))
+        outs = []
+        for x in xs:
+            h, c = ad.lstm_step(x, h, c, wx, wh, b)
+            outs.append(ad.matmul(h, w))
+        return ad.sum_(ad.mul(ad.concat(outs), ad.concat(outs)))
+
+    build().backward()
+    once = {p.name: p.grad.copy() for p in (wx, wh, w)}
+    build().backward()
+    for p in (wx, wh, w):
+        assert np.array_equal(p.grad, 2.0 * once[p.name]), p.name

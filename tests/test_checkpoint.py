@@ -100,6 +100,8 @@ def test_sgd_state_wrong_shape_raises():
     (lambda t: t.pop("model.post.conv2.b"), "model.post.conv2.b"),
     (lambda t: t.pop("opt.velocity.post.conv2.b"), "opt.velocity.post.conv2.b"),
     (lambda t: t.update({"opt.velocity.att.v": np.zeros(2)}), "shape"),
+    (lambda t: t["model.out.frame.b"].__setitem__(0, np.nan), "model.out.frame.b"),
+    (lambda t: t["opt.velocity.att.v"].__setitem__(-1, np.inf), "opt.velocity.att.v"),
     (lambda t: t.pop("meta.next_epoch"), "meta.next_epoch"),
     (lambda t: t.update({"meta.next_epoch": np.zeros(0)}), "meta.next_epoch"),
     (lambda t: t.update({"meta.next_epoch": np.array([1.0, 2.0])}), "meta.next_epoch"),
@@ -111,9 +113,9 @@ def test_sgd_state_wrong_shape_raises():
     (lambda t: t.update({"meta.history": np.zeros(6)}), "meta.history"),
     (lambda t: t.update({"meta.history": np.zeros((2, 3))}), "meta.history"),
     (lambda t: t.update({"meta.history": np.array([[0.5, 1.0, 1.0, 1.0]])}), "meta.history"),
-], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "epoch_missing", "epoch_empty",
-        "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative", "epoch_nan", "history_missing",
-        "history_six_values", "history_width_3", "history_epoch_fraction"])
+], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "model_nan", "velocity_inf",
+        "epoch_missing", "epoch_empty", "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative",
+        "epoch_nan", "history_missing", "history_six_values", "history_width_3", "history_epoch_fraction"])
 def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
     assert list(params)[-1] == "post.conv2.b"
@@ -149,7 +151,9 @@ def test_predictor_state_roundtrip():
 @pytest.mark.parametrize("corrupt, match", [
     (lambda t: t.update({"out.w": np.zeros((3, 3))}), "shape"),
     (lambda t: t.pop("out.b"), "out.b"),
-], ids=["wrong_shape", "missing"])
+    (lambda t: t["out.b"].__setitem__(0, np.nan), "out.b"),
+    (lambda t: t["out.w"].__setitem__((0, 0), -np.inf), "out.w"),
+], ids=["wrong_shape", "missing", "nan", "inf"])
 def test_bad_predictor_state_changes_nothing(corrupt, match):
     table = {k: v.copy() for k, v in _predictor(1).state_tensors().items()}
     corrupt(table)

@@ -346,6 +346,9 @@ def test_prosody_table_rejects_separators(tmp_path, utt_id, status):
     ("utt_0001,-2.0,0.5,0.1,ok", "5 fields, expected 6"),
     ("", "1 fields, expected 6"),
     ("utt_0001,-2.0,fast,0.1,-0.3,ok", "fast"),
+    ("utt_0001,nan,0.5,0.1,-0.3,ok", "non-finite"),
+    ("utt_0001,-2.0,inf,0.1,-0.3,ok", "non-finite"),
+    ("utt_0001,-2.0,0.5,,-inf,ok", "non-finite"),
 ])
 def test_prosody_table_bad_row_raises_data_error(tmp_path, bad_line, message):
     path = tmp_path / "prosody.csv"
@@ -354,6 +357,15 @@ def test_prosody_table_bad_row_raises_data_error(tmp_path, bad_line, message):
         prosody.read_prosody_table(path)
     assert f"{path}:3:" in str(info.value)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_prosody_table_writer_rejects_non_finite(tmp_path, value):
+    path = tmp_path / "prosody.csv"
+    with pytest.raises(ValueError, match="non-finite"):
+        prosody.write_prosody_table(path, [("utt_0000", -2.1, 0.5, 0.1, -0.3, "ok"),
+                                           ("utt_0001", -2.0, value, None, None, "ok")])
+    assert not path.exists()
 
 
 def test_prosody_table_bad_header_raises_data_error(tmp_path):

@@ -1,6 +1,6 @@
 """seq2seq: the strict config loader, decode truncation, the training
-output directory, and graph-free inference (values bit-identical to grad
-mode, no graph recorded)."""
+output directory, graph-free inference (values bit-identical to grad
+mode, no graph recorded), and the collector pause in train."""
 
 import gc
 import json
@@ -182,5 +182,50 @@ def test_training_graph_is_acyclic(corpus, table, params, mode):
         for p in params.values():
             p.zero_grad()
         assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# -- the collector during training -----------------------------------------------------
+
+
+@pytest.fixture
+def step_spy(monkeypatch):
+    """Records gc.isenabled() at every optimiser step."""
+    seen = []
+    real = ad.SGD.step
+
+    def step(self):
+        seen.append(gc.isenabled())
+        real(self)
+
+    monkeypatch.setattr(ad.SGD, "step", step)
+    return seen
+
+
+def test_train_pauses_collector_per_batch(corpus, table, step_spy):
+    assert gc.isenabled()
+    seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain")
+    assert step_spy and not any(step_spy)
+    assert gc.isenabled()
+
+
+def test_train_restores_collector_when_batch_raises(corpus, table, monkeypatch):
+    def failing_step(self):
+        raise RuntimeError("step failed")
+
+    monkeypatch.setattr(ad.SGD, "step", failing_step)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="step failed"):
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain")
+    assert gc.isenabled()
+
+
+def test_train_leaves_disabled_collector_disabled(corpus, table, step_spy):
+    gc.disable()
+    try:
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain")
+        assert step_spy and not any(step_spy)
+        assert not gc.isenabled()
     finally:
         gc.enable()

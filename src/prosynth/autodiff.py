@@ -11,19 +11,21 @@ everything else must match shapes exactly so that mistakes surface as
 errors, not silent expansion.
 
 A backward may return a weight gradient that is an outer product as its
-two factors, a pair standing for np.outer(a, b); matmul with one 1-D
-operand, lstm_step (wx, wh) and location_attention (query_w) do.
-Tensor.backward collects each input's pairs over the pass and adds their
-sum once, as one matmul, when the pass reaches that input (by then every
-consumer has run), instead of a full matrix per decoder frame. Leaves,
-such as parameters, and interior nodes are treated alike.
+two factors, Outer(a, b), standing for np.outer(a, b); matmul with one 1-D
+operand, lstm_step (wx, wh) and location_attention (query_w) do, and so
+may nodes built elsewhere with fused. Tensor.backward collects each
+input's pairs over the pass and adds their sum once, as one matmul, when
+the pass reaches that input (by then every consumer has run), instead of a
+full matrix per decoder frame. Leaves, such as parameters, and interior
+nodes are treated alike.
 
 The op set is what the synthesiser runs and nothing more: add, mul and
-matmul; tanh, sigmoid, relu and softplus; sum_ and mean_; concat, narrow
+matmul; tanh, relu and softplus; sum_ and mean_; concat, stack, narrow
 (also spelled tensor[key]), reshape and index_rows; conv1d; and two fused
-cells with hand-written backward passes, lstm_step and location_attention.
-Other modules build their own nodes with fused. Tensors define no
-arithmetic operators; call the functions.
+cells with hand-written backward passes, lstm_step, whose input may come
+as a tuple of 1-D parts that it concatenates itself, and
+location_attention. Other modules build their own nodes with fused.
+Tensors define no arithmetic operators; call the functions.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -72,7 +74,7 @@ def no_grad():
         _GRAD_MODE.enabled = prev
 
 
-class _Outer:
+class Outer:
     """The gradient np.outer(a, b), kept as its two 1-D factors."""
 
     __slots__ = ("a", "b")
@@ -134,8 +136,11 @@ class Tensor:
     def backward(self):
         """Reverse-accumulate d(self)/d(leaf) for every reachable leaf.
 
-        self must be scalar (size 1). Gradients add into .grad, so call
-        zero_grad() on parameters between optimisation steps.
+        self must be scalar (size 1). Gradients add into the .grad of
+        leaves, so call zero_grad() on parameters between optimisation
+        steps. Interior nodes start each pass from no gradient and keep
+        the one it gives them, so a second pass over the same graph adds
+        the same amounts to the leaves again.
         """
         if self.data.size != 1:
             raise ShapeError(f"backward: output must be scalar, got shape {self.data.shape}")
@@ -151,10 +156,12 @@ class Tensor:
                 continue
             seen.add(id(t))
             nodes.append(t)
-            stack.extend(t._parents)
+            if t._parents:
+                t.zero_grad()  # an earlier pass's gradient is not this pass's
+                stack.extend(t._parents)
         nodes.sort(key=lambda t: t._id, reverse=True)
         self._accum(np.ones_like(self.data))
-        pairs = {}  # node -> the _Outer gradients it has received so far
+        pairs = {}  # node -> the Outer gradients it has received so far
         for t in nodes:
             # every consumer of t has run, so its pairs are complete:
             # sum_k outer(a_k, b_k) = [a_1 .. a_K] @ [b_1 .. b_K]^T
@@ -165,7 +172,7 @@ class Tensor:
                 continue
             for x, g in zip(t._inputs, t._backward(t.grad)):
                 if isinstance(x, Tensor) and x.requires_grad:
-                    if type(g) is _Outer:
+                    if type(g) is Outer:
                         pairs.setdefault(x, []).append(g)
                         continue
                     if not (isinstance(g, np.ndarray) and g.shape == x.data.shape):
@@ -195,7 +202,7 @@ def fused(data, inputs, backward):
     input when that input is a Tensor that requires grad, reshaped to the
     input's shape unless it already is an array of that shape (so a scalar
     input's gradient may be a Python float); the rest are dropped. A 2-D
-    input's gradient may also be a factor pair _Outer(a, b), standing for
+    input's gradient may also be a factor pair Outer(a, b), standing for
     np.outer(a, b): the input collects its pairs and adds their sum once,
     in one matmul, when the pass reaches it, leaf or interior node alike.
     An input may keep a returned array, or a pair's factors, without
@@ -263,9 +270,9 @@ def matmul(a, b):
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
         if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, _Outer(ad, g)
+            return bd @ g, Outer(ad, g)
         if ad.ndim == 2:
-            return _Outer(g, bd), ad.T @ g
+            return Outer(g, bd), ad.T @ g
         return g * bd, g * ad  # 1-D @ 1-D -> scalar
 
     return fused(ad @ bd, (a, b), backward)
@@ -278,12 +285,6 @@ def tanh(x):
     x = _wrap(x)
     data = np.tanh(x.data)
     return fused(data, (x,), lambda g: (g * (1.0 - data * data),))
-
-
-def sigmoid(x):
-    x = _wrap(x)
-    data = 0.5 * (1.0 + np.tanh(0.5 * x.data))  # stable logistic
-    return fused(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def relu(x):
@@ -330,6 +331,15 @@ def concat(parts, axis=0):
         return grads
 
     return fused(data, parts, backward)
+
+
+def stack(rows):
+    """Stack equal-length 1-D tensors as the rows of a 2-D tensor."""
+    rows = tuple(_wrap(r) for r in rows)
+    data = np.stack([r.data for r in rows])
+    if data.ndim != 2:
+        raise ShapeError(f"stack: rows must be 1-D, got shape {rows[0].data.shape}")
+    return fused(data, rows, lambda g: g)  # a 2-D gradient iterates as its rows
 
 
 def narrow(x, key):
@@ -417,15 +427,21 @@ def conv1d(x, w, bias=None):
 def lstm_step(x, h, c, wx, wh, b):
     """One fused LSTM cell update (single graph node for speed).
 
-    x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order i,f,g,o.
+    x: (I,), or a tuple of 1-D parts whose concatenation is the (I,) input;
+    each part then gets its own slice of the input gradient, with no concat
+    node. h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order i,f,g,o.
     Returns (h', c').
     """
-    x, h, c = _wrap(x), _wrap(h), _wrap(c)
+    parts = tuple(_wrap(p) for p in x) if isinstance(x, tuple) else (_wrap(x),)
+    h, c = _wrap(h), _wrap(c)
+    xd = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts])
     hid = h.data.shape[0]
-    if wx.data.shape != (x.data.shape[0], 4 * hid) or wh.data.shape != (hid, 4 * hid):
+    if wx.data.shape != (xd.shape[0], 4 * hid) or wh.data.shape != (hid, 4 * hid):
         raise ShapeError(f"lstm_step: weight shapes {wx.data.shape}/{wh.data.shape} do not fit "
-                         f"input {x.data.shape} and state {h.data.shape}")
-    z = x.data @ wx.data + h.data @ wh.data + b.data
+                         f"input {xd.shape} and state {h.data.shape}")
+    ends = list(itertools.accumulate(p.data.shape[0] for p in parts))
+    spans = tuple(zip([0] + ends[:-1], ends))
+    z = xd @ wx.data + h.data @ wh.data + b.data
     i = 0.5 * (1.0 + np.tanh(0.5 * z[:hid]))
     f = 0.5 * (1.0 + np.tanh(0.5 * z[hid:2 * hid]))
     g = np.tanh(z[2 * hid:3 * hid])
@@ -442,10 +458,11 @@ def lstm_step(x, h, c, wx, wh, b):
         gz[hid:2 * hid] = gc_total * c.data * f * (1.0 - f)
         gz[2 * hid:3 * hid] = gc_total * i * (1.0 - g * g)
         gz[3 * hid:] = gh * tc * o * (1.0 - o)
-        return (wx.data @ gz, wh.data @ gz, gc_total * f,
-                _Outer(x.data, gz), _Outer(h.data, gz), gz.copy())
+        gx = wx.data @ gz
+        return (*(gx[lo:hi] for lo, hi in spans), wh.data @ gz, gc_total * f,
+                Outer(xd, gz), Outer(h.data, gz), gz.copy())
 
-    hc = fused(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
+    hc = fused(np.concatenate([h_new, c_new]), (*parts, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
 
 
@@ -482,7 +499,7 @@ def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, qu
         gq = gterms.sum(axis=0)
         gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data)
         return (query_w.data @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
-                loc.T @ gterms, _Outer(query.data, gq), th.T @ ge)
+                loc.T @ gterms, Outer(query.data, gq), th.T @ ge)
 
     return fused(data, inputs, backward)
 

@@ -12,6 +12,13 @@ structure-preserving augmented step, and emits one spectral frame plus a
 stop logit per step. A convolutional post-net refines the whole utterance
 residually.
 
+Each decoder stage is one hand-differentiated graph node: the pre-net, the
+two LSTM cells (which take their inputs as parts, with no concat), the
+location attention, the alpha/beta selection heads, the augmented step and
+the readout, which holds the frame and its stop logit in one (F+1,) vector.
+teacher_forced stacks the readouts once per utterance, so a frame adds
+about 15 nodes to the training graph.
+
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
 alignment entropy is logged every epoch as the convergence diagnostic.
@@ -203,8 +210,8 @@ def encoder_latents(params, symbols):
         rows = [None] * n
         for t in order:
             h, c = ad.lstm_step(x[t], h, c, params[f"enc.{d}.wx"], params[f"enc.{d}.wh"], params[f"enc.{d}.b"])
-            rows[t] = ad.reshape(h, (1, width))
-        outs[d] = ad.concat(rows, axis=0)
+            rows[t] = h
+        outs[d] = ad.stack(rows)
     return ad.concat([outs["fwd"], outs["bwd"]], axis=1)
 
 
@@ -244,14 +251,63 @@ def initial_attention(params, query, enc_proj, prev_align, cum_align):
 
 
 def prenet_double_feed(params, prev_true, prev_pred):
-    """Pre-net input: [true, predicted] under teacher forcing, the
-    prediction duplicated when prev_true is None (free-running decode)."""
-    first = prev_pred if prev_true is None else ad.Tensor(prev_true)
+    """Pre-net over [true, predicted] under teacher forcing, the prediction
+    duplicated when prev_true is None (free-running decode).
+
+    Two relu layers as one graph node over the four weights. Both frames
+    are data: the decoder feeds back a detached prediction, so no gradient
+    flows into prev_pred.
+    """
+    first = prev_pred.data if prev_true is None else np.asarray(prev_true, dtype=np.float64)
     if first.shape != prev_pred.shape:
         raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
-    x = ad.concat([first, prev_pred])
-    h = ad.relu(ad.add(ad.matmul(x, params["dec.prenet1.w"]), params["dec.prenet1.b"]))
-    return ad.relu(ad.add(ad.matmul(h, params["dec.prenet2.w"]), params["dec.prenet2.b"]))
+    w1, b1, w2, b2 = (params[k] for k in ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b"))
+    x = np.concatenate([first, prev_pred.data])
+    h = np.maximum(x @ w1.data + b1.data, 0.0)
+    out = np.maximum(h @ w2.data + b2.data, 0.0)
+
+    def backward(g):
+        g2 = g * (out > 0.0)
+        g1 = (w2.data @ g2) * (h > 0.0)
+        return ad.Outer(x, g1), g1, ad.Outer(h, g2), g2
+
+    return ad.fused(out, (w1, b1, w2, b2), backward)
+
+
+def selection_heads(params, s_p, x_c, h2):
+    """The augmented step's stage weights as one (2,) node [alpha, beta]:
+    alpha = sigmoid([s_p, x_c, h2] . w_alpha + b_alpha) and
+    beta = sigmoid(x_c . w_beta + b_beta)."""
+    aw, ab, bw, bb = (params[k] for k in ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b"))
+    head_in = np.concatenate([s_p.data, x_c.data, h2.data])
+    alpha = 0.5 * (1.0 + np.tanh(0.5 * (head_in @ aw.data + ab.data)))  # stable logistic
+    beta = 0.5 * (1.0 + np.tanh(0.5 * (x_c.data @ bw.data + bb.data)))
+    lo, hi = s_p.shape[0], s_p.shape[0] + x_c.shape[0]
+
+    def backward(g):
+        ga = g[0] * alpha * (1.0 - alpha)
+        gb = g[1] * beta * (1.0 - beta)
+        g_in = ga * aw.data
+        return g_in[:lo], g_in[lo:hi] + gb * bw.data, g_in[hi:], ga * head_in, ga, gb * x_c.data, gb
+
+    return ad.fused(np.array([alpha, beta]), (s_p, x_c, h2, aw, ab, bw, bb), backward)
+
+
+def frame_output(params, h2, x_c):
+    """The readout as one (F+1,) node: the frame [h2, x_c] @ W + b, then
+    the stop logit [h2, x_c] . w_stop + b_stop."""
+    fw, fb, sw, sb = (params[k] for k in ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b"))
+    readout = np.concatenate([h2.data, x_c.data])
+    y = readout @ fw.data + fb.data
+    stop = readout @ sw.data + sb.data
+    hid = h2.shape[0]
+
+    def backward(g):
+        gy, gs = g[:-1], g[-1]
+        g_read = fw.data @ gy + gs * sw.data
+        return g_read[:hid], g_read[hid:], ad.Outer(readout, gy), gy, gs * readout, gs
+
+    return ad.fused(np.append(y, stop), (h2, x_c, fw, fb, sw, sb), backward)
 
 
 def init_decoder_state(params, cfg, n_positions):
@@ -266,43 +322,40 @@ def init_decoder_state(params, cfg, n_positions):
 
 
 def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
-    """Advance one frame: returns (y_t, stop_logit, alignment a_t, new state).
-    prev_true is the true previous frame under teacher forcing, None when
-    decoding free-running. attention_mode is one of ATTENTION_MODES; any
-    other value is a ValueError."""
+    """Advance one frame: returns (out_t, alignment a_t, new state), where
+    out_t is the (F+1,) frame_output node [y_t, stop logit]. prev_true is
+    the true previous frame under teacher forcing, None when decoding
+    free-running. attention_mode is one of ATTENTION_MODES; any other value
+    is a ValueError."""
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
     s_p = prenet_double_feed(params, prev_true, state["y_prev"])
 
-    h1, c1 = ad.lstm_step(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
+    h1, c1 = ad.lstm_step((s_p, state["x_c"]), state["h1"], state["c1"],
                           params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
     n = enc_cond.shape[0]
     prev_align = state["a_prev"] if state["a_prev"] is not None else ad.Tensor(np.zeros(n))
     b_t = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
 
     if attention_mode == "augmented" and state["a_prev"] is not None:
-        head_in = ad.concat([s_p, state["x_c"], state["h2"]])
-        alpha = ad.sigmoid(ad.add(ad.matmul(head_in, params["att.alpha.w"]), params["att.alpha.b"]))
-        beta = ad.sigmoid(ad.add(ad.matmul(state["x_c"], params["att.beta.w"]), params["att.beta.b"]))
-        a_t = align.augmented_step(b_t, state["a_prev"], align.SelectionWeights(alpha, beta))
+        heads = selection_heads(params, s_p, state["x_c"], state["h2"])
+        a_t = align.augmented_step(b_t, state["a_prev"], align.SelectionWeights(heads[0], heads[1]))
     else:
         a_t = b_t
 
     x_c = ad.matmul(a_t, enc_cond)
-    h2, c2 = ad.lstm_step(ad.concat([h1, x_c]), state["h2"], state["c2"],
+    h2, c2 = ad.lstm_step((h1, x_c), state["h2"], state["c2"],
                           params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
-    readout = ad.concat([h2, x_c])
-    y_t = ad.add(ad.matmul(readout, params["out.frame.w"]), params["out.frame.b"])
-    stop = ad.add(ad.matmul(readout, params["out.stop.w"]), params["out.stop.b"])
+    out_t = frame_output(params, h2, x_c)
 
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
         "x_c": x_c,
         "a_prev": a_t,  # the final alignment feeds both location features
         "cum": ad.add(state["cum"], a_t),
-        "y_prev": y_t.detach(),  # autoregressive input, gradient stays local
+        "y_prev": ad.Tensor(out_t.data[:-1]),  # autoregressive input, gradient stays local
     }
-    return y_t, stop, a_t, new_state
+    return out_t, a_t, new_state
 
 
 def postnet(params, y):
@@ -360,16 +413,15 @@ def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     enc_cond = encode(params, utterance.symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
     state = init_decoder_state(params, cfg, len(utterance.symbols))
-    ys, stops, aligns = [], [], []
+    outs, aligns = [], []
     for t in range(t_len):
         prev_true = targets[t - 1] if t > 0 else np.zeros(cfg.frame_width)
-        y_t, stop, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=prev_true)
-        ys.append(ad.reshape(y_t, (1, cfg.frame_width)))
-        stops.append(ad.reshape(stop, (1,)))
+        out_t, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=prev_true)
+        outs.append(out_t)
         aligns.append(a_t.data)
-    y = ad.concat(ys, axis=0)
+    out = ad.stack(outs)
+    y, stop_vec = out[:, :-1], out[:, -1]
     z = postnet(params, y)
-    stop_vec = ad.concat(stops)
     loss = ad.add(spectral_loss(y, z, targets), stop_loss(stop_vec, t_len, cfg.stop_pos_weight))
     trace = DecoderTrace(
         y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(),
@@ -387,20 +439,20 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
     state = init_decoder_state(params, cfg, len(symbols))
     cap = cfg.max_decode_ratio * len(symbols)
-    ys, stops, aligns = [], [], []
+    outs, aligns = [], []
     truncated = True
     for _ in range(cap):
-        y_t, stop, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode)
-        ys.append(ad.reshape(y_t, (1, cfg.frame_width)))
-        stops.append(float(stop.data))
+        out_t, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode)
+        outs.append(out_t.data)
         aligns.append(a_t.data)
-        if 1.0 / (1.0 + np.exp(-float(stop.data))) > cfg.stop_threshold:
+        if 1.0 / (1.0 + np.exp(-float(out_t.data[-1]))) > cfg.stop_threshold:
             truncated = False
             break
-    y = ad.concat(ys, axis=0)
-    z = postnet(params, y)
+    out = np.stack(outs)
+    y = out[:, :-1].copy()
+    z = postnet(params, ad.Tensor(y))
     return DecoderTrace(
-        y=y.data.copy(), z=z.data.copy(), stop_logits=np.asarray(stops),
+        y=y, z=z.data.copy(), stop_logits=out[:, -1].copy(),
         alignment=np.stack(aligns, axis=1), truncated=truncated,
     )
 

@@ -1,14 +1,21 @@
 """Engine ops that only the tests use.
 
-The composed-primitive oracle in test_fused.py rebuilds location attention
-and the augmented step from these, one graph node per op. Each takes
-Tensors and is a prosynth.autodiff.fused node with its own value and
-backward; their finite-difference tests are in test_autodiff.py.
+The composed-primitive oracle in test_fused.py rebuilds location attention,
+the augmented step and the decoder's selection heads from these, one graph
+node per op. Each takes Tensors and is a prosynth.autodiff.fused node with
+its own value and backward; their finite-difference tests are in
+test_autodiff.py.
 """
 
 import numpy as np
 
 from prosynth import autodiff as ad
+
+
+def sigmoid(x):
+    """Stable logistic, 0.5 * (1 + tanh(x / 2))."""
+    data = 0.5 * (1.0 + np.tanh(0.5 * x.data))
+    return ad.fused(data, (x,), lambda g: (g * data * (1.0 - data),))
 
 
 def softmax(x):

@@ -107,7 +107,7 @@ def test_matmul_sigmoid_chain_matches_fd():
     x = ad.Tensor(rand(rng, 3, 5))
 
     def build():
-        return ad.sum_(ad.sigmoid(ad.add(ad.matmul(x, w), b)))
+        return ad.sum_(ops.sigmoid(ad.add(ad.matmul(x, w), b)))
 
     check_grads(build, [w, b])
 
@@ -164,7 +164,7 @@ def test_logsumexp_overflow_safe():
 
 @pytest.mark.parametrize(
     "op",
-    [ad.tanh, ad.sigmoid, ad.softplus],
+    [ad.tanh, ops.sigmoid, ad.softplus],
 )
 def test_elementwise_ops_fd(op):
     rng = np.random.default_rng(3)
@@ -279,6 +279,60 @@ def test_lstm_step_fd():
         return ad.sum_(ad.mul(h, h))
 
     check_grads(build, [wx, wh, b, h0])
+
+
+def _lstm_parts_inputs(rng, sizes=(3, 1, 2), hid=4):
+    """Input parts, h, c, wx, wh, b for one lstm_step on parts."""
+    parts = [rand(rng, n) for n in sizes]
+    return (*parts, rand(rng, hid) * 0.5, rand(rng, hid) * 0.5, rand(rng, sum(sizes), 4 * hid) * 0.4,
+            rand(rng, hid, 4 * hid) * 0.4, rand(rng, 4 * hid) * 0.1)
+
+
+def test_lstm_step_parts_fd():
+    rng = np.random.default_rng(14)
+    names = ("x0", "x1", "x2", "h", "c", "wx", "wh", "b")
+    ins = [ad.parameter(v, name=n) for v, n in zip(_lstm_parts_inputs(rng), names)]
+    w = ad.Tensor(rand(rng, 8))
+
+    def build():
+        h, c = ad.lstm_step(tuple(ins[:3]), *ins[3:])
+        return ad.matmul(ad.concat([h, c]), w)
+
+    check_grads(build, ins)
+
+
+def test_lstm_step_parts_equal_concatenation():
+    """Parts give bit for bit the values and gradients of lstm_step on
+    their concatenation."""
+    rng = np.random.default_rng(15)
+    raw = _lstm_parts_inputs(rng)
+    w = rand(rng, 8)
+    results = []
+    for split in (True, False):
+        ins = [ad.parameter(v) for v in raw]
+        x = tuple(ins[:3]) if split else ad.concat(ins[:3])
+        h, c = ad.lstm_step(x, *ins[3:])
+        ad.matmul(ad.concat([h, c]), ad.Tensor(w)).backward()
+        results.append([h.data, c.data] + [p.grad for p in ins])
+    for k, (a, b) in enumerate(zip(*results)):
+        assert np.array_equal(a, b), k
+
+
+def test_stack_fd():
+    rng = np.random.default_rng(16)
+    rows = [ad.parameter(rand(rng, 3), name=f"row{k}") for k in range(4)]
+    w = ad.Tensor(rand(rng, 4, 3))
+
+    def build():
+        out = ad.stack(rows)
+        return ad.sum_(ad.mul(ad.mul(out, out), w))
+
+    check_grads(build, rows)
+
+
+def test_stack_rejects_non_vectors():
+    with pytest.raises(ShapeError, match="stack"):
+        ad.stack([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((2, 2)))])
 
 
 def test_mean_clamp_threshold_fd():
@@ -439,19 +493,22 @@ ROUTING_CASES = {
     "matmul_2x1": (lambda a, b: ad.matmul(a, b), [(2, 3), (3,)], (), 1),
     "matmul_1x1": (lambda a, b: ad.matmul(a, b), [(3,), (3,)], (), 1),
     "tanh": (ad.tanh, [(3,)], (), 1),
-    "sigmoid": (ad.sigmoid, [(3,)], (), 1),
+    "sigmoid": (ops.sigmoid, [(3,)], (), 1),
     "relu": (ad.relu, [(3,)], (), 1),
     "softplus": (ad.softplus, [(3,)], (), 1),
     "sum_": (ad.sum_, [(2, 3)], (), 1),
     "mean_": (ad.mean_, [(2, 3)], (), 1),
     "concat": (lambda a, b: ad.concat([a, b]), [(2,), (3,)], (), 1),
     "concat_axis1": (lambda a, b: ad.concat([a, b], axis=1), [(2, 2), (2, 3)], (), 1),
+    "stack": (lambda a, b: ad.stack([a, b]), [(3,), (3,)], (), 1),
     "narrow": (lambda x: ad.narrow(x, slice(1, 3)), [(4,)], (), 1),
     "reshape": (lambda x: ad.reshape(x, (3, 2)), [(2, 3)], (), 1),
     "index_rows": (lambda x: ad.index_rows(x, [0, 2, 2]), [(4, 3)], (), 1),
     "conv1d": (lambda x, w: ad.conv1d(x, w), [(5, 2), (3, 2, 4)], (), 1),
     "conv1d_bias": (lambda x, w, b: ad.conv1d(x, w, b), [(5, 2), (3, 2, 4), (4,)], (), 1),
     "lstm_step": (ad.lstm_step, [(3,), (2,), (2,), (3, 8), (2, 8), (8,)], (3, 4, 5), 3),
+    "lstm_step_parts": (lambda a, b, h, c, wx, wh, bias: ad.lstm_step((a, b), h, c, wx, wh, bias),
+                        [(2,), (1,), (2,), (2,), (3, 8), (2, 8), (8,)], (4, 5, 6), 3),
     "location_attention": (ad.location_attention, [(4,), (5, 6), (5,), (5,), (3, 2, 2), (2, 6), (4, 6), (6,)],
                            (), 1),
 }
@@ -555,3 +612,17 @@ def test_second_backward_doubles_outer_gradients():
     build().backward()
     for p in (wx, wh, w):
         assert np.array_equal(p.grad, 2.0 * once[p.name]), p.name
+
+
+def test_second_backward_on_one_graph_adds_the_same_again():
+    """Interior nodes start each pass from no gradient: a second backward
+    over the same graph adds one pass's gradient to the leaf again, and
+    leaves the interior gradients as one pass made them."""
+    w = ad.parameter([1.0, 2.0], name="w")
+    prod = ad.mul(ad.tanh(w), ad.tanh(w))
+    loss = ad.sum_(prod)
+    loss.backward()
+    once, prod_once = w.grad.copy(), prod.grad.copy()
+    loss.backward()
+    assert np.allclose(w.grad, 2.0 * once, rtol=1e-15, atol=0.0)
+    assert np.array_equal(prod.grad, prod_once)

@@ -1,7 +1,7 @@
-"""Fused attention nodes: gradients against finite differences, and the
-whole teacher-forced pass against a reference built from engine
-primitives and the test-side ops in oracle_ops.py (the oracle below, one
-graph node per primitive op)."""
+"""Fused attention and decoder nodes: gradients against finite
+differences, and the whole teacher-forced pass against a reference built
+from engine primitives and the test-side ops in oracle_ops.py (the oracle
+below, one graph node per primitive op)."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,9 @@ from prosynth import align, seq2seq, synthdata
 from prosynth import autodiff as ad
 from prosynth.errors import ShapeError
 
-from oracle_ops import clamp_max, div, logsumexp, softmax, threshold_keep
+from oracle_ops import clamp_max, div, logsumexp, sigmoid, softmax, threshold_keep
+
+_lstm_step = ad.lstm_step
 
 # -- composed-primitive oracle ---------------------------------------------------------
 
@@ -61,6 +63,35 @@ def composed_augmented_step(b_t, b_prev, weights):
     if float(total.data) < 1e-8:
         return d
     return div(raw, total)
+
+
+def composed_prenet(params, prev_true, prev_pred):
+    first = prev_pred if prev_true is None else ad.Tensor(prev_true)
+    x = ad.concat([first, prev_pred])
+    h = ad.relu(ad.add(ad.matmul(x, params["dec.prenet1.w"]), params["dec.prenet1.b"]))
+    return ad.relu(ad.add(ad.matmul(h, params["dec.prenet2.w"]), params["dec.prenet2.b"]))
+
+
+def composed_selection_heads(params, s_p, x_c, h2):
+    head_in = ad.concat([s_p, x_c, h2])
+    alpha = sigmoid(ad.add(ad.matmul(head_in, params["att.alpha.w"]), params["att.alpha.b"]))
+    beta = sigmoid(ad.add(ad.matmul(x_c, params["att.beta.w"]), params["att.beta.b"]))
+    return ad.concat([ad.reshape(alpha, (1,)), ad.reshape(beta, (1,))])
+
+
+def composed_frame_output(params, h2, x_c):
+    readout = ad.concat([h2, x_c])
+    y = ad.add(ad.matmul(readout, params["out.frame.w"]), params["out.frame.b"])
+    stop = ad.add(ad.matmul(readout, params["out.stop.w"]), params["out.stop.b"])
+    return ad.concat([y, ad.reshape(stop, (1,))])
+
+
+def composed_stack(rows):
+    return ad.concat([ad.reshape(r, (1, r.shape[0])) for r in rows], axis=0)
+
+
+def composed_lstm_step(x, *rest):
+    return _lstm_step(ad.concat(list(x)) if isinstance(x, tuple) else x, *rest)
 
 
 def node_count(build):
@@ -255,9 +286,9 @@ def test_decoder_step_fd(mode):
     def build():
         enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
         state = {**seq2seq.init_decoder_state(params, cfg, n), **history}
-        y, stop, a_t, _ = seq2seq.decoder_step(params, state, enc_cond, enc_proj, mode, prev_true=prev_true)
+        out, a_t, _ = seq2seq.decoder_step(params, state, enc_cond, enc_proj, mode, prev_true=prev_true)
         seen["a_t"] = a_t.data
-        return ad.matmul(ad.concat([y, ad.reshape(stop, (1,)), a_t]), w)
+        return ad.matmul(ad.concat([out, a_t]), w)
 
     build()
     if mode == "augmented":
@@ -268,6 +299,77 @@ def test_decoder_step_fd(mode):
     for p in checked:
         err = ad.finite_diff_check(build, p, step=1e-5)
         assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
+
+
+def decoder_params(seed):
+    """TINY-config parameters moved off their init, so every head and
+    relu carries signal."""
+    cfg = seq2seq.ModelConfig(**TINY)
+    params = seq2seq.init_params(cfg, vocab_size=5)
+    rng = np.random.default_rng(seed)
+    for p in params.values():
+        p.data = np.asarray(p.data + rng.normal(scale=0.5, size=p.data.shape))  # 0-d stays an array
+    return cfg, params, rng
+
+
+def check_every_input(build, inputs, step=1e-6, tol=1e-5):
+    for p in inputs:
+        err = ad.finite_diff_check(build, p, step=step)
+        assert err < tol, f"{p.name}: rel err {err:.3e}"
+
+
+@pytest.mark.parametrize("feed", ["teacher", "free"])
+def test_prenet_double_feed_fd_every_input(feed):
+    cfg, params, rng = decoder_params(30)
+    pred = ad.Tensor(rng.normal(size=cfg.frame_width))
+    prev_true = rng.normal(size=cfg.frame_width) if feed == "teacher" else None
+    w = ad.Tensor(rng.normal(size=cfg.prenet_out))
+
+    def build():
+        return ad.matmul(seq2seq.prenet_double_feed(params, prev_true, pred), w)
+
+    out = seq2seq.prenet_double_feed(params, prev_true, pred).data
+    assert 0 < np.count_nonzero(out) < out.size  # both sides of the relu
+    check_every_input(build, [params[k] for k in sorted(params) if k.startswith("dec.prenet")])
+
+
+def test_selection_heads_fd_every_input():
+    cfg, params, rng = decoder_params(32)
+    s_p, x_c, h2 = (ad.parameter(rng.normal(size=n), name=name) for n, name in
+                    ((cfg.prenet_out, "s_p"), (cfg.context_dim, "x_c"), (cfg.decoder_rnn_width, "h2")))
+    w = ad.Tensor(np.array([0.7, -1.3]))
+
+    def build():
+        return ad.matmul(seq2seq.selection_heads(params, s_p, x_c, h2), w)
+
+    heads = [params[k] for k in ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")]
+    check_every_input(build, [s_p, x_c, h2] + heads)
+
+
+def test_frame_output_fd_every_input():
+    cfg, params, rng = decoder_params(33)
+    h2 = ad.parameter(rng.normal(size=cfg.decoder_rnn_width), name="h2")
+    x_c = ad.parameter(rng.normal(size=cfg.context_dim), name="x_c")
+    w = ad.Tensor(rng.normal(size=cfg.frame_width + 1))
+
+    def build():
+        return ad.matmul(seq2seq.frame_output(params, h2, x_c), w)
+
+    check_every_input(build, [h2, x_c] + [params[k] for k in sorted(params) if k.startswith("out.")])
+
+
+@pytest.mark.parametrize("mode, limit", [("augmented", 15), ("plain", 11)])
+def test_decoder_step_node_count(mode, limit, made_nodes):
+    # one frame with alignment history, the step every frame after the first takes
+    cfg, params, rng = decoder_params(34)
+    n = 5
+    enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)))
+    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
+    a_prev = rng.dirichlet(np.ones(n))
+    state = {**seq2seq.init_decoder_state(params, cfg, n), "a_prev": ad.Tensor(a_prev), "cum": ad.Tensor(a_prev)}
+    made_nodes.clear()
+    seq2seq.decoder_step(params, state, enc_cond, enc_proj, mode, prev_true=rng.normal(size=cfg.frame_width))
+    assert len(made_nodes) <= limit
 
 
 @pytest.fixture(scope="module")
@@ -285,8 +387,16 @@ def test_teacher_forced_matches_composed(mode, utterance, monkeypatch):
         if composed:
             monkeypatch.setattr(seq2seq, "initial_attention", composed_initial_attention)
             monkeypatch.setattr(align, "augmented_step", composed_augmented_step)
+            monkeypatch.setattr(seq2seq, "prenet_double_feed", composed_prenet)
+            monkeypatch.setattr(seq2seq, "selection_heads", composed_selection_heads)
+            monkeypatch.setattr(seq2seq, "frame_output", composed_frame_output)
+            monkeypatch.setattr(ad, "lstm_step", composed_lstm_step)
+            monkeypatch.setattr(ad, "stack", composed_stack)
         params = seq2seq.init_params(cfg, vocab)
         params["att.v"].data = params["att.v"].data * 10.0  # most steps then have 0 < gamma < 1
+        rng = np.random.default_rng(40)
+        for k in ("att.alpha.w", "att.beta.w"):  # off their zero init, so the heads pass gradient on
+            params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
         loss, trace = seq2seq.teacher_forced(params, cfg, utt, np.array([0.3, -0.2]), mode)
         loss.backward()
         results.append((float(loss.data), trace.alignment, {k: p.grad for k, p in params.items()}))

@@ -5,10 +5,10 @@ positions; a decode of T steps stacks them into an N x T alignment matrix.
 The ops here build candidate alignments from the previous step, score how
 sharp/unimodal a candidate is, and soft-select a final alignment that keeps
 that structure. They compute on plain numpy arrays. augmented_step, the one
-op the decoder calls, also takes autodiff Tensors: then it returns a single
-graph node whose hand-written backward follows the same formulas, masks
-included (see _metric_grad), so the training graph grows by one node per
-step.
+op the decoder calls, also returns its hand-written backward (vjp=True),
+which follows the same formulas, masks included (see _metric_grad); the
+decoder's per-utterance graph node calls it frame by frame. On autodiff
+Tensors the step is a single graph node with that backward.
 
 All functions are pure; call them from as many threads as you like.
 """
@@ -194,13 +194,16 @@ def stage2_select(d, b_t, beta):
     return _stage2(d, b_t, beta)[0]
 
 
-def augmented_step(b_t, b_prev, weights):
+def augmented_step(b_t, b_prev, weights, vjp=False):
     """Full post-processing of one decoder step's initial alignment.
 
     With no history (b_prev is None, i.e. the first step) the initial
     alignment passes through untouched. On plain arrays the result is an
     array; if any input is a Tensor it is one graph node whose gradients
-    reach every Tensor input that requires grad.
+    reach every Tensor input that requires grad. With vjp=True, for a step
+    with history on plain values, the result is (out, backward), where
+    backward(g) gives the gradients of (b_t, b_prev, alpha, beta); the
+    decoder runs its steps this way.
     """
     if b_prev is None:
         return b_t
@@ -210,7 +213,7 @@ def augmented_step(b_t, b_prev, weights):
     beta = _weight_value(_value(weights.beta), "beta")
     d = stage1_select(bp, alpha)
     out, gamma, m_b, m_d, raw, total = _stage2(d, bt, beta)
-    if not any(isinstance(x, ad.Tensor) for x in inputs):
+    if not vjp and not any(isinstance(x, ad.Tensor) for x in inputs):
         return out
     shifted = shift_sticky(bp)
 
@@ -233,6 +236,8 @@ def augmented_step(b_t, b_prev, weights):
         g_bp[-1] += g_shift[-1]  # ... and keeps the last one in place
         return g_bt, g_bp, g_alpha, g_beta
 
+    if vjp:
+        return out, backward
     return ad.fused(out, inputs, backward)
 
 

@@ -16,19 +16,26 @@ operand, lstm_step (wx, wh) and location_attention (query_w) do, and so
 may nodes built elsewhere with fused. Tensor.backward collects each
 input's pairs over the pass and adds their sum once, as one matmul, when
 the pass reaches that input (by then every consumer has run), instead of a
-full matrix per decoder frame. Leaves, such as parameters, and interior
-nodes are treated alike.
+full matrix per use, such as per encoder step. Leaves, such as parameters,
+and interior nodes are treated alike.
 
-The op set is what the synthesiser runs and nothing more: add, mul and
+The op set is what the synthesiser runs, and the node forms of its decoder
+cells that the tests' per-frame reference decoder builds: add, mul and
 matmul; tanh, relu and softplus; sum_ and mean_; concat, stack, narrow
 (also spelled tensor[key]), reshape and index_rows; conv1d; and two fused
 cells with hand-written backward passes, lstm_step, whose input may come
 as a tuple of 1-D parts that it concatenates itself, and
-location_attention. Other modules build their own nodes with fused.
-Tensors define no arithmetic operators; call the functions.
+location_attention. Each cell also comes as a function on plain arrays,
+lstm_vjp and location_attention_vjp, that returns its value together with
+its backward, without making a node: a caller that runs many cells and
+routes their gradients itself, as the decoder does for a whole utterance,
+uses those and wraps its result in one node with fused. Other modules
+build their own nodes the same way. Tensors define no arithmetic
+operators; call the functions.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
+grad_enabled() tells code that records backwards itself whether to.
 
 Thread-safety: construction and backward are single-threaded per graph;
 distinct graphs on distinct threads are fine. The grad mode is per-thread
@@ -40,6 +47,7 @@ thread on; the only state shared between threads is the id counter
 from __future__ import annotations
 
 import contextlib
+import functools
 import itertools
 import threading
 
@@ -56,6 +64,12 @@ class _GradMode(threading.local):
 
 
 _GRAD_MODE = _GradMode()
+
+
+def grad_enabled():
+    """True when operations in this thread record graph nodes, False
+    inside no_grad()."""
+    return _GRAD_MODE.enabled
 
 
 @contextlib.contextmanager
@@ -391,16 +405,26 @@ def _conv_same(x, w):
     return out, xp
 
 
+def _windows(xp, k):
+    """(T, K * C) matrix whose row t holds rows t .. t + K - 1 of the padded
+    (T + K - 1, C) array xp, which must be C-contiguous: a read-only view
+    of xp, in which consecutive rows overlap."""
+    t, c = xp.shape[0] - k + 1, xp.shape[1]
+    view = np.ndarray((t, k * c), dtype=xp.dtype, buffer=xp, strides=xp.strides)
+    view.flags.writeable = False
+    return view
+
+
 def _conv_same_grads(g, xp, w):
-    """Gradients (gx, gw) of _conv_same for output gradient g."""
-    k = w.shape[0]
-    t = g.shape[0]
-    gxp = np.zeros_like(xp)
-    gw = np.empty_like(w)
-    for j in range(k):
-        gxp[j:j + t] += g @ w[j].T
-        gw[j] = xp[j:j + t].T @ g
-    return gxp[k // 2:k // 2 + t], gw
+    """Gradients (gx, gw) of _conv_same for output gradient g, each as one
+    matmul over K-row windows: gw from the windows of xp, and gx from the
+    windows of the padded g against the flipped kernel."""
+    k, cin, cout = w.shape
+    pad = k // 2
+    gw = (_windows(xp, k).T @ g).reshape(k, cin, cout)
+    gp = np.zeros((g.shape[0] + 2 * pad, cout))
+    gp[pad:pad + g.shape[0]] = g
+    return _windows(gp, k) @ w[::-1].transpose(0, 2, 1).reshape(k * cout, cin), gw
 
 
 def conv1d(x, w, bias=None):
@@ -424,6 +448,50 @@ def conv1d(x, w, bias=None):
     return fused(data + bias.data, (x, w, bias), lambda g: (*_conv_same_grads(g, xp, w.data), g.sum(axis=0)))
 
 
+@functools.lru_cache(maxsize=None)
+def _gate_constants(hid):
+    """Read-only (scale, shift, scale^2) over the 4H gate pre-activations,
+    gate order i, f, g, o: a gate is tanh(z * scale) * scale + shift, the
+    logistic 0.5 * (1 + tanh(z / 2)) on i, f, o and tanh on g."""
+    scale = np.full(4 * hid, 0.5)
+    scale[2 * hid:3 * hid] = 1.0
+    shift = np.full(4 * hid, 0.5)
+    shift[2 * hid:3 * hid] = 0.0
+    consts = (scale, shift, scale * scale)
+    for arr in consts:
+        arr.flags.writeable = False
+    return consts
+
+
+def lstm_vjp(x, h, c, wx, wh, b):
+    """One LSTM cell update on plain arrays, with its backward.
+
+    x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
+    i,f,g,o. Returns (h', c', backward), where backward(gh, gc) maps the
+    gradients of h' and c' to those of (x, h, c, wx, wh, b); the two weight
+    gradients come as Outer pairs sharing the gate gradient, which is also
+    the bias gradient.
+    """
+    hid = h.shape[0]
+    if wx.shape != (x.shape[0], 4 * hid) or wh.shape != (hid, 4 * hid):
+        raise ShapeError(f"lstm_step: weight shapes {wx.shape}/{wh.shape} do not fit "
+                         f"input {x.shape} and state {h.shape}")
+    scale, shift, scale2 = _gate_constants(hid)
+    t = np.tanh((x @ wx + h @ wh + b) * scale)  # all four gates in one tanh
+    act = t * scale + shift
+    i, f, g, o = act[:hid], act[hid:2 * hid], act[2 * hid:3 * hid], act[3 * hid:]
+    c_new = f * c + i * g
+    tc = np.tanh(c_new)
+    h_new = o * tc
+
+    def backward(gh, gc):
+        gc_total = gc + gh * o * (1.0 - tc * tc)
+        gz = np.concatenate([gc_total * g, gc_total * c, gc_total * i, gh * tc]) * ((1.0 - t * t) * scale2)
+        return wx @ gz, wh @ gz, gc_total * f, Outer(x, gz), Outer(h, gz), gz
+
+    return h_new, c_new, backward
+
+
 def lstm_step(x, h, c, wx, wh, b):
     """One fused LSTM cell update (single graph node for speed).
 
@@ -435,72 +503,63 @@ def lstm_step(x, h, c, wx, wh, b):
     parts = tuple(_wrap(p) for p in x) if isinstance(x, tuple) else (_wrap(x),)
     h, c = _wrap(h), _wrap(c)
     xd = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts])
-    hid = h.data.shape[0]
-    if wx.data.shape != (xd.shape[0], 4 * hid) or wh.data.shape != (hid, 4 * hid):
-        raise ShapeError(f"lstm_step: weight shapes {wx.data.shape}/{wh.data.shape} do not fit "
-                         f"input {xd.shape} and state {h.data.shape}")
+    h_new, c_new, cell_backward = lstm_vjp(xd, h.data, c.data, wx.data, wh.data, b.data)
+    hid = h_new.shape[0]
     ends = list(itertools.accumulate(p.data.shape[0] for p in parts))
     spans = tuple(zip([0] + ends[:-1], ends))
-    z = xd @ wx.data + h.data @ wh.data + b.data
-    i = 0.5 * (1.0 + np.tanh(0.5 * z[:hid]))
-    f = 0.5 * (1.0 + np.tanh(0.5 * z[hid:2 * hid]))
-    g = np.tanh(z[2 * hid:3 * hid])
-    o = 0.5 * (1.0 + np.tanh(0.5 * z[3 * hid:]))
-    c_new = f * c.data + i * g
-    tc = np.tanh(c_new)
-    h_new = o * tc
 
     def backward(grad):
-        gh, gc = grad[:hid], grad[hid:]
-        gc_total = gc + gh * o * (1.0 - tc * tc)
-        gz = np.empty_like(z)
-        gz[:hid] = gc_total * g * i * (1.0 - i)
-        gz[hid:2 * hid] = gc_total * c.data * f * (1.0 - f)
-        gz[2 * hid:3 * hid] = gc_total * i * (1.0 - g * g)
-        gz[3 * hid:] = gh * tc * o * (1.0 - o)
-        gx = wx.data @ gz
-        return (*(gx[lo:hi] for lo, hi in spans), wh.data @ gz, gc_total * f,
-                Outer(xd, gz), Outer(h.data, gz), gz.copy())
+        gx, gh, gc, gwx, gwh, gb = cell_backward(grad[:hid], grad[hid:])
+        # gb is also both pairs' factor, and b may add to its gradient in place
+        return (*(gx[lo:hi] for lo, hi in spans), gh, gc, gwx, gwh, gb.copy())
 
     hc = fused(np.concatenate([h_new, c_new]), (*parts, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
 
 
-def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
-    """Fused location-sensitive additive attention (single graph node).
+def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
+    """Location-sensitive additive attention on plain arrays, with its
+    backward.
 
     query: (D,), enc_proj: (N, A), prev_align/cum_align: (N,),
     conv_w: (K, 2, F) with odd K, loc_w: (F, A), query_w: (D, A), v: (A,).
     loc = conv1d([prev_align, cum_align], conv_w) and the result is
     softmax(tanh(enc_proj + loc @ loc_w + query @ query_w) @ v), an (N,)
-    distribution. Gradients reach all eight inputs.
+    distribution. Returns (result, backward), where backward(g) gives the
+    gradients of all eight inputs in order, query_w's as an Outer pair.
     """
-    query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v = inputs = tuple(
-        _wrap(t) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v))
-    fits = enc_proj.data.ndim == 2 and conv_w.data.ndim == 3 and query.data.ndim == 1
+    fits = enc_proj.ndim == 2 and conv_w.ndim == 3 and query.ndim == 1
     if fits:
-        n, a = enc_proj.data.shape
-        k, cin, f = conv_w.data.shape
-        fits = (prev_align.data.shape == cum_align.data.shape == (n,) and cin == 2 and k % 2 == 1
-                and loc_w.data.shape == (f, a) and query_w.data.shape == (query.data.shape[0], a)
-                and v.data.shape == (a,))
+        n, a = enc_proj.shape
+        k, cin, f = conv_w.shape
+        fits = (prev_align.shape == cum_align.shape == (n,) and cin == 2 and k % 2 == 1
+                and loc_w.shape == (f, a) and query_w.shape == (query.shape[0], a) and v.shape == (a,))
     if not fits:
-        raise ShapeError("location_attention: shapes do not fit: " + ", ".join(str(t.data.shape) for t in inputs))
-    loc_in = np.stack([prev_align.data, cum_align.data], axis=1)
-    loc, loc_pad = _conv_same(loc_in, conv_w.data)
-    th = np.tanh(enc_proj.data + loc @ loc_w.data + query.data @ query_w.data)
-    e = th @ v.data
+        raise ShapeError("location_attention: shapes do not fit: " + ", ".join(
+            str(np.shape(t)) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v)))
+    loc_in = np.stack([prev_align, cum_align], axis=1)
+    loc, loc_pad = _conv_same(loc_in, conv_w)
+    th = np.tanh(enc_proj + loc @ loc_w + query @ query_w)
+    e = th @ v
     z = np.exp(e - e.max())
     data = z / z.sum()
 
     def backward(g):
         ge = data * (g - np.dot(g, data))
-        gterms = np.outer(ge, v.data) * (1.0 - th * th)
+        gterms = np.outer(ge, v) * (1.0 - th * th)
         gq = gterms.sum(axis=0)
-        gin, gw = _conv_same_grads(gterms @ loc_w.data.T, loc_pad, conv_w.data)
-        return (query_w.data @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
-                loc.T @ gterms, Outer(query.data, gq), th.T @ ge)
+        gin, gw = _conv_same_grads(gterms @ loc_w.T, loc_pad, conv_w)
+        return (query_w @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
+                loc.T @ gterms, Outer(query, gq), th.T @ ge)
 
+    return data, backward
+
+
+def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
+    """location_attention_vjp as a single graph node over Tensors;
+    gradients reach all eight inputs."""
+    inputs = tuple(_wrap(t) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v))
+    data, backward = location_attention_vjp(*(t.data for t in inputs))
     return fused(data, inputs, backward)
 
 
@@ -555,7 +614,7 @@ class SGD:
             v = self.velocity[name]
             v *= self.momentum
             v -= self.lr * scale * p.grad
-            p.data = p.data + v
+            p.data = np.asarray(p.data + v)  # a 0-d sum is a NumPy scalar
 
     def state_tensors(self):
         """Momentum buffers as plain arrays keyed for checkpointing."""

@@ -12,12 +12,19 @@ structure-preserving augmented step, and emits one spectral frame plus a
 stop logit per step. A convolutional post-net refines the whole utterance
 residually.
 
-Each decoder stage is one hand-differentiated graph node: the pre-net, the
-two LSTM cells (which take their inputs as parts, with no concat), the
-location attention, the alpha/beta selection heads, the augmented step and
-the readout, which holds the frame and its stop logit in one (F+1,) vector.
-teacher_forced stacks the readouts once per utterance, so a frame adds
-about 15 nodes to the training graph.
+The decoder's recurrence runs on plain arrays, in one loop that
+synthesize (free-running, with the stop test) and teacher_forced (fed the
+true previous frames) share. Each stage, the pre-net, the two LSTM cells,
+the location attention, the alpha/beta selection heads, the augmented step
+and the readout, returns its value with its hand-written backward, and
+decoder_step composes them into one backward per frame that routes the
+recurrent state's gradients by hand. Under teacher forcing the whole
+decoded utterance is one graph node of shape (T, F+1), rows [y_t, stop
+logit], whose backward walks the frames in reverse; weight gradients that
+are outer products are gathered in (T, .) factor buffers and contracted
+once per weight. So the training graph's size depends on the number of
+symbols, not of frames, and without graph building the loop keeps no
+backwards at all.
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -231,131 +238,288 @@ def encode(params, symbols, prosody_vec):
     return ad.concat([latents, tiled], axis=1)
 
 
-# -- attention -------------------------------------------------------------------
+# -- decoder ---------------------------------------------------------------------
+#
+# The decoder runs on plain arrays. Each stage returns (value, backward), where
+# backward maps the value's gradient to one gradient per input, in the order
+# its docstring gives, weights last in the order of the stage's key tuple; a
+# weight gradient that is an outer product comes as an ad.Outer pair.
+
+_PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
+_LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
+_LSTM2_KEYS = ("dec.lstm2.wx", "dec.lstm2.wh", "dec.lstm2.b")
+_ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
+_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")
+_READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
+_CELLS = ("h1", "c1", "h2", "c2")  # start from the dec.init.* parameters
+_INIT_KEYS = tuple(f"dec.init.{k}" for k in _CELLS)
+_PLAIN_KEYS = _PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
+_AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
+
+
+def _weights(params, keys):
+    return (params[k].data for k in keys)
 
 
 def initial_attention(params, query, enc_proj, prev_align, cum_align):
     """Additive content+location attention over encoder positions.
 
     Location features come from a 1-D convolution over the stacked previous
-    and cumulative alignment vectors.
+    and cumulative alignment vectors. Returns (b_t, backward); backward(g)
+    gives the gradients of (query, enc_proj, prev_align, cum_align) and the
+    attention weights.
     """
     n = prev_align.shape[0]
     if enc_proj.shape[0] != n:
         raise DataError(f"attention: {enc_proj.shape[0]} encoder rows vs {n} alignment entries")
-    return ad.location_attention(query, enc_proj, prev_align, cum_align, params["att.location.conv"],
-                                 params["att.location.w"], params["att.query.w"], params["att.v"])
-
-
-# -- decoder ---------------------------------------------------------------------
+    return ad.location_attention_vjp(query, enc_proj, prev_align, cum_align, *_weights(params, _ATTENTION_KEYS))
 
 
 def prenet_double_feed(params, prev_true, prev_pred):
     """Pre-net over [true, predicted] under teacher forcing, the prediction
     duplicated when prev_true is None (free-running decode).
 
-    Two relu layers as one graph node over the four weights. Both frames
-    are data: the decoder feeds back a detached prediction, so no gradient
-    flows into prev_pred.
+    Two relu layers. Returns (out, backward); backward(g) gives the
+    gradients of the four weights only: both frames are data, since the
+    decoder feeds its prediction back as a constant.
     """
-    first = prev_pred.data if prev_true is None else np.asarray(prev_true, dtype=np.float64)
+    first = prev_pred if prev_true is None else np.asarray(prev_true, dtype=np.float64)
     if first.shape != prev_pred.shape:
         raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
-    w1, b1, w2, b2 = (params[k] for k in ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b"))
-    x = np.concatenate([first, prev_pred.data])
-    h = np.maximum(x @ w1.data + b1.data, 0.0)
-    out = np.maximum(h @ w2.data + b2.data, 0.0)
+    w1, b1, w2, b2 = _weights(params, _PRENET_KEYS)
+    x = np.concatenate([first, prev_pred])
+    h = np.maximum(x @ w1 + b1, 0.0)
+    out = np.maximum(h @ w2 + b2, 0.0)
 
     def backward(g):
         g2 = g * (out > 0.0)
-        g1 = (w2.data @ g2) * (h > 0.0)
+        g1 = (w2 @ g2) * (h > 0.0)
         return ad.Outer(x, g1), g1, ad.Outer(h, g2), g2
 
-    return ad.fused(out, (w1, b1, w2, b2), backward)
+    return out, backward
 
 
 def selection_heads(params, s_p, x_c, h2):
-    """The augmented step's stage weights as one (2,) node [alpha, beta]:
+    """The augmented step's stage weights [alpha, beta]:
     alpha = sigmoid([s_p, x_c, h2] . w_alpha + b_alpha) and
-    beta = sigmoid(x_c . w_beta + b_beta)."""
-    aw, ab, bw, bb = (params[k] for k in ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b"))
-    head_in = np.concatenate([s_p.data, x_c.data, h2.data])
-    alpha = 0.5 * (1.0 + np.tanh(0.5 * (head_in @ aw.data + ab.data)))  # stable logistic
-    beta = 0.5 * (1.0 + np.tanh(0.5 * (x_c.data @ bw.data + bb.data)))
+    beta = sigmoid(x_c . w_beta + b_beta). Returns (heads, backward);
+    backward(g) gives the gradients of (s_p, x_c, h2) and the four head
+    weights."""
+    aw, ab, bw, bb = _weights(params, _HEAD_KEYS)
+    head_in = np.concatenate([s_p, x_c, h2])
+    alpha = 0.5 * (1.0 + np.tanh(0.5 * (head_in @ aw + ab)))  # stable logistic
+    beta = 0.5 * (1.0 + np.tanh(0.5 * (x_c @ bw + bb)))
     lo, hi = s_p.shape[0], s_p.shape[0] + x_c.shape[0]
 
     def backward(g):
         ga = g[0] * alpha * (1.0 - alpha)
         gb = g[1] * beta * (1.0 - beta)
-        g_in = ga * aw.data
-        return g_in[:lo], g_in[lo:hi] + gb * bw.data, g_in[hi:], ga * head_in, ga, gb * x_c.data, gb
+        g_in = ga * aw
+        return g_in[:lo], g_in[lo:hi] + gb * bw, g_in[hi:], ga * head_in, ga, gb * x_c, gb
 
-    return ad.fused(np.array([alpha, beta]), (s_p, x_c, h2, aw, ab, bw, bb), backward)
+    return np.array([alpha, beta]), backward
 
 
 def frame_output(params, h2, x_c):
-    """The readout as one (F+1,) node: the frame [h2, x_c] @ W + b, then
-    the stop logit [h2, x_c] . w_stop + b_stop."""
-    fw, fb, sw, sb = (params[k] for k in ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b"))
-    readout = np.concatenate([h2.data, x_c.data])
-    y = readout @ fw.data + fb.data
-    stop = readout @ sw.data + sb.data
+    """The readout as one (F+1,) vector: the frame [h2, x_c] @ W + b, then
+    the stop logit [h2, x_c] . w_stop + b_stop. Returns (out, backward);
+    backward(g) gives the gradients of (h2, x_c) and the four readout
+    weights."""
+    fw, fb, sw, sb = _weights(params, _READOUT_KEYS)
+    readout = np.concatenate([h2, x_c])
+    y = readout @ fw + fb
+    stop = readout @ sw + sb
     hid = h2.shape[0]
 
     def backward(g):
         gy, gs = g[:-1], g[-1]
-        g_read = fw.data @ gy + gs * sw.data
+        g_read = fw @ gy + gs * sw
         return g_read[:hid], g_read[hid:], ad.Outer(readout, gy), gy, gs * readout, gs
 
-    return ad.fused(np.append(y, stop), (h2, x_c, fw, fb, sw, sb), backward)
+    return np.append(y, stop), backward
 
 
 def init_decoder_state(params, cfg, n_positions):
     return {
-        "h1": params["dec.init.h1"], "c1": params["dec.init.c1"],
-        "h2": params["dec.init.h2"], "c2": params["dec.init.c2"],
-        "x_c": ad.Tensor(np.zeros(cfg.context_dim)),
+        "h1": params["dec.init.h1"].data, "c1": params["dec.init.c1"].data,
+        "h2": params["dec.init.h2"].data, "c2": params["dec.init.c2"].data,
+        "x_c": np.zeros(cfg.context_dim),
         "a_prev": None,  # no alignment history at t = 0
-        "cum": ad.Tensor(np.zeros(n_positions)),
-        "y_prev": ad.Tensor(np.zeros(cfg.frame_width)),
+        "cum": np.zeros(n_positions),
+        "y_prev": np.zeros(cfg.frame_width),
     }
 
 
 def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
-    """Advance one frame: returns (out_t, alignment a_t, new state), where
-    out_t is the (F+1,) frame_output node [y_t, stop logit]. prev_true is
-    the true previous frame under teacher forcing, None when decoding
-    free-running. attention_mode is one of ATTENTION_MODES; any other value
-    is a ValueError."""
+    """Advance one frame on plain arrays: returns (out_t, a_t, new state,
+    backward), where out_t is frame_output's (F+1,) vector [y_t, stop
+    logit]. prev_true is the true previous frame under teacher forcing,
+    None when decoding free-running. attention_mode is one of
+    ATTENTION_MODES; any other value is a ValueError.
+
+    backward(g_out, g_next, grads) takes the gradients of out_t and of the
+    new state's h1, c1, h2, c2, x_c, a_prev and cum, gives the weight,
+    enc_cond and enc_proj gradients to grads (a _DecoderGrads) and returns
+    the gradients of the same entries of state.
+    """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
-    s_p = prenet_double_feed(params, prev_true, state["y_prev"])
-
-    h1, c1 = ad.lstm_step((s_p, state["x_c"]), state["h1"], state["c1"],
-                          params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
-    n = enc_cond.shape[0]
-    prev_align = state["a_prev"] if state["a_prev"] is not None else ad.Tensor(np.zeros(n))
-    b_t = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
-
-    if attention_mode == "augmented" and state["a_prev"] is not None:
-        heads = selection_heads(params, s_p, state["x_c"], state["h2"])
-        a_t = align.augmented_step(b_t, state["a_prev"], align.SelectionWeights(heads[0], heads[1]))
+    x_c, a_prev = state["x_c"], state["a_prev"]
+    s_p, prenet_backward = prenet_double_feed(params, prev_true, state["y_prev"])
+    h1, c1, lstm1_backward = ad.lstm_vjp(np.concatenate([s_p, x_c]), state["h1"], state["c1"],
+                                         *_weights(params, _LSTM1_KEYS))
+    prev_align = np.zeros(enc_cond.shape[0]) if a_prev is None else a_prev
+    b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
+    augment = attention_mode == "augmented" and a_prev is not None
+    if augment:
+        heads, heads_backward = selection_heads(params, s_p, x_c, state["h2"])
+        a_t, augment_backward = align.augmented_step(b_t, a_prev, align.SelectionWeights(heads[0], heads[1]),
+                                                     vjp=True)
     else:
         a_t = b_t
-
-    x_c = ad.matmul(a_t, enc_cond)
-    h2, c2 = ad.lstm_step((h1, x_c), state["h2"], state["c2"],
-                          params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
-    out_t = frame_output(params, h2, x_c)
-
+    x_c_new = a_t @ enc_cond
+    h2, c2, lstm2_backward = ad.lstm_vjp(np.concatenate([h1, x_c_new]), state["h2"], state["c2"],
+                                         *_weights(params, _LSTM2_KEYS))
+    out_t, readout_backward = frame_output(params, h2, x_c_new)
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
-        "x_c": x_c,
+        "x_c": x_c_new,
         "a_prev": a_t,  # the final alignment feeds both location features
-        "cum": ad.add(state["cum"], a_t),
-        "y_prev": ad.Tensor(out_t.data[:-1]),  # autoregressive input, gradient stays local
+        "cum": state["cum"] + a_t,
+        "y_prev": out_t[:-1],  # autoregressive input, gradient stays local
     }
-    return out_t, a_t, new_state
+    n_sp, n_h1 = s_p.shape[0], h1.shape[0]
+
+    def backward(g_out, g_next, grads):
+        g_h2, g_xc, *g_w = readout_backward(g_out)
+        grads.add(_READOUT_KEYS, g_w)
+        g_in2, g_h2_prev, g_c2_prev, *g_w = lstm2_backward(g_next["h2"] + g_h2, g_next["c2"])
+        grads.add(_LSTM2_KEYS, g_w)
+        g_xc = g_next["x_c"] + g_xc + g_in2[n_h1:]
+        grads.add(("enc_cond",), (ad.Outer(a_t, g_xc),))
+        g_at = g_next["a_prev"] + g_next["cum"] + enc_cond @ g_xc
+        if augment:
+            g_bt, g_a_prev, g_alpha, g_beta = augment_backward(g_at)
+            g_sp_heads, g_xc_heads, g_h2_heads, *g_w = heads_backward(np.array([g_alpha, g_beta]))
+            grads.add(_HEAD_KEYS, g_w)
+            g_h2_prev = g_h2_prev + g_h2_heads
+        else:
+            g_bt = g_at
+        g_query, g_proj, g_prev_align, g_cum, *g_w = attention_backward(g_bt)
+        grads.add(_ATTENTION_KEYS, g_w)
+        grads.add(("enc_proj",), (g_proj,))
+        g_in1, g_h1_prev, g_c1_prev, *g_w = lstm1_backward(g_next["h1"] + g_in2[:n_h1] + g_query, g_next["c1"])
+        grads.add(_LSTM1_KEYS, g_w)
+        g_sp, g_xc_prev = g_in1[:n_sp], g_in1[n_sp:]
+        if augment:
+            g_sp = g_sp + g_sp_heads
+            g_xc_prev = g_xc_prev + g_xc_heads
+            g_prev_align = g_prev_align + g_a_prev
+        grads.add(_PRENET_KEYS, prenet_backward(g_sp))
+        return {"h1": g_h1_prev, "c1": g_c1_prev, "h2": g_h2_prev, "c2": g_c2_prev,
+                "x_c": g_xc_prev, "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
+
+    return out_t, a_t, new_state, backward
+
+
+class _DecoderGrads:
+    """The gradients one backward pass of the decoder node collects, in
+    (T, .) buffers whose row t holds frame t's part: one buffer per key for
+    plain gradients, and one per factor for keys that receive Outer pairs.
+    total(key) sums the rows once, and contracts the factors once as
+    sum_t outer(a_t, b_t) = A^T B."""
+
+    def __init__(self, shapes, frames):
+        self.frame = 0
+        self._shapes = shapes
+        self._frames = frames
+        self._rows = {}
+        self._factors = {}
+
+    def add(self, keys, grads):
+        t = self.frame
+        for k, g in zip(keys, grads):
+            if type(g) is ad.Outer:
+                factors = self._factors.get(k)
+                if factors is None:
+                    rows, cols = self._shapes[k]
+                    factors = self._factors[k] = (np.zeros((self._frames, rows)), np.zeros((self._frames, cols)))
+                factors[0][t] = g.a
+                factors[1][t] = g.b
+            else:
+                rows = self._rows.get(k)
+                if rows is None:
+                    rows = self._rows[k] = np.zeros((self._frames, *self._shapes[k]))
+                rows[t] = g
+
+    def total(self, k):
+        g = self._rows[k].sum(axis=0) if k in self._rows else np.zeros(self._shapes[k])
+        if k in self._factors:
+            a, b = self._factors[k]
+            g += a.T @ b
+        return g
+
+
+def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
+    """Run the decoder recurrence on the plain arrays enc_cond and enc_proj.
+
+    With targets, a (T, F) array, every frame is fed the true previous one
+    and the decode runs T frames; without, the decoder runs free until the
+    stop probability clears cfg.stop_threshold, or truncates at
+    cfg.max_decode_ratio times the input length. Returns (out, alignment,
+    truncated, steps): out is (T, F+1) with [y_t, stop logit] rows, the
+    alignment is (N, T), and steps holds each frame's backward while graph
+    building is on and is empty under no_grad.
+    """
+    n = enc_cond.shape[0]
+    state = init_decoder_state(params, cfg, n)
+    record = ad.grad_enabled()
+    frames = cfg.max_decode_ratio * n if targets is None else targets.shape[0]
+    rows, aligns, steps = [], [], []
+    truncated = targets is None
+    for t in range(frames):
+        prev_true = None if targets is None else (targets[t - 1] if t > 0 else np.zeros(cfg.frame_width))
+        out_t, a_t, state, backward = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true)
+        rows.append(out_t)
+        aligns.append(a_t)
+        if record:
+            steps.append(backward)
+        if targets is None and 1.0 / (1.0 + np.exp(-float(out_t[-1]))) > cfg.stop_threshold:
+            truncated = False
+            break
+    return np.stack(rows), np.stack(aligns, axis=1), truncated, steps
+
+
+def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
+    """The teacher-forced decode of one utterance as one graph node.
+
+    enc_cond (N, C) and enc_proj (N, A) are Tensors, targets a (T, F)
+    array. Returns (out, alignment): out is the (T, F+1) Tensor whose rows
+    are [y_t, stop logit], over enc_cond, enc_proj and every decoder weight
+    the mode uses (plain mode runs no selection heads); alignment is the
+    (N, T) array. The node's backward walks the frames in
+    reverse through each one's backward and returns one dense gradient per
+    input; it depends on its output gradient alone, so a second backward
+    adds the same again.
+    """
+    out, alignment, _, steps = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode, targets)
+    keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
+    shapes = {"enc_cond": enc_cond.shape, "enc_proj": enc_proj.shape, **{k: params[k].shape for k in keys}}
+    n, width = enc_cond.shape
+    final = {k: np.zeros(params["dec.init.h1"].shape) for k in _CELLS}
+    final.update(x_c=np.zeros(width), a_prev=np.zeros(n), cum=np.zeros(n))
+
+    def backward(g):
+        grads = _DecoderGrads(shapes, len(steps))
+        g_state = final
+        for t in range(len(steps) - 1, -1, -1):
+            grads.frame = t
+            g_state = steps[t](g[t], g_state, grads)
+        grads.add(_INIT_KEYS, [g_state[k] for k in _CELLS])
+        return [grads.total(k) for k in ("enc_cond", "enc_proj", *keys)]
+
+    node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
+    return node, alignment
 
 
 def postnet(params, y):
@@ -409,23 +573,14 @@ def stop_loss(stop_logits, true_length, pos_weight=1.0):
 def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     """One teacher-forced pass; returns (total loss Tensor, DecoderTrace)."""
     targets = utterance.features
-    t_len = targets.shape[0]
     enc_cond = encode(params, utterance.symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    state = init_decoder_state(params, cfg, len(utterance.symbols))
-    outs, aligns = [], []
-    for t in range(t_len):
-        prev_true = targets[t - 1] if t > 0 else np.zeros(cfg.frame_width)
-        out_t, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=prev_true)
-        outs.append(out_t)
-        aligns.append(a_t.data)
-    out = ad.stack(outs)
+    out, alignment = decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]
     z = postnet(params, y)
-    loss = ad.add(spectral_loss(y, z, targets), stop_loss(stop_vec, t_len, cfg.stop_pos_weight))
+    loss = ad.add(spectral_loss(y, z, targets), stop_loss(stop_vec, targets.shape[0], cfg.stop_pos_weight))
     trace = DecoderTrace(
-        y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(),
-        alignment=np.stack(aligns, axis=1), targets=targets,
+        y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(), alignment=alignment, targets=targets,
     )
     return loss, trace
 
@@ -437,23 +592,11 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     Builds no graph, so each step's values are freed as the decode moves on."""
     enc_cond = encode(params, symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    state = init_decoder_state(params, cfg, len(symbols))
-    cap = cfg.max_decode_ratio * len(symbols)
-    outs, aligns = [], []
-    truncated = True
-    for _ in range(cap):
-        out_t, a_t, state = decoder_step(params, state, enc_cond, enc_proj, attention_mode)
-        outs.append(out_t.data)
-        aligns.append(a_t.data)
-        if 1.0 / (1.0 + np.exp(-float(out_t.data[-1]))) > cfg.stop_threshold:
-            truncated = False
-            break
-    out = np.stack(outs)
+    out, alignment, truncated, _ = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode)
     y = out[:, :-1].copy()
     z = postnet(params, ad.Tensor(y))
     return DecoderTrace(
-        y=y, z=z.data.copy(), stop_logits=out[:, -1].copy(),
-        alignment=np.stack(aligns, axis=1), truncated=truncated,
+        y=y, z=z.data.copy(), stop_logits=out[:, -1].copy(), alignment=alignment, truncated=truncated,
     )
 
 

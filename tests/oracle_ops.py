@@ -1,8 +1,8 @@
 """Engine ops that only the tests use.
 
-The composed-primitive oracle in test_fused.py rebuilds location attention,
-the augmented step and the decoder's selection heads from these, one graph
-node per op. Each takes Tensors and is a prosynth.autodiff.fused node with
+The composed-primitive oracle in oracle_decoder.py rebuilds location
+attention, the augmented step and the decoder's selection heads from these,
+one graph node per op. Each takes Tensors and is a prosynth.autodiff.fused node with
 its own value and backward; their finite-difference tests are in
 test_autodiff.py.
 """

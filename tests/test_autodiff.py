@@ -261,6 +261,22 @@ def test_conv1d_fd():
     check_grads(build, [x, w, b])
 
 
+def test_conv_grads_match_per_tap_loop():
+    # the windowed matmuls against one small matmul per kernel tap; the sums
+    # run in another order, so equal to rounding
+    rng = np.random.default_rng(11)
+    for t, k, cin, cout in ((9, 7, 2, 8), (6, 5, 4, 3), (1, 3, 2, 2), (2, 7, 2, 4)):
+        x, w, g = rand(rng, t, cin), rand(rng, k, cin, cout), rand(rng, t, cout)
+        _, xp = ad._conv_same(x, w)
+        gxp, gw_ref = np.zeros_like(xp), np.empty_like(w)
+        for j in range(k):
+            gxp[j:j + t] += g @ w[j].T
+            gw_ref[j] = xp[j:j + t].T @ g
+        gx, gw = ad._conv_same_grads(g, xp, w)
+        assert np.allclose(gx, gxp[k // 2:k // 2 + t], rtol=0, atol=1e-13)
+        assert np.allclose(gw, gw_ref, rtol=0, atol=1e-13)
+
+
 def test_lstm_step_fd():
     # three steps share wx and wh, so each weight sums three factor pairs
     rng = np.random.default_rng(12)
@@ -279,6 +295,21 @@ def test_lstm_step_fd():
         return ad.sum_(ad.mul(h, h))
 
     check_grads(build, [wx, wh, b, h0])
+
+
+def test_lstm_step_gates_match_separate_logistics():
+    # one tanh over all four gates gives bit for bit what a logistic per
+    # gate, 0.5 * (1 + tanh(z / 2)), and a tanh on g give
+    rng = np.random.default_rng(13)
+    hid = 5
+    x, h, c = rand(rng, 3) * 3.0, rand(rng, hid) * 3.0, rand(rng, hid)
+    wx, wh, b = rand(rng, 3, 4 * hid), rand(rng, hid, 4 * hid), rand(rng, 4 * hid)
+    z = x @ wx + h @ wh + b
+    i, f, o = (0.5 * (1.0 + np.tanh(0.5 * z[k * hid:(k + 1) * hid])) for k in (0, 1, 3))
+    c_ref = f * c + i * np.tanh(z[2 * hid:3 * hid])
+    h_new, c_new = ad.lstm_step(x, h, c, *(ad.Tensor(w) for w in (wx, wh, b)))
+    assert np.array_equal(c_new.data, c_ref)
+    assert np.array_equal(h_new.data, o * np.tanh(c_ref))
 
 
 def _lstm_parts_inputs(rng, sizes=(3, 1, 2), hid=4):
@@ -476,6 +507,15 @@ def test_sgd_momentum_step():
         ad.sum_(ad.mul(p, ad.Tensor([2.0]))).backward()
         opt.step()
         assert np.allclose(p.data, [expected])
+
+
+def test_sgd_step_keeps_0d_parameters_arrays():
+    p = ad.parameter(0.5, name="p")
+    opt = ad.SGD({"p": p}, lr=0.1)
+    ad.mul(p, p).backward()
+    opt.step()
+    assert isinstance(p.data, np.ndarray) and p.data.shape == ()
+    assert ad.finite_diff_check(lambda: ad.mul(p, p), p) < 1e-8
 
 
 # -- gradient routing ------------------------------------------------------------

@@ -2,8 +2,10 @@
 output directory, graph-free inference (values bit-identical to grad
 mode, no graph recorded), and the collector pause in train."""
 
+import dataclasses
 import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -184,6 +186,63 @@ def test_training_graph_is_acyclic(corpus, table, params, mode):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_teacher_forced_node_count_independent_of_length(corpus, table, params, mode, made_nodes):
+    # the decoder is one node per utterance, so the graph's size depends on
+    # the number of symbols and not on the number of frames
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.utterances[0]
+    short = dataclasses.replace(u, features=u.features[:u.features.shape[0] // 2])
+    counts = []
+    for utt in (u, short):
+        made_nodes.clear()
+        seq2seq.teacher_forced(params, cfg, utt, table[u.utt_id], mode)
+        counts.append(len(made_nodes))
+    assert counts[0] == counts[1]
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_teacher_forced_second_backward_adds_the_same_again(corpus, table, params, mode):
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.utterances[0]
+    loss, _ = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+    try:
+        loss.backward()
+        once = {k: p.grad.copy() for k, p in params.items() if p.grad is not None}
+        loss.backward()
+        for k, g in once.items():
+            assert np.max(np.abs(params[k].grad - 2.0 * g)) <= 1e-12 * np.max(np.abs(g)), k
+    finally:
+        for p in params.values():
+            p.zero_grad()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_teacher_forced_under_no_grad_keeps_no_step_backward(corpus, table, params, mode, monkeypatch):
+    # a frame's backward is freed as the decode moves on under no_grad, and
+    # kept for the graph node otherwise; at each step the decode still holds
+    # the previous frame's, so count the ones before it
+    real = seq2seq.decoder_step
+    kept, alive = [], []
+
+    def step(*args, **kwargs):
+        alive.append(sum(ref() is not None for ref in kept[:-1]))
+        result = real(*args, **kwargs)
+        kept.append(weakref.ref(result[3]))
+        return result
+
+    monkeypatch.setattr(seq2seq, "decoder_step", step)
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.utterances[0]
+    with ad.no_grad():
+        seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+    assert len(alive) == u.features.shape[0] and max(alive) == 0
+    kept.clear()
+    alive.clear()
+    loss, _ = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
+    assert alive[-1] == u.features.shape[0] - 2
 
 
 # -- the collector during training -----------------------------------------------------

@@ -5,21 +5,18 @@ positions; a decode of T steps stacks them into an N x T alignment matrix.
 The ops here build candidate alignments from the previous step, score how
 sharp/unimodal a candidate is, and soft-select a final alignment that keeps
 that structure. They compute on plain numpy arrays. augmented_step, the one
-op the decoder calls, also returns its hand-written backward (vjp=True),
-which follows the same formulas, masks included (see _metric_grad); the
-decoder's per-utterance graph node calls it frame by frame. On autodiff
-Tensors the step is a single graph node with that backward.
+op the decoder calls, returns its value together with its hand-written
+backward, which follows the same formulas, masks included (see
+_metric_grad); the decoder's per-utterance graph node calls it frame by
+frame and routes its gradients. A caller that wants a graph node wraps the
+pair with autodiff.fused.
 
 All functions are pure; call them from as many threads as you like.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from . import autodiff as ad
 
 # Fixed scoring constants (N-independent). Read-only by convention.
 LSE_SCALE = 10.0  # multiplier inside the soft-max exponent
@@ -31,14 +28,9 @@ RENORM_FLOOR = 1e-8  # below this total mass, stage 2 falls back to d
 SUM_TOL = 1e-6
 
 
-def _value(x):
-    """The float64 array behind a Tensor or array-like."""
-    return x.data if isinstance(x, ad.Tensor) else np.asarray(x, dtype=np.float64)
-
-
 def check_alignment(v, name="alignment"):
     """Validate and return a 1-D float64 probability vector."""
-    arr = _value(v)
+    arr = np.asarray(v, dtype=np.float64)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"{name}: expected non-empty 1-D vector, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -139,15 +131,6 @@ def _metric_grad(c):
 # -- two-stage soft-selection ----------------------------------------------------
 
 
-@dataclass
-class SelectionWeights:
-    """Scalar stage weights; each may be a float or a scalar Tensor from a
-    sigmoid head, hence nominally in the open interval (0, 1)."""
-
-    alpha: object
-    beta: object
-
-
 def _weight_value(w, name):
     val = float(w)
     if not 0.0 <= val <= 1.0:
@@ -194,27 +177,21 @@ def stage2_select(d, b_t, beta):
     return _stage2(d, b_t, beta)[0]
 
 
-def augmented_step(b_t, b_prev, weights, vjp=False):
-    """Full post-processing of one decoder step's initial alignment.
+def augmented_step(b_t, b_prev, alpha, beta):
+    """Full post-processing of one decoder step's initial alignment b_t,
+    given the previous step's final alignment b_prev and the stage weights
+    alpha and beta in [0, 1] (from the decoder's sigmoid heads).
 
-    With no history (b_prev is None, i.e. the first step) the initial
-    alignment passes through untouched. On plain arrays the result is an
-    array; if any input is a Tensor it is one graph node whose gradients
-    reach every Tensor input that requires grad. With vjp=True, for a step
-    with history on plain values, the result is (out, backward), where
-    backward(g) gives the gradients of (b_t, b_prev, alpha, beta); the
-    decoder runs its steps this way.
+    The first decoder step has no history and keeps its initial alignment
+    without calling this. Returns (out, backward), where backward(g) gives
+    the gradients of (b_t, b_prev, alpha, beta).
     """
-    if b_prev is None:
-        return b_t
-    inputs = (b_t, b_prev, weights.alpha, weights.beta)
-    bt, bp = _value(b_t), _value(b_prev)
-    alpha = _weight_value(_value(weights.alpha), "alpha")
-    beta = _weight_value(_value(weights.beta), "beta")
+    bt = np.asarray(b_t, dtype=np.float64)
+    bp = np.asarray(b_prev, dtype=np.float64)
+    alpha = _weight_value(alpha, "alpha")
+    beta = _weight_value(beta, "beta")
     d = stage1_select(bp, alpha)
     out, gamma, m_b, m_d, raw, total = _stage2(d, bt, beta)
-    if not vjp and not any(isinstance(x, ad.Tensor) for x in inputs):
-        return out
     shifted = shift_sticky(bp)
 
     def backward(g):
@@ -236,9 +213,7 @@ def augmented_step(b_t, b_prev, weights, vjp=False):
         g_bp[-1] += g_shift[-1]  # ... and keeps the last one in place
         return g_bt, g_bp, g_alpha, g_beta
 
-    if vjp:
-        return out, backward
-    return ad.fused(out, inputs, backward)
+    return out, backward
 
 
 # -- diagnostics -----------------------------------------------------------------
@@ -246,7 +221,7 @@ def augmented_step(b_t, b_prev, weights, vjp=False):
 
 def entropy(a):
     """Shannon entropy in nats, with 0*ln(0) = 0."""
-    a = _value(a)
+    a = np.asarray(a, dtype=np.float64)
     pos = a[a > 0.0]
     return float(-(pos * np.log(pos)).sum())
 

@@ -12,26 +12,24 @@ errors, not silent expansion.
 
 A backward may return a weight gradient that is an outer product as its
 two factors, Outer(a, b), standing for np.outer(a, b); matmul with one 1-D
-operand, lstm_step (wx, wh) and location_attention (query_w) do, and so
-may nodes built elsewhere with fused. Tensor.backward collects each
-input's pairs over the pass and adds their sum once, as one matmul, when
-the pass reaches that input (by then every consumer has run), instead of a
-full matrix per use, such as per encoder step. Leaves, such as parameters,
-and interior nodes are treated alike.
+operand and lstm_step (wx, wh) do, and so may nodes built elsewhere with
+fused. Tensor.backward collects each input's pairs over the pass and adds
+their sum once, as one matmul, when the pass reaches that input (by then
+every consumer has run), instead of a full matrix per use, such as per
+encoder step. Leaves, such as parameters, and interior nodes are treated
+alike.
 
-The op set is what the synthesiser runs, and the node forms of its decoder
-cells that the tests' per-frame reference decoder builds: add, mul and
-matmul; tanh, relu and softplus; sum_ and mean_; concat, stack, narrow
-(also spelled tensor[key]), reshape and index_rows; conv1d; and two fused
-cells with hand-written backward passes, lstm_step, whose input may come
-as a tuple of 1-D parts that it concatenates itself, and
-location_attention. Each cell also comes as a function on plain arrays,
-lstm_vjp and location_attention_vjp, that returns its value together with
-its backward, without making a node: a caller that runs many cells and
-routes their gradients itself, as the decoder does for a whole utterance,
-uses those and wraps its result in one node with fused. Other modules
-build their own nodes the same way. Tensors define no arithmetic
-operators; call the functions.
+The op set is what the synthesiser runs: add, mul and matmul; tanh, relu
+and softplus; sum_ and mean_; concat, stack, narrow (also spelled
+tensor[key]), reshape and index_rows; conv1d; and lstm_step, one LSTM cell
+update as a single node with a hand-written backward. Two cells come as
+functions on plain arrays that return their value together with their
+backward, without making a node: lstm_vjp, behind lstm_step, and
+location_attention_vjp. A caller that runs many cells and routes their
+gradients itself, as the decoder does for a whole utterance, uses those
+and wraps its result in one node with fused. Other modules build their own
+nodes the same way. Tensors define no arithmetic operators; call the
+functions.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -495,25 +493,19 @@ def lstm_vjp(x, h, c, wx, wh, b):
 def lstm_step(x, h, c, wx, wh, b):
     """One fused LSTM cell update (single graph node for speed).
 
-    x: (I,), or a tuple of 1-D parts whose concatenation is the (I,) input;
-    each part then gets its own slice of the input gradient, with no concat
-    node. h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order i,f,g,o.
-    Returns (h', c').
+    x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
+    i,f,g,o. Returns (h', c').
     """
-    parts = tuple(_wrap(p) for p in x) if isinstance(x, tuple) else (_wrap(x),)
-    h, c = _wrap(h), _wrap(c)
-    xd = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts])
-    h_new, c_new, cell_backward = lstm_vjp(xd, h.data, c.data, wx.data, wh.data, b.data)
+    x, h, c = _wrap(x), _wrap(h), _wrap(c)
+    h_new, c_new, cell_backward = lstm_vjp(x.data, h.data, c.data, wx.data, wh.data, b.data)
     hid = h_new.shape[0]
-    ends = list(itertools.accumulate(p.data.shape[0] for p in parts))
-    spans = tuple(zip([0] + ends[:-1], ends))
 
     def backward(grad):
         gx, gh, gc, gwx, gwh, gb = cell_backward(grad[:hid], grad[hid:])
         # gb is also both pairs' factor, and b may add to its gradient in place
-        return (*(gx[lo:hi] for lo, hi in spans), gh, gc, gwx, gwh, gb.copy())
+        return gx, gh, gc, gwx, gwh, gb.copy()
 
-    hc = fused(np.concatenate([h_new, c_new]), (*parts, h, c, wx, wh, b), backward)
+    hc = fused(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
     return hc[:hid], hc[hid:]
 
 
@@ -553,14 +545,6 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w
                 loc.T @ gterms, Outer(query, gq), th.T @ ge)
 
     return data, backward
-
-
-def location_attention(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
-    """location_attention_vjp as a single graph node over Tensors;
-    gradients reach all eight inputs."""
-    inputs = tuple(_wrap(t) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v))
-    data, backward = location_attention_vjp(*(t.data for t in inputs))
-    return fused(data, inputs, backward)
 
 
 # -- parameters, optimiser, gradient checking ------------------------------------
@@ -633,20 +617,25 @@ def finite_diff_check(build, param, step=1e-5):
 
     build() must re-evaluate the graph from scratch and return a scalar
     Tensor. The relative error for each entry of param is
-    |analytic - fd| / max(|analytic|, 1e-8). Raises FloatingPointError if
-    any evaluation goes non-finite (reported, never clipped).
+    |analytic - fd| / max(|analytic|, 1e-8). param.data must be a numpy
+    array, of any layout: each entry is perturbed in place (a TypeError
+    otherwise, such as for a NumPy scalar, which cannot be). Raises
+    FloatingPointError if any evaluation goes non-finite (reported, never
+    clipped).
     """
     if step <= 0:
         raise ValueError("finite_diff_check: step must be > 0")
+    if not isinstance(param.data, np.ndarray):
+        raise TypeError(f"finite_diff_check: param.data is a {type(param.data).__name__}, not a numpy array")
     param.zero_grad()
     out = build()
     if not np.all(np.isfinite(out.data)):
         raise FloatingPointError("finite_diff_check: non-finite forward value")
     out.backward()
     analytic = np.zeros_like(param.data) if param.grad is None else param.grad.copy()
-    flat = param.data.reshape(-1)
+    flat = param.data.flat  # writes through to param.data whatever its layout
     worst = 0.0
-    for i in range(flat.size):
+    for i in range(param.data.size):
         orig = flat[i]
         flat[i] = orig + step
         hi = float(build().data)

@@ -373,8 +373,7 @@ def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=No
     augment = attention_mode == "augmented" and a_prev is not None
     if augment:
         heads, heads_backward = selection_heads(params, s_p, x_c, state["h2"])
-        a_t, augment_backward = align.augmented_step(b_t, a_prev, align.SelectionWeights(heads[0], heads[1]),
-                                                     vjp=True)
+        a_t, augment_backward = align.augmented_step(b_t, a_prev, heads[0], heads[1])
     else:
         a_t = b_t
     x_c_new = a_t @ enc_cond

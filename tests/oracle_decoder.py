@@ -7,12 +7,15 @@ autodiff Tensors and let Tensor.backward route every gradient. They run in
 one of two forms, chosen by an ops table:
 
 - FUSED: each decoder stage is one node whose backward is the library
-  stage's own (seq2seq's stage functions wrapped by as_node, the engine's
-  lstm_step and location_attention, align.augmented_step on Tensors), so
-  only the routing between stages differs from the library;
+  stage's own (seq2seq's stage functions and align.augmented_step, each
+  wrapped by as_node), so only the routing between stages differs from
+  the library;
 - COMPOSED: each stage is rebuilt from engine primitives and the ops in
   oracle_ops.py, one node per primitive op, so nothing of the library's
   hand-written backwards is used.
+
+Both forms run the decoder LSTMs as the engine's lstm_step on the
+concatenation of the cell's input parts.
 """
 
 from types import SimpleNamespace
@@ -22,19 +25,12 @@ import numpy as np
 from prosynth import align, seq2seq
 from prosynth import autodiff as ad
 
-from oracle_ops import clamp_max, div, logsumexp, sigmoid, softmax, threshold_keep
+from oracle_ops import as_node, clamp_max, div, logsumexp, sigmoid, softmax, threshold_keep
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
 HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")
 READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
-
-
-def as_node(stage_result, inputs):
-    """A library stage's (value, backward) as one graph node over inputs,
-    the Tensors whose gradients backward returns, in its order."""
-    value, backward = stage_result
-    return ad.fused(value, tuple(inputs), backward)
 
 
 # -- FUSED: the library's stages, one node each ---------------------------------------
@@ -54,11 +50,16 @@ def fused_frame_output(params, h2, x_c):
 
 
 def fused_initial_attention(params, query, enc_proj, prev_align, cum_align):
-    return ad.location_attention(query, enc_proj, prev_align, cum_align, *(params[k] for k in ATTENTION_KEYS))
+    return as_node(seq2seq.initial_attention(params, query.data, enc_proj.data, prev_align.data, cum_align.data),
+                   (query, enc_proj, prev_align, cum_align, *(params[k] for k in ATTENTION_KEYS)))
 
 
-FUSED = SimpleNamespace(prenet=fused_prenet, lstm_step=ad.lstm_step, initial_attention=fused_initial_attention,
-                        selection_heads=fused_selection_heads, augmented_step=align.augmented_step,
+def fused_augmented_step(b_t, b_prev, alpha, beta):
+    return as_node(align.augmented_step(b_t.data, b_prev.data, alpha.data, beta.data), (b_t, b_prev, alpha, beta))
+
+
+FUSED = SimpleNamespace(prenet=fused_prenet, initial_attention=fused_initial_attention,
+                        selection_heads=fused_selection_heads, augmented_step=fused_augmented_step,
                         frame_output=fused_frame_output, stack=ad.stack)
 
 
@@ -100,10 +101,7 @@ def one_minus(x):
     return ad.add(ad.mul(x, -1.0), 1.0)
 
 
-def composed_augmented_step(b_t, b_prev, weights):
-    if b_prev is None:
-        return b_t
-    b_t, b_prev, alpha, beta = (ad._wrap(x) for x in (b_t, b_prev, weights.alpha, weights.beta))
+def composed_augmented_step(b_t, b_prev, alpha, beta):
     d = ad.add(ad.mul(composed_shift(b_prev), alpha), ad.mul(b_prev, one_minus(alpha)))
     gamma = ad.mul(composed_metric(b_t), one_minus(composed_metric(d)))
     raw = ad.add(ad.mul(ad.mul(d, beta), one_minus(gamma)), ad.mul(ad.mul(b_t, one_minus(beta)), gamma))
@@ -138,14 +136,9 @@ def composed_stack(rows):
     return ad.concat([ad.reshape(r, (1, r.shape[0])) for r in rows], axis=0)
 
 
-def composed_lstm_step(x, *rest):
-    return ad.lstm_step(ad.concat(list(x)), *rest)
-
-
-COMPOSED = SimpleNamespace(prenet=composed_prenet, lstm_step=composed_lstm_step,
-                           initial_attention=composed_initial_attention, selection_heads=composed_selection_heads,
-                           augmented_step=composed_augmented_step, frame_output=composed_frame_output,
-                           stack=composed_stack)
+COMPOSED = SimpleNamespace(prenet=composed_prenet, initial_attention=composed_initial_attention,
+                           selection_heads=composed_selection_heads, augmented_step=composed_augmented_step,
+                           frame_output=composed_frame_output, stack=composed_stack)
 
 
 # -- the per-frame decoder ----------------------------------------------------------------
@@ -165,19 +158,19 @@ def init_decoder_state(params, cfg, n_positions):
 def decoder_step(ops, params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
     """One frame as Tensor nodes: returns (out_t, a_t, new state)."""
     s_p = ops.prenet(params, prev_true, state["y_prev"])
-    h1, c1 = ops.lstm_step((s_p, state["x_c"]), state["h1"], state["c1"],
-                           params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
+    h1, c1 = ad.lstm_step(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
+                          params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
     n = enc_cond.shape[0]
     prev_align = state["a_prev"] if state["a_prev"] is not None else ad.Tensor(np.zeros(n))
     b_t = ops.initial_attention(params, h1, enc_proj, prev_align, state["cum"])
     if attention_mode == "augmented" and state["a_prev"] is not None:
         heads = ops.selection_heads(params, s_p, state["x_c"], state["h2"])
-        a_t = ops.augmented_step(b_t, state["a_prev"], align.SelectionWeights(heads[0], heads[1]))
+        a_t = ops.augmented_step(b_t, state["a_prev"], heads[0], heads[1])
     else:
         a_t = b_t
     x_c = ad.matmul(a_t, enc_cond)
-    h2, c2 = ops.lstm_step((h1, x_c), state["h2"], state["c2"],
-                           params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
+    h2, c2 = ad.lstm_step(ad.concat([h1, x_c]), state["h2"], state["c2"],
+                          params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
     out_t = ops.frame_output(params, h2, x_c)
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2, "x_c": x_c, "a_prev": a_t,

@@ -1,15 +1,32 @@
 """Engine ops that only the tests use.
 
+as_node makes one graph node of a library stage's (value, backward) pair,
+the one form every hand-differentiated stage comes in; the tests check
+those stages on such nodes.
+
 The composed-primitive oracle in oracle_decoder.py rebuilds location
-attention, the augmented step and the decoder's selection heads from these,
-one graph node per op. Each takes Tensors and is a prosynth.autodiff.fused node with
-its own value and backward; their finite-difference tests are in
-test_autodiff.py.
+attention, the augmented step and the decoder's selection heads from the
+other ops, one graph node per op. Each takes Tensors and is a
+prosynth.autodiff.fused node with its own value and backward; their
+finite-difference tests are in test_autodiff.py.
 """
 
 import numpy as np
 
 from prosynth import autodiff as ad
+
+
+def as_node(stage_result, inputs):
+    """A library stage's (value, backward) as one graph node over inputs,
+    the Tensors or arrays whose gradients backward returns, in its order."""
+    value, backward = stage_result
+    return ad.fused(value, tuple(inputs), backward)
+
+
+def attention_node(*inputs):
+    """autodiff.location_attention_vjp as one node over its eight inputs,
+    each a Tensor or an array."""
+    return as_node(ad.location_attention_vjp(*(x.data if isinstance(x, ad.Tensor) else x for x in inputs)), inputs)
 
 
 def sigmoid(x):

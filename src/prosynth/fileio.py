@@ -6,10 +6,15 @@ Two little-endian formats:
   tensor table      -- magic 'PSCT', u32 version, u32 count, then per entry
                        u32 name length, utf-8 name, u32 ndim, u32 dims...,
                        float64 data row-major. Used for checkpoints.
+The readers check every size a header declares against the bytes left in
+the file before reading, so a bad or truncated file is a DataError, never
+an attempt to read more than the file holds.
 """
 
 from __future__ import annotations
 
+import math
+import os
 import struct
 
 import numpy as np
@@ -32,12 +37,12 @@ def save_matrix(path, matrix):
 
 
 def _read(fh, n, path, what):
-    """Exactly n bytes from fh; a short read is a DataError naming what was
-    being read."""
-    data = fh.read(n)
-    if len(data) != n:
-        raise DataError(f"{path}: truncated {what} ({len(data)} of {n} bytes)")
-    return data
+    """Exactly n bytes from fh; fewer left in the file is a DataError naming
+    what was being read, raised before reading."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise DataError(f"{path}: truncated {what} ({left} of {n} bytes)")
+    return fh.read(n)
 
 
 def load_matrix(path):
@@ -79,10 +84,13 @@ def load_tensor_table(path):
             raise DataError(f"{path}: unsupported table version {version}")
         for i in range(count):
             (nlen,) = struct.unpack("<I", _read(fh, 4, path, f"entry {i} header"))
-            name = _read(fh, nlen, path, f"entry {i} name").decode("utf-8")
+            try:
+                name = _read(fh, nlen, path, f"entry {i} name").decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{path}: entry {i} name is not UTF-8: {exc}") from None
             (ndim,) = struct.unpack("<I", _read(fh, 4, path, f"entry {name!r} header"))
             shape = struct.unpack(f"<{ndim}I", _read(fh, 4 * ndim, path, f"entry {name!r} shape"))
-            n = int(np.prod(shape)) if ndim else 1
+            n = math.prod(shape)  # a Python int: 1 for a 0-d entry, and no overflow
             data = _read(fh, 8 * n, path, f"entry {name!r}")
             out[name] = np.frombuffer(data, dtype="<f8").reshape(shape).copy()
     return out

@@ -6,9 +6,10 @@ Two interpretable components per utterance:
   pitch_span -- 0.95-quantile minus 0.05-quantile of log-pitch over voiced
                 frames.
 Both are normalised per speaker so that median +/- 3 std maps to [-1, 1].
-A small stacked-recurrent predictor regresses the normalised pair from the
-encoder output sequence, so synthesis can run without measured prosody and
-accept deliberate component-wise offsets.
+A small stacked-recurrent predictor, one autodiff.lstm_layer node per
+layer, regresses the normalised pair from the encoder output sequence, so
+synthesis can run without measured prosody and accept deliberate
+component-wise offsets.
 """
 
 from __future__ import annotations
@@ -154,7 +155,8 @@ class PredictorConfig:
 class ProsodyPredictor:
     """Stacked recurrent network over encoder outputs, linear head of size 2.
 
-    The final recurrent state feeds the output layer. Frozen predictors are
+    Each layer reads the whole output sequence of the one below; the top
+    layer's final state feeds the output layer. Frozen predictors are
     read-only and therefore thread-safe.
     """
 
@@ -181,17 +183,10 @@ class ProsodyPredictor:
             raise ValueError(f"predictor: expected non-empty (T, D) sequence, got {seq.shape}")
         if seq.shape[1] != self.input_dim:
             raise ValueError(f"predictor: input dim {seq.shape[1]}, expected {self.input_dim}")
-        h = [ad.Tensor(np.zeros(self.width)) for _ in range(self.layers)]
-        c = [ad.Tensor(np.zeros(self.width)) for _ in range(self.layers)]
-        for t in range(seq.shape[0]):
-            x = ad.Tensor(seq[t])
-            for l in range(self.layers):
-                h[l], c[l] = ad.lstm_step(
-                    x, h[l], c[l],
-                    self.params[f"lstm{l}.wx"], self.params[f"lstm{l}.wh"], self.params[f"lstm{l}.b"],
-                )
-                x = h[l]
-        return ad.add(ad.matmul(x, self.params["out.w"]), self.params["out.b"])
+        x = ad.Tensor(seq)
+        for l in range(self.layers):
+            x = ad.lstm_layer(x, self.params[f"lstm{l}.wx"], self.params[f"lstm{l}.wh"], self.params[f"lstm{l}.b"])
+        return ad.add(ad.matmul(x[-1], self.params["out.w"]), self.params["out.b"])
 
     @ad.no_grad()
     def predict(self, sequence):

@@ -2,29 +2,29 @@
 
 The encoder embeds the symbol sequence (phone id, stress, phrase type,
 break/silence flags), runs two 1-D convolutions and a bidirectional
-recurrent layer, then concatenates a 2-dim prosody embedding onto every
-output vector. The autoregressive decoder eats the previous frame through a
-double-feed pre-net: the true previous frame beside the prediction when a
-true frame is given (teacher forcing), the prediction twice when none is
-(free-running decode). It attends with additive content+location
-attention, optionally post-processes each alignment with the
-structure-preserving augmented step, and emits one spectral frame plus a
-stop logit per step. A convolutional post-net refines the whole utterance
-residually.
+recurrent layer, one autodiff.lstm_layer node per direction, then
+concatenates a 2-dim prosody embedding onto every output vector. The
+autoregressive decoder eats the previous frame through a double-feed
+pre-net: the true previous frame beside the prediction when a true frame is
+given (teacher forcing), the prediction twice when none is (free-running
+decode). It attends with additive content+location attention, optionally
+post-processes each alignment with the structure-preserving augmented
+step, and emits one spectral frame plus a stop logit per step. A
+convolutional post-net refines the whole utterance residually.
 
 The decoder's recurrence runs on plain arrays, in one loop that
 synthesize (free-running, with the stop test) and teacher_forced (fed the
-true previous frames) share. Each stage, the pre-net, the two LSTM cells,
-the location attention, the alpha/beta selection heads, the augmented step
-and the readout, returns its value with its hand-written backward, and
-decoder_step composes them into one backward per frame that routes the
-recurrent state's gradients by hand. Under teacher forcing the whole
-decoded utterance is one graph node of shape (T, F+1), rows [y_t, stop
-logit], whose backward walks the frames in reverse; weight gradients that
-are outer products are gathered in (T, .) factor buffers and contracted
-once per weight. So the training graph's size depends on the number of
-symbols, not of frames, and without graph building the loop keeps no
-backwards at all.
+true previous frames) share. Each stage, the pre-net, the two LSTM cells
+(autodiff.lstm_step), the location attention, the alpha/beta selection
+heads, the augmented step and the readout, returns its value with its
+hand-written backward, and decoder_step composes them into one backward per
+frame that routes the recurrent state's gradients by hand. Under teacher
+forcing the whole decoded utterance is one graph node of shape (T, F+1),
+rows [y_t, stop logit], whose backward walks the frames in reverse and
+gathers their gradients in one autodiff.StepGrads buffer, which contracts
+each outer-product weight gradient once. So the training graph's size does
+not depend on the length of the input or of the decode, and without graph
+building the loop keeps no backwards at all.
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -208,18 +208,9 @@ def encoder_latents(params, symbols):
     x = ad.concat([sym, st, ph, flags], axis=1)
     x = ad.relu(ad.conv1d(x, params["enc.conv1.w"], params["enc.conv1.b"]))
     x = ad.relu(ad.conv1d(x, params["enc.conv2.w"], params["enc.conv2.b"]))
-    n = len(symbols)
-    width = params["enc.fwd.wh"].data.shape[0]
-    outs = {}
-    for d, order in (("fwd", range(n)), ("bwd", range(n - 1, -1, -1))):
-        h = ad.Tensor(np.zeros(width))
-        c = ad.Tensor(np.zeros(width))
-        rows = [None] * n
-        for t in order:
-            h, c = ad.lstm_step(x[t], h, c, params[f"enc.{d}.wx"], params[f"enc.{d}.wh"], params[f"enc.{d}.b"])
-            rows[t] = h
-        outs[d] = ad.stack(rows)
-    return ad.concat([outs["fwd"], outs["bwd"]], axis=1)
+    fwd = ad.lstm_layer(x, params["enc.fwd.wx"], params["enc.fwd.wh"], params["enc.fwd.b"])
+    bwd = ad.lstm_layer(x, params["enc.bwd.wx"], params["enc.bwd.wh"], params["enc.bwd.b"], reverse=True)
+    return ad.concat([fwd, bwd], axis=1)
 
 
 def prosody_embedding(params, prosody_vec):
@@ -359,15 +350,15 @@ def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=No
 
     backward(g_out, g_next, grads) takes the gradients of out_t and of the
     new state's h1, c1, h2, c2, x_c, a_prev and cum, gives the weight,
-    enc_cond and enc_proj gradients to grads (a _DecoderGrads) and returns
+    enc_cond and enc_proj gradients to grads (an ad.StepGrads) and returns
     the gradients of the same entries of state.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
     x_c, a_prev = state["x_c"], state["a_prev"]
     s_p, prenet_backward = prenet_double_feed(params, prev_true, state["y_prev"])
-    h1, c1, lstm1_backward = ad.lstm_vjp(np.concatenate([s_p, x_c]), state["h1"], state["c1"],
-                                         *_weights(params, _LSTM1_KEYS))
+    h1, c1, lstm1_backward = ad.lstm_step(np.concatenate([s_p, x_c]), state["h1"], state["c1"],
+                                          *_weights(params, _LSTM1_KEYS))
     prev_align = np.zeros(enc_cond.shape[0]) if a_prev is None else a_prev
     b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
     augment = attention_mode == "augmented" and a_prev is not None
@@ -377,8 +368,8 @@ def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=No
     else:
         a_t = b_t
     x_c_new = a_t @ enc_cond
-    h2, c2, lstm2_backward = ad.lstm_vjp(np.concatenate([h1, x_c_new]), state["h2"], state["c2"],
-                                         *_weights(params, _LSTM2_KEYS))
+    h2, c2, lstm2_backward = ad.lstm_step(np.concatenate([h1, x_c_new]), state["h2"], state["c2"],
+                                          *_weights(params, _LSTM2_KEYS))
     out_t, readout_backward = frame_output(params, h2, x_c_new)
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
@@ -419,44 +410,6 @@ def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=No
                 "x_c": g_xc_prev, "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
 
     return out_t, a_t, new_state, backward
-
-
-class _DecoderGrads:
-    """The gradients one backward pass of the decoder node collects, in
-    (T, .) buffers whose row t holds frame t's part: one buffer per key for
-    plain gradients, and one per factor for keys that receive Outer pairs.
-    total(key) sums the rows once, and contracts the factors once as
-    sum_t outer(a_t, b_t) = A^T B."""
-
-    def __init__(self, shapes, frames):
-        self.frame = 0
-        self._shapes = shapes
-        self._frames = frames
-        self._rows = {}
-        self._factors = {}
-
-    def add(self, keys, grads):
-        t = self.frame
-        for k, g in zip(keys, grads):
-            if type(g) is ad.Outer:
-                factors = self._factors.get(k)
-                if factors is None:
-                    rows, cols = self._shapes[k]
-                    factors = self._factors[k] = (np.zeros((self._frames, rows)), np.zeros((self._frames, cols)))
-                factors[0][t] = g.a
-                factors[1][t] = g.b
-            else:
-                rows = self._rows.get(k)
-                if rows is None:
-                    rows = self._rows[k] = np.zeros((self._frames, *self._shapes[k]))
-                rows[t] = g
-
-    def total(self, k):
-        g = self._rows[k].sum(axis=0) if k in self._rows else np.zeros(self._shapes[k])
-        if k in self._factors:
-            a, b = self._factors[k]
-            g += a.T @ b
-        return g
 
 
 def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
@@ -509,10 +462,10 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     final.update(x_c=np.zeros(width), a_prev=np.zeros(n), cum=np.zeros(n))
 
     def backward(g):
-        grads = _DecoderGrads(shapes, len(steps))
+        grads = ad.StepGrads(shapes, len(steps))
         g_state = final
         for t in range(len(steps) - 1, -1, -1):
-            grads.frame = t
+            grads.step = t
             g_state = steps[t](g[t], g_state, grads)
         grads.add(_INIT_KEYS, [g_state[k] for k in _CELLS])
         return [grads.total(k) for k in ("enc_cond", "enc_proj", *keys)]

@@ -322,33 +322,53 @@ def save_corpus(corpus, out_dir):
         fileio.save_matrix(out / "feats" / f"{u.utt_id}.bin", u.features)
 
 
+def _reason(exc):
+    return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+
+
+# what a malformed file makes parsing raise; ValueError includes JSON and
+# ASCII decoding errors, TypeError a value of the wrong JSON type
+_PARSE_ERRORS = (DataError, KeyError, TypeError, ValueError)
+
+
 def load_corpus(corpus_dir):
+    """A corpus as written by save_corpus. Text that is not ASCII JSON, a
+    missing field, an unknown config field or a bad record is a DataError
+    naming the file, and for utterances.jsonl the line."""
     root = Path(corpus_dir)
     meta_path = root / "corpus_meta.json"
     if not meta_path.exists():
         raise DataError(f"{corpus_dir}: not a corpus directory (missing corpus_meta.json)")
-    with open(meta_path, "r", encoding="ascii") as fh:
-        meta = json.load(fh)
-    if meta.get("version") != 1:
-        raise DataError(f"{corpus_dir}: unsupported corpus version {meta.get('version')}")
-    cfg_dict = meta["config"]
-    cfg = CorpusConfig(**cfg_dict)
-    table = np.asarray(meta["duration_table"], dtype=np.int64)
+    try:
+        meta = json.loads(meta_path.read_bytes().decode("ascii"))
+        if meta["version"] != 1:
+            raise DataError(f"unsupported corpus version {meta['version']}")
+        cfg = CorpusConfig(**meta["config"])
+        table = np.asarray(meta["duration_table"], dtype=np.int64)
+    except _PARSE_ERRORS as exc:
+        raise DataError(f"{meta_path}: {_reason(exc)}") from None
     templates = fileio.load_matrix(root / "templates.bin")
     utterances = []
-    with open(root / "utterances.jsonl", "r", encoding="ascii") as fh:
-        for line in fh:
-            rec = json.loads(line)
-            symbols = symbols_from_string(rec["symbols"], cfg, phrase=rec["phrase"])
-            feats = fileio.load_matrix(root / "feats" / f"{rec['id']}.bin")
+    records_path = root / "utterances.jsonl"
+    with open(records_path, "rb") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                rec = json.loads(line.decode("ascii"))
+                utt_id = rec["id"]
+                symbols = symbols_from_string(rec["symbols"], cfg, phrase=rec["phrase"])
+                durations = np.asarray(rec["durations"], dtype=np.int64)
+                pace_factor, pitch_variance, split = rec["pace_factor"], rec["pitch_variance"], rec["split"]
+            except _PARSE_ERRORS as exc:
+                raise DataError(f"{records_path}:{lineno}: {_reason(exc)}") from None
+            feats = fileio.load_matrix(root / "feats" / f"{utt_id}.bin")
             utterances.append(SyntheticUtterance(
-                utt_id=rec["id"],
+                utt_id=utt_id,
                 symbols=symbols,
-                durations=np.asarray(rec["durations"], dtype=np.int64),
-                pace_factor=rec["pace_factor"],
-                pitch_variance=rec["pitch_variance"],
+                durations=durations,
+                pace_factor=pace_factor,
+                pitch_variance=pitch_variance,
                 pitch_contour=feats[:, -1].copy(),
                 features=feats,
-                split=rec["split"],
+                split=split,
             ))
     return Corpus(cfg, table, templates, utterances)

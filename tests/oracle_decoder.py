@@ -14,8 +14,8 @@ one of two forms, chosen by an ops table:
   oracle_ops.py, one node per primitive op, so nothing of the library's
   hand-written backwards is used.
 
-Both forms run the decoder LSTMs as the engine's lstm_step on the
-concatenation of the cell's input parts.
+Both forms run the decoder LSTMs as oracle_ops.lstm_node, the engine's
+lstm_step as one node, on the concatenation of the cell's input parts.
 """
 
 from types import SimpleNamespace
@@ -25,7 +25,7 @@ import numpy as np
 from prosynth import align, seq2seq
 from prosynth import autodiff as ad
 
-from oracle_ops import as_node, clamp_max, div, logsumexp, sigmoid, softmax, threshold_keep
+from oracle_ops import as_node, clamp_max, div, logsumexp, lstm_node, sigmoid, softmax, stack, threshold_keep
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
 HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")
@@ -60,7 +60,7 @@ def fused_augmented_step(b_t, b_prev, alpha, beta):
 
 FUSED = SimpleNamespace(prenet=fused_prenet, initial_attention=fused_initial_attention,
                         selection_heads=fused_selection_heads, augmented_step=fused_augmented_step,
-                        frame_output=fused_frame_output, stack=ad.stack)
+                        frame_output=fused_frame_output, stack=stack)
 
 
 # -- COMPOSED: every stage from primitives -------------------------------------------
@@ -158,8 +158,8 @@ def init_decoder_state(params, cfg, n_positions):
 def decoder_step(ops, params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
     """One frame as Tensor nodes: returns (out_t, a_t, new state)."""
     s_p = ops.prenet(params, prev_true, state["y_prev"])
-    h1, c1 = ad.lstm_step(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
-                          params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
+    h1, c1 = lstm_node(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
+                       params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
     n = enc_cond.shape[0]
     prev_align = state["a_prev"] if state["a_prev"] is not None else ad.Tensor(np.zeros(n))
     b_t = ops.initial_attention(params, h1, enc_proj, prev_align, state["cum"])
@@ -169,8 +169,8 @@ def decoder_step(ops, params, state, enc_cond, enc_proj, attention_mode, prev_tr
     else:
         a_t = b_t
     x_c = ad.matmul(a_t, enc_cond)
-    h2, c2 = ad.lstm_step(ad.concat([h1, x_c]), state["h2"], state["c2"],
-                          params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
+    h2, c2 = lstm_node(ad.concat([h1, x_c]), state["h2"], state["c2"],
+                       params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
     out_t = ops.frame_output(params, h2, x_c)
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2, "x_c": x_c, "a_prev": a_t,

@@ -2,7 +2,8 @@
 
 as_node makes one graph node of a library stage's (value, backward) pair,
 the one form every hand-differentiated stage comes in; the tests check
-those stages on such nodes.
+those stages on such nodes. lstm_node does the same for one LSTM cell, so
+a chain of them is the per-step reference for autodiff.lstm_layer.
 
 The composed-primitive oracle in oracle_decoder.py rebuilds location
 attention, the augmented step and the decoder's selection heads from the
@@ -14,19 +15,44 @@ finite-difference tests are in test_autodiff.py.
 import numpy as np
 
 from prosynth import autodiff as ad
+from prosynth.errors import ShapeError
+
+
+def _dense(g):
+    return np.outer(g.a, g.b) if type(g) is ad.Outer else g
 
 
 def as_node(stage_result, inputs):
     """A library stage's (value, backward) as one graph node over inputs,
-    the Tensors or arrays whose gradients backward returns, in its order."""
+    the Tensors or arrays whose gradients backward returns, in its order;
+    an Outer pair becomes its full matrix."""
     value, backward = stage_result
-    return ad.fused(value, tuple(inputs), backward)
+    return ad.fused(value, tuple(inputs), lambda g: [_dense(x) for x in backward(g)])
+
+
+def lstm_node(x, h, c, wx, wh, b):
+    """autodiff.lstm_step as one node over its six inputs, each a Tensor or
+    an array: returns (h', c') as the two halves of that node."""
+    inputs = (x, h, c, wx, wh, b)
+    h_new, c_new, step_backward = ad.lstm_step(*(v.data if isinstance(v, ad.Tensor) else v for v in inputs))
+    hid = h_new.shape[0]
+    hc = as_node((np.concatenate([h_new, c_new]), lambda g: step_backward(g[:hid], g[hid:])), inputs)
+    return hc[:hid], hc[hid:]
 
 
 def attention_node(*inputs):
     """autodiff.location_attention_vjp as one node over its eight inputs,
     each a Tensor or an array."""
     return as_node(ad.location_attention_vjp(*(x.data if isinstance(x, ad.Tensor) else x for x in inputs)), inputs)
+
+
+def stack(rows):
+    """Stack equal-length 1-D tensors as the rows of a 2-D tensor."""
+    rows = tuple(rows)
+    data = np.stack([r.data for r in rows])
+    if data.ndim != 2:
+        raise ShapeError(f"stack: rows must be 1-D, got shape {rows[0].data.shape}")
+    return ad.fused(data, rows, lambda g: g)  # a 2-D gradient iterates as its rows
 
 
 def sigmoid(x):

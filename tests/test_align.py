@@ -57,7 +57,7 @@ def oracle_metric(c):
     return 0.0 if raw <= 0.12 else min(raw, 1.0)
 
 
-# -- shift / candidates -----------------------------------------------------------
+# -- shift ------------------------------------------------------------------------
 
 
 def test_shift_pure():
@@ -79,31 +79,11 @@ def test_shift_rejects_empty():
         align.shift_sticky(np.array([]))
 
 
-def test_candidate_set_flat():
-    b = flat(6)
-    c0, c1, c2 = align.candidate_set(b, b)
-    assert np.allclose(c0, b) and np.allclose(c1, b)
-    assert np.allclose(c2, align.shift_sticky(b))
-
-
-def test_candidate_set_shift_member():
-    b_prev = onehot(5, 1)
-    _, _, c2 = align.candidate_set(flat(5), b_prev)
-    assert np.allclose(c2, onehot(5, 2))
-
-
-def test_candidate_set_sums():
+def test_shift_sticky_keeps_unit_mass():
     rng = np.random.default_rng(0)
     for _ in range(100):
         n = int(rng.integers(1, 30))
-        cands = align.candidate_set(random_simplex(rng, n), random_simplex(rng, n))
-        for c in cands:
-            assert abs(np.sum(c) - 1.0) < 1e-6
-
-
-def test_candidate_set_length_mismatch():
-    with pytest.raises(ValueError):
-        align.candidate_set(flat(4), flat(5))
+        assert abs(np.sum(align.shift_sticky(random_simplex(rng, n))) - 1.0) < 1e-6
 
 
 # -- scoring ----------------------------------------------------------------------
@@ -405,12 +385,3 @@ def test_alignment_pgm_dimensions(tmp_path):
     assert maxval == b"255"
     img = np.frombuffer(pix, dtype=np.uint8).reshape(n, t)
     assert np.array_equal(img, np.rint(m * 255).astype(np.uint8))
-
-
-def test_check_alignment_rejects_bad():
-    with pytest.raises(ValueError):
-        align.check_alignment(np.array([0.5, 0.6]))
-    with pytest.raises(ValueError):
-        align.check_alignment(np.array([1.5, -0.5]))
-    with pytest.raises(ValueError):
-        align.check_alignment(np.array([]))

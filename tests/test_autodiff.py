@@ -1,6 +1,7 @@
 """Engine tests: every primitive op against central finite differences,
 and the same for the test-side ops in oracle_ops.py that the fused-node
-oracle is built from."""
+oracle is built from, among them lstm_node, the one-cell reference for
+lstm_layer."""
 
 import threading
 
@@ -278,8 +279,8 @@ def test_conv_grads_match_per_tap_loop():
 
 
 def test_lstm_step_fd():
-    # three steps share wx and wh, so each weight sums three factor pairs;
-    # the last step reads both outputs, so every input of every step,
+    # three cells share wx and wh, so each weight sums three gradients;
+    # the last cell's both outputs are read, so every input of every cell,
     # the cell state included, has a gradient path
     rng = np.random.default_rng(12)
     hid = 4
@@ -294,7 +295,7 @@ def test_lstm_step_fd():
     def build():
         h, c = h0, c0
         for x in xs:
-            h, c = ad.lstm_step(x, h, c, wx, wh, b)
+            h, c = ops.lstm_node(x, h, c, wx, wh, b)
         return ad.matmul(ad.concat([h, c]), w)
 
     check_grads(build, [wx, wh, b, h0, c0, *xs])
@@ -310,9 +311,9 @@ def test_lstm_step_gates_match_separate_logistics():
     z = x @ wx + h @ wh + b
     i, f, o = (0.5 * (1.0 + np.tanh(0.5 * z[k * hid:(k + 1) * hid])) for k in (0, 1, 3))
     c_ref = f * c + i * np.tanh(z[2 * hid:3 * hid])
-    h_new, c_new = ad.lstm_step(x, h, c, *(ad.Tensor(w) for w in (wx, wh, b)))
-    assert np.array_equal(c_new.data, c_ref)
-    assert np.array_equal(h_new.data, o * np.tanh(c_ref))
+    h_new, c_new, _ = ad.lstm_step(x, h, c, wx, wh, b)
+    assert np.array_equal(c_new, c_ref)
+    assert np.array_equal(h_new, o * np.tanh(c_ref))
 
 
 def test_lstm_step_parts_fd():
@@ -329,10 +330,68 @@ def test_lstm_step_parts_fd():
     w = ad.Tensor(rand(rng, 2 * hid))
 
     def build():
-        h_new, c_new = ad.lstm_step(ad.concat(parts), h, c, wx, wh, b)
+        h_new, c_new = ops.lstm_node(ad.concat(parts), h, c, wx, wh, b)
         return ad.matmul(ad.concat([h_new, c_new]), w)
 
     check_grads(build, [*parts, h, c, wx, wh, b])
+
+
+def _layer_inputs(rng, steps=5, width=3, hid=4):
+    xs = ad.parameter(rand(rng, steps, width), name="xs")
+    wx = ad.parameter(rand(rng, width, 4 * hid) * 0.4, name="wx")
+    wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
+    b = ad.parameter(rand(rng, 4 * hid) * 0.1, name="b")
+    return xs, wx, wh, b
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_layer_fd(reverse):
+    rng = np.random.default_rng(15)
+    xs, wx, wh, b = _layer_inputs(rng)
+    w = ad.Tensor(rand(rng, 5, 4))  # every row of the output is read
+
+    def build():
+        return ad.sum_(ad.mul(ad.lstm_layer(xs, wx, wh, b, reverse=reverse), w))
+
+    check_grads(build, [xs, wx, wh, b])
+
+
+def _step_chain(xs, wx, wh, b, reverse):
+    """lstm_layer rebuilt from one oracle_ops.lstm_node per step."""
+    steps, hid = xs.shape[0], wh.shape[0]
+    h, c = ad.Tensor(np.zeros(hid)), ad.Tensor(np.zeros(hid))
+    rows = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        h, c = ops.lstm_node(xs[t], h, c, wx, wh, b)
+        rows[t] = h
+    return ops.stack(rows)
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
+def test_lstm_layer_matches_step_chain(reverse):
+    rng = np.random.default_rng(17)
+    params = _layer_inputs(rng, steps=7)
+    w = rand(rng, 7, 4)
+    results = []
+    for build in (ad.lstm_layer, _step_chain):
+        for p in params:
+            p.zero_grad()
+        out = build(*params, reverse=reverse)
+        ad.sum_(ad.mul(ad.tanh(out), ad.Tensor(w))).backward()
+        results.append((out.data, [p.grad.copy() for p in params]))
+    (layer_out, layer_grads), (chain_out, chain_grads) = results
+    assert np.array_equal(layer_out, chain_out)
+    for p, g, ref in zip(params, layer_grads, chain_grads):
+        assert np.max(np.abs(g - ref)) <= 1e-12 * np.max(np.abs(ref)), p.name
+
+
+def test_lstm_layer_rejects_bad_shapes():
+    rng = np.random.default_rng(18)
+    xs, wx, wh, b = _layer_inputs(rng)
+    with pytest.raises(ShapeError, match="lstm_layer"):
+        ad.lstm_layer(xs[0], wx, wh, b)
+    with pytest.raises(ShapeError, match="lstm_step"):
+        ad.lstm_layer(ad.concat([xs, xs], axis=1), wx, wh, b)
 
 
 def test_stack_fd():
@@ -341,7 +400,7 @@ def test_stack_fd():
     w = ad.Tensor(rand(rng, 4, 3))
 
     def build():
-        out = ad.stack(rows)
+        out = ops.stack(rows)
         return ad.sum_(ad.mul(ad.mul(out, out), w))
 
     check_grads(build, rows)
@@ -349,7 +408,7 @@ def test_stack_fd():
 
 def test_stack_rejects_non_vectors():
     with pytest.raises(ShapeError, match="stack"):
-        ad.stack([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((2, 2)))])
+        ops.stack([ad.Tensor(np.ones((2, 2))), ad.Tensor(np.ones((2, 2)))])
 
 
 def test_mean_clamp_threshold_fd():
@@ -365,22 +424,7 @@ def test_mean_clamp_threshold_fd():
     check_grads(build, [x])
 
 
-def test_detach_blocks_gradient():
-    x = ad.parameter([1.0, 2.0], name="x")
-    y = ad.sum_(ad.mul(x.detach(), x))
-    y.backward()
-    assert np.allclose(x.grad, [1.0, 2.0])  # only the live path contributes
-
-
 # -- no_grad ---------------------------------------------------------------------------
-
-
-def _lstm_inputs(rng):
-    x = ad.Tensor(rand(rng, 3))
-    h, c = ad.Tensor(rand(rng, 2)), ad.Tensor(rand(rng, 2))
-    wx, wh, b = (ad.parameter(rand(rng, *shape), name=n) for n, shape in
-                 (("wx", (3, 8)), ("wh", (2, 8)), ("b", (8,))))
-    return x, h, c, wx, wh, b
 
 
 def _next_id():
@@ -389,21 +433,20 @@ def _next_id():
 
 def test_no_grad_results_are_constants():
     rng = np.random.default_rng(21)
-    inputs = _lstm_inputs(rng)
-    wx = inputs[3]
+    xs, wx, wh, b = _layer_inputs(rng)
     start = _next_id()
-    h_ref, c_ref = ad.lstm_step(*inputs)
+    h_ref = ad.lstm_layer(xs, wx, wh, b)[-1]
     ids_with_grad = _next_id() - start
     wx.grad = np.full_like(wx.data, 7.0)
     with ad.no_grad():
         start = _next_id()
-        h, c = ad.lstm_step(*inputs)
+        h = ad.lstm_layer(xs, wx, wh, b)[-1]
         ids_without = _next_id() - start
-        loss = ad.sum_(ad.mul(ad.tanh(h), c))
+        loss = ad.sum_(ad.mul(ad.tanh(h), h))
         loss.backward()
     assert ids_without == ids_with_grad  # nodes keep their numbering
-    assert np.array_equal(h.data, h_ref.data) and np.array_equal(c.data, c_ref.data)
-    for t in (h, c, loss):
+    assert np.array_equal(h.data, h_ref.data)
+    for t in (h, loss):
         assert t._parents == () and t._backward is None and not t.requires_grad
     assert np.array_equal(wx.grad, np.full_like(wx.data, 7.0))  # untouched
 
@@ -545,13 +588,14 @@ ROUTING_CASES = {
     "mean_": (ad.mean_, [(2, 3)], (), 1),
     "concat": (lambda a, b: ad.concat([a, b]), [(2,), (3,)], (), 1),
     "concat_axis1": (lambda a, b: ad.concat([a, b], axis=1), [(2, 2), (2, 3)], (), 1),
-    "stack": (lambda a, b: ad.stack([a, b]), [(3,), (3,)], (), 1),
+    "stack": (lambda a, b: ops.stack([a, b]), [(3,), (3,)], (), 1),
     "narrow": (lambda x: ad.narrow(x, slice(1, 3)), [(4,)], (), 1),
     "reshape": (lambda x: ad.reshape(x, (3, 2)), [(2, 3)], (), 1),
     "index_rows": (lambda x: ad.index_rows(x, [0, 2, 2]), [(4, 3)], (), 1),
     "conv1d": (lambda x, w: ad.conv1d(x, w), [(5, 2), (3, 2, 4)], (), 1),
     "conv1d_bias": (lambda x, w, b: ad.conv1d(x, w, b), [(5, 2), (3, 2, 4), (4,)], (), 1),
-    "lstm_step": (ad.lstm_step, [(3,), (2,), (2,), (3, 8), (2, 8), (8,)], (3, 4, 5), 3),
+    "lstm_step": (ops.lstm_node, [(3,), (2,), (2,), (3, 8), (2, 8), (8,)], (), 3),
+    "lstm_layer": (ad.lstm_layer, [(4, 3), (3, 8), (2, 8), (8,)], (), 1),
     "location_attention": (ops.attention_node, [(4,), (5, 6), (5,), (5,), (3, 2, 2), (2, 6), (4, 6), (6,)], (), 1),
 }
 ROUTING_PARAMS = [(name, k) for name, case in ROUTING_CASES.items() for k in range(len(case[1]))]
@@ -597,11 +641,11 @@ def test_fused_gradients_take_their_input_shapes():
     assert v.grad.shape == (1, 2) and np.array_equal(v.grad, [[3.0, 4.0]])
 
 
-# -- weight gradients as factor pairs ----------------------------------------------
+# -- outer-product weight gradients ------------------------------------------------
 
 
 def test_outer_gradients_add_up_per_parameter():
-    """W's gradient arrives as factor pairs from five 1-D @ W products and
+    """W's gradient arrives as outer products from five 1-D @ W products and
     one W @ v product, and as a full matrix from X @ W: the sum equals the
     hand-summed terms."""
     rng = np.random.default_rng(20)
@@ -618,8 +662,8 @@ def test_outer_gradients_add_up_per_parameter():
 
 
 def test_outer_gradient_reaches_interior_operand():
-    """A second operand that is itself a node, reshape(V), sums its factor
-    pairs when the pass reaches it and passes the sum on to V."""
+    """A second operand that is itself a node, reshape(V), sums its outer
+    products when the pass reaches it and passes the sum on to V."""
     rng = np.random.default_rng(21)
     flat = ad.parameter(rand(rng, 12), name="flat")
     x, c, v = rand(rng, 3), rand(rng, 4), rand(rng, 4)
@@ -632,7 +676,9 @@ def test_outer_gradient_reaches_interior_operand():
 
 def test_second_backward_doubles_outer_gradients():
     """Without zero_grad, a second pass over a rebuilt graph adds exactly
-    the first pass's sum of pairs again."""
+    the first pass's gradient again: the layer contracts its steps' factor
+    pairs into one gradient per weight, and so does the 2-D matmul, so each
+    weight takes one array per pass."""
     rng = np.random.default_rng(22)
     hid = 3
     wx = ad.parameter(rand(rng, 2, 4 * hid) * 0.4, name="wx")
@@ -642,12 +688,8 @@ def test_second_backward_doubles_outer_gradients():
     xs = rand(rng, 4, 2)
 
     def build():
-        h, c = ad.Tensor(np.zeros(hid)), ad.Tensor(np.zeros(hid))
-        outs = []
-        for x in xs:
-            h, c = ad.lstm_step(x, h, c, wx, wh, b)
-            outs.append(ad.matmul(h, w))
-        return ad.sum_(ad.mul(ad.concat(outs), ad.concat(outs)))
+        out = ad.matmul(ad.lstm_layer(xs, wx, wh, b), w)
+        return ad.sum_(ad.mul(out, out))
 
     build().backward()
     once = {p.name: p.grad.copy() for p in (wx, wh, w)}

@@ -2,6 +2,8 @@
 optimiser state, all-or-nothing restores, and bit-identical resumed
 training."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -195,3 +197,28 @@ def test_resume_is_bit_identical(tmp_path, small_corpus, mode):
         assert p.data.shape == resumed.params[k].data.shape, k
         assert np.array_equal(p.data, resumed.params[k].data), k
     assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (tmp_path / "b" / "checkpoint.bin").read_bytes()
+
+
+def test_table_name_not_utf8_raises_data_error(tmp_path):
+    path = tmp_path / "t.bin"
+    entry = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0) + np.zeros(1).tobytes()
+    path.write_bytes(fileio.TABLE_MAGIC + struct.pack("<II", fileio.FORMAT_VERSION, 1) + entry)
+    with pytest.raises(DataError, match="entry 0 name is not UTF-8"):
+        fileio.load_tensor_table(path)
+
+
+@pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (2**20, 2**12)], ids=["overflow", "32GiB"])
+def test_matrix_larger_than_file_raises_data_error(tmp_path, rows, cols):
+    # a 16-byte file whose header declares a payload it cannot hold
+    path = tmp_path / "m.bin"
+    path.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<III", fileio.FORMAT_VERSION, rows, cols))
+    with pytest.raises(DataError, match=r"truncated matrix payload \(0 of"):
+        fileio.load_matrix(path)
+
+
+def test_table_entry_larger_than_file_raises_data_error(tmp_path):
+    path = tmp_path / "t.bin"
+    entry = struct.pack("<I", 1) + b"x" + struct.pack("<III", 2, 2**32 - 1, 2**32 - 1)
+    path.write_bytes(fileio.TABLE_MAGIC + struct.pack("<II", fileio.FORMAT_VERSION, 1) + entry)
+    with pytest.raises(DataError, match=r"truncated entry 'x' \(0 of"):
+        fileio.load_tensor_table(path)

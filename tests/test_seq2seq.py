@@ -203,6 +203,20 @@ def test_teacher_forced_node_count_independent_of_length(corpus, table, params, 
     assert counts[0] == counts[1]
 
 
+def test_encode_node_count_independent_of_length(corpus, table, params, made_nodes):
+    # each direction of the encoder's BiLSTM is one node, so the encoder's
+    # graph has as many nodes for a sequence as for its first half
+    symbols = corpus.utterances[0].symbols
+    half = synthdata.SymbolSequence(*(getattr(symbols, f.name)[:len(symbols) // 2]
+                                      for f in dataclasses.fields(symbols)))
+    counts = []
+    for seq in (symbols, half):
+        made_nodes.clear()
+        seq2seq.encode(params, seq, table[corpus.utterances[0].utt_id])
+        counts.append(len(made_nodes))
+    assert len(half) >= 2 and counts[0] == counts[1]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_teacher_forced_second_backward_adds_the_same_again(corpus, table, params, mode):
     cfg = seq2seq.ModelConfig(**TINY)

@@ -1,5 +1,7 @@
 """Corpus generator tests: ground truth must be recoverable exactly."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -156,3 +158,45 @@ def test_save_byte_identical(tmp_path):
 def test_load_missing_dir(tmp_path):
     with pytest.raises(DataError):
         synthdata.load_corpus(tmp_path / "nope")
+
+
+def _edit_json(name, edit):
+    def corrupt(root):
+        path = root / name
+        meta = json.loads(path.read_text(encoding="ascii"))
+        edit(meta)
+        path.write_text(json.dumps(meta), encoding="ascii")
+    return corrupt
+
+
+def _edit_line(lineno, edit):
+    def corrupt(root):
+        path = root / "utterances.jsonl"
+        lines = path.read_bytes().split(b"\n")
+        lines[lineno - 1] = edit(lines[lineno - 1])
+        path.write_bytes(b"\n".join(lines))
+    return corrupt
+
+
+def _drop_symbols(line):
+    rec = json.loads(line)
+    del rec["symbols"]
+    return json.dumps(rec).encode("ascii")
+
+
+@pytest.mark.parametrize("corrupt, where", [
+    (_edit_json("corpus_meta.json", lambda m: m.pop("config")), r"corpus_meta\.json: missing field 'config'"),
+    (_edit_json("corpus_meta.json", lambda m: m["config"].update(tempo=2)), r"corpus_meta\.json: .*tempo"),
+    (lambda root: (root / "corpus_meta.json").write_bytes(b'{"version": 1,'), r"corpus_meta\.json: "),
+    (lambda root: (root / "corpus_meta.json").write_bytes(b'{"version": 1, "n\xe9": 0}'), r"corpus_meta\.json: .*ascii"),
+    (_edit_line(2, _drop_symbols), r"utterances\.jsonl:2: missing field 'symbols'"),
+    (_edit_line(2, lambda line: line[:-3]), r"utterances\.jsonl:2: "),
+    (_edit_line(3, lambda line: line.replace(b'"id"', b'"\xe9d"')), r"utterances\.jsonl:3: .*ascii"),
+], ids=["meta_no_config", "meta_unknown_field", "meta_bad_json", "meta_non_ascii",
+        "record_no_symbols", "record_bad_json", "record_non_ascii"])
+def test_load_bad_corpus_raises_data_error(tmp_path, corrupt, where):
+    small = synthdata.generate_corpus(CorpusConfig(utterance_count=4, validation_count=1))
+    synthdata.save_corpus(small, tmp_path)
+    corrupt(tmp_path)
+    with pytest.raises(DataError, match=where):
+        synthdata.load_corpus(tmp_path)

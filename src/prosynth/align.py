@@ -4,12 +4,17 @@ An alignment vector is a probability distribution over the N encoder
 positions; a decode of T steps stacks them into an N x T alignment matrix.
 The ops here build candidate alignments from the previous step, score how
 sharp/unimodal a candidate is, and soft-select a final alignment that keeps
-that structure. They compute on plain numpy arrays. augmented_step, the one
-op the decoder calls, returns its value together with its hand-written
-backward, which follows the same formulas, masks included (see
-_metric_grad); the decoder's per-utterance graph node calls it frame by
-frame and routes its gradients. A caller that wants a graph node wraps the
-pair with autodiff.fused.
+that structure. They compute on plain numpy arrays.
+
+The three quantities of the augmented step are stages in the form every
+hand-differentiated stage of the package takes: arrays in, (value,
+backward) out. structure_metric scores a candidate, stage1_select builds
+the candidate d from the previous alignment, and stage2_select mixes d
+with the initial alignment b_t under the two scores. augmented_step, the
+one op the decoder calls, composes the two selection stages, and its
+backward chains theirs; the decoder's per-utterance graph node calls it
+frame by frame and routes its gradients. A caller that wants a graph node
+wraps the pair with autodiff.fused.
 
 All functions are pure; call them from as many threads as you like.
 """
@@ -80,29 +85,32 @@ def f2(c):
 
 def structure_metric(c):
     """Combined structure score in [0, 1]: f1*f2, zeroed at or below the
-    near-zero threshold, clamped to at most 1. Differentiable wherever the
-    raw product exceeds the threshold."""
-    raw = f1(c) * f2(c)
-    if raw <= SCORE_THRESHOLD:
-        return 0.0
-    return min(raw, 1.0)
+    near-zero threshold, clamped to at most 1.
 
-
-def _metric_grad(c):
-    """d structure_metric / dc, zero where the threshold or the clamp of the
-    product holds the metric flat; the f2 term vanishes where f2 is clamped
-    at 1 and for N=1, where f2 is the constant 1."""
+    Returns (score, backward), where backward(g) gives the gradient of c.
+    It is zero where the threshold or the outer clamp holds the score flat;
+    its f2 term vanishes where f2 is clamped at 1 and for N=1, where f2 is
+    the constant 1.
+    """
+    c = np.asarray(c, dtype=np.float64)
     n = c.size
     peak = f1(c)
     raw2 = _f2_raw(c) if n > 1 else 1.0
     sharp = min(raw2, 1.0)
-    if not SCORE_THRESHOLD < peak * sharp <= 1.0:
-        return np.zeros_like(c)
-    w = np.exp(LSE_SCALE * (c - c.max()))
-    grad = (sharp * LSE_GAIN * LSE_SCALE / w.sum()) * w
-    if n > 1 and raw2 <= 1.0:
-        grad += (peak * SHARPNESS_BOOST * 2.0 * n / (n - 1)) * c
-    return grad
+    raw = peak * sharp
+    live = SCORE_THRESHOLD < raw <= 1.0
+    sharp_live = n > 1 and raw2 <= 1.0
+
+    def backward(g):
+        if not live:
+            return g * np.zeros_like(c)
+        w = np.exp(LSE_SCALE * (c - c.max()))
+        grad = (sharp * LSE_GAIN * LSE_SCALE / w.sum()) * w
+        if sharp_live:
+            grad += (peak * SHARPNESS_BOOST * 2.0 * n / (n - 1)) * c
+        return g * grad
+
+    return (raw if live else float(raw > 1.0)), backward
 
 
 # -- two-stage soft-selection ----------------------------------------------------
@@ -117,29 +125,24 @@ def _weight_value(w, name):
 
 def stage1_select(b_prev, alpha):
     """Convex mix of the previous alignment with its shifted version:
-    alpha picks 'advance one symbol', (1 - alpha) picks 'stay'."""
+    alpha picks 'advance one symbol', (1 - alpha) picks 'stay'.
+
+    Returns (d, backward), where backward(g) gives the gradients of
+    (b_prev, alpha).
+    """
     alpha = _weight_value(alpha, "alpha")
     b_prev = np.asarray(b_prev, dtype=np.float64)
-    return alpha * shift_sticky(b_prev) + (1.0 - alpha) * b_prev
+    shifted = shift_sticky(b_prev)
 
+    def backward(g):
+        g_alpha = np.dot(g, shifted) - np.dot(g, b_prev)
+        g_shift = alpha * g
+        g_bp = (1.0 - alpha) * g
+        g_bp[:-1] += g_shift[1:]  # shift_sticky moves entry i to i+1 ...
+        g_bp[-1] += g_shift[-1]  # ... and keeps the last one in place
+        return g_bp, g_alpha
 
-def _stage2(d, b_t, beta):
-    """stage2_select with the intermediates its gradient needs:
-    (out, gamma, metric of b_t, metric of d, raw mix, total), where total is
-    None when the mix fell back to d."""
-    beta = _weight_value(beta, "beta")
-    d = np.asarray(d, dtype=np.float64)
-    b_t = np.asarray(b_t, dtype=np.float64)
-    if d.shape[0] != b_t.shape[0]:
-        raise ValueError(f"stage2_select: length mismatch {d.shape[0]} vs {b_t.shape[0]}")
-    m_b = structure_metric(b_t)
-    m_d = structure_metric(d)
-    gamma = m_b * (1.0 - m_d)
-    raw = (1.0 - gamma) * beta * d + gamma * (1.0 - beta) * b_t
-    total = raw.sum()
-    if total < RENORM_FLOOR:
-        return d.copy(), gamma, m_b, m_d, raw, None
-    return raw / total, gamma, m_b, m_d, raw, total
+    return alpha * shifted + (1.0 - alpha) * b_prev, backward
 
 
 def stage2_select(d, b_t, beta):
@@ -149,45 +152,54 @@ def stage2_select(d, b_t, beta):
     gamma = f(b_t) * (1 - f(d)) prefers b_t only when its structure beats
     d's. The raw mix (1-gamma)*beta*d + gamma*(1-beta)*b_t is not a
     distribution on its own, so it is renormalised to unit sum; a degenerate
-    total (< 1e-8) falls back to d.
+    total (< 1e-8) falls back to d. Returns (out, backward), where
+    backward(g) gives the gradients of (d, b_t, beta).
     """
-    return _stage2(d, b_t, beta)[0]
+    beta = _weight_value(beta, "beta")
+    d = np.asarray(d, dtype=np.float64)
+    b_t = np.asarray(b_t, dtype=np.float64)
+    if d.shape[0] != b_t.shape[0]:
+        raise ValueError(f"stage2_select: length mismatch {d.shape[0]} vs {b_t.shape[0]}")
+    m_b, m_b_backward = structure_metric(b_t)
+    m_d, m_d_backward = structure_metric(d)
+    gamma = m_b * (1.0 - m_d)
+    raw = (1.0 - gamma) * beta * d + gamma * (1.0 - beta) * b_t
+    total = raw.sum()
+    if total < RENORM_FLOOR:
+        return d.copy(), lambda g: (g, np.zeros_like(b_t), 0.0)
+
+    def backward(g):
+        g_raw = g / total - np.dot(g, raw) / (total * total)
+        g_d = g_raw * (beta * (1.0 - gamma))
+        g_bt = g_raw * ((1.0 - beta) * gamma)
+        g_beta = (1.0 - gamma) * np.dot(g_raw, d) - gamma * np.dot(g_raw, b_t)
+        # with m_b = 0, gamma is 0 whatever either score does; skipping both
+        # score gradients holds only while a zero score has a zero gradient
+        if m_b > 0.0:
+            g_gamma = (1.0 - beta) * np.dot(g_raw, b_t) - beta * np.dot(g_raw, d)
+            g_bt = g_bt + m_b_backward(g_gamma * (1.0 - m_d))
+            g_d = g_d - m_d_backward(g_gamma * m_b)
+        return g_d, g_bt, g_beta
+
+    return raw / total, backward
 
 
 def augmented_step(b_t, b_prev, alpha, beta):
     """Full post-processing of one decoder step's initial alignment b_t,
     given the previous step's final alignment b_prev and the stage weights
-    alpha and beta in [0, 1] (from the decoder's sigmoid heads).
+    alpha and beta in [0, 1] (from the decoder's sigmoid heads): stage 2
+    over stage 1.
 
     The first decoder step has no history and keeps its initial alignment
     without calling this. Returns (out, backward), where backward(g) gives
     the gradients of (b_t, b_prev, alpha, beta).
     """
-    bt = np.asarray(b_t, dtype=np.float64)
-    bp = np.asarray(b_prev, dtype=np.float64)
-    alpha = _weight_value(alpha, "alpha")
-    beta = _weight_value(beta, "beta")
-    d = stage1_select(bp, alpha)
-    out, gamma, m_b, m_d, raw, total = _stage2(d, bt, beta)
-    shifted = shift_sticky(bp)
+    d, stage1_backward = stage1_select(b_prev, alpha)
+    out, stage2_backward = stage2_select(d, b_t, beta)
 
     def backward(g):
-        if total is None:  # fell back to d
-            g_d, g_bt, g_beta = g, np.zeros_like(bt), 0.0
-        else:
-            g_raw = g / total - np.dot(g, raw) / (total * total)
-            g_d = g_raw * (beta * (1.0 - gamma))
-            g_bt = g_raw * ((1.0 - beta) * gamma)
-            g_beta = (1.0 - gamma) * np.dot(g_raw, d) - gamma * np.dot(g_raw, bt)
-            if m_b > 0.0:  # else gamma is 0 whatever either metric does
-                g_gamma = (1.0 - beta) * np.dot(g_raw, bt) - beta * np.dot(g_raw, d)
-                g_bt = g_bt + (g_gamma * (1.0 - m_d)) * _metric_grad(bt)
-                g_d = g_d - (g_gamma * m_b) * _metric_grad(d)
-        g_alpha = np.dot(g_d, shifted) - np.dot(g_d, bp)
-        g_shift = alpha * g_d
-        g_bp = (1.0 - alpha) * g_d
-        g_bp[:-1] += g_shift[1:]  # shift_sticky moves entry i to i+1 ...
-        g_bp[-1] += g_shift[-1]  # ... and keeps the last one in place
+        g_d, g_bt, g_beta = stage2_backward(g)
+        g_bp, g_alpha = stage1_backward(g_d)
         return g_bt, g_bp, g_alpha, g_beta
 
     return out, backward

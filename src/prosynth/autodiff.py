@@ -15,7 +15,8 @@ and softplus; sum_ and mean_; concat, narrow (also spelled tensor[key]),
 reshape and index_rows; conv1d; and lstm_layer, a whole LSTM layer over a
 sequence as one node. Two cells come as functions on plain arrays that
 return their value together with their backward, without making a node:
-lstm_step, one LSTM cell update, and location_attention_vjp. A caller that
+lstm_step, one LSTM cell update whose initial weights lstm_weights draws in
+the same gate layout, and location_attention_vjp. A caller that
 runs many cells and routes their gradients itself, as lstm_layer does for a
 sequence and the decoder for a whole utterance, uses those and wraps its
 result in one node with fused. Other modules build their own nodes the same
@@ -595,6 +596,16 @@ def glorot(rng, fan_in, fan_out, shape=None):
     if shape is None:
         shape = (fan_in, fan_out)
     return rng.uniform(-lim, lim, size=shape)
+
+
+def lstm_weights(rng, in_dim, hid):
+    """Initial (wx, wh, b) for lstm_step: Glorot weights, wx drawn first,
+    and a zero bias except 1 on the forget gate (gate order i,f,g,o)."""
+    wx = glorot(rng, in_dim, 4 * hid)
+    wh = glorot(rng, hid, 4 * hid)
+    b = np.zeros(4 * hid)
+    b[hid:2 * hid] = 1.0
+    return wx, wh, b
 
 
 class SGD:

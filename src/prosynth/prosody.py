@@ -168,11 +168,8 @@ class ProsodyPredictor:
         self.params = {}
         for l in range(layers):
             in_dim = input_dim if l == 0 else width
-            self.params[f"lstm{l}.wx"] = ad.parameter(ad.glorot(rng, in_dim, 4 * width), name=f"lstm{l}.wx")
-            self.params[f"lstm{l}.wh"] = ad.parameter(ad.glorot(rng, width, 4 * width), name=f"lstm{l}.wh")
-            bias = np.zeros(4 * width)
-            bias[width:2 * width] = 1.0  # forget-gate bias
-            self.params[f"lstm{l}.b"] = ad.parameter(bias, name=f"lstm{l}.b")
+            for part, data in zip(("wx", "wh", "b"), ad.lstm_weights(rng, in_dim, width)):
+                self.params[f"lstm{l}.{part}"] = ad.parameter(data, name=f"lstm{l}.{part}")
         self.params["out.w"] = ad.parameter(ad.glorot(rng, width, 2), name="out.w")
         self.params["out.b"] = ad.parameter(np.zeros(2), name="out.b")
 

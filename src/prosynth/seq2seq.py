@@ -112,7 +112,6 @@ class DecoderTrace:
     z: np.ndarray
     stop_logits: np.ndarray
     alignment: np.ndarray
-    targets: np.ndarray | None = None
     truncated: bool = False
 
     @property
@@ -143,11 +142,8 @@ def init_params(cfg, vocab_size):
     par("enc.conv2.b", np.zeros(conv_c))
     h = cfg.encoder_rnn_width
     for d in ("fwd", "bwd"):
-        par(f"enc.{d}.wx", ad.glorot(rng, conv_c, 4 * h))
-        par(f"enc.{d}.wh", ad.glorot(rng, h, 4 * h))
-        bias = np.zeros(4 * h)
-        bias[h:2 * h] = 1.0  # forget-gate bias
-        par(f"enc.{d}.b", bias)
+        for part, data in zip(("wx", "wh", "b"), ad.lstm_weights(rng, conv_c, h)):
+            par(f"enc.{d}.{part}", data)
 
     par("prosody.embed", rng.uniform(-0.5, 0.5, size=(2, 2)))
 
@@ -158,11 +154,8 @@ def init_params(cfg, vocab_size):
     par("dec.prenet2.w", ad.glorot(rng, cfg.prenet_hidden, cfg.prenet_out))
     par("dec.prenet2.b", np.zeros(cfg.prenet_out))
     for name, in_dim in (("lstm1", cfg.prenet_out + ctx), ("lstm2", d + ctx)):
-        par(f"dec.{name}.wx", ad.glorot(rng, in_dim, 4 * d))
-        par(f"dec.{name}.wh", ad.glorot(rng, d, 4 * d))
-        bias = np.zeros(4 * d)
-        bias[d:2 * d] = 1.0
-        par(f"dec.{name}.b", bias)
+        for part, data in zip(("wx", "wh", "b"), ad.lstm_weights(rng, in_dim, d)):
+            par(f"dec.{name}.{part}", data)
     for name in ("h1", "c1", "h2", "c2"):
         par(f"dec.init.{name}", np.zeros(d))
 
@@ -531,9 +524,7 @@ def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     y, stop_vec = out[:, :-1], out[:, -1]
     z = postnet(params, y)
     loss = ad.add(spectral_loss(y, z, targets), stop_loss(stop_vec, targets.shape[0], cfg.stop_pos_weight))
-    trace = DecoderTrace(
-        y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(), alignment=alignment, targets=targets,
-    )
+    trace = DecoderTrace(y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(), alignment=alignment)
     return loss, trace
 
 
@@ -555,11 +546,15 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
 # -- training --------------------------------------------------------------------
 
 
+# one row per epoch in TrainResult.history and in a checkpoint's
+# meta.history, in this column order; the epoch is a whole number
+HISTORY_COLUMNS = ("epoch", "train_loss", "val_loss", "val_entropy")
+
+
 @dataclass
 class TrainResult:
     params: dict
     history: list = field(default_factory=list)
-    attention_mode: str = "augmented"
 
 
 def _epoch_order(seed, epoch, n):
@@ -650,18 +645,13 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
                     gc.enable()
         val_prosody = prosody_table if use_prosody else {u.utt_id: zeros for u in val_utts}
         val_loss, val_entropy = validation_metrics(params, cfg, val_utts, val_prosody, attention_mode)
-        row = {
-            "epoch": epoch,
-            "train_loss": float(np.mean(epoch_losses)),
-            "val_loss": val_loss,
-            "val_entropy": val_entropy,
-        }
+        row = dict(zip(HISTORY_COLUMNS, (epoch, float(np.mean(epoch_losses)), val_loss, val_entropy)))
         history.append(row)
         if log is not None:
             log(row)
         if out_dir is not None:
             save_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt, epoch + 1, history)
-    return TrainResult(params=params, history=history, attention_mode=attention_mode)
+    return TrainResult(params=params, history=history)
 
 
 # -- checkpoints -----------------------------------------------------------------
@@ -671,10 +661,8 @@ def save_checkpoint(path, params, opt, next_epoch, history):
     table = {f"model.{k}": p.data for k, p in params.items()}
     table.update(opt.state_tensors())
     table["meta.next_epoch"] = np.array([float(next_epoch)])
-    table["meta.history"] = np.array([
-        [row["epoch"], row["train_loss"], row["val_loss"], row["val_entropy"]]
-        for row in history
-    ]).reshape(len(history), 4)
+    table["meta.history"] = np.array([[row[k] for k in HISTORY_COLUMNS] for row in history]).reshape(
+        len(history), len(HISTORY_COLUMNS))
     fileio.save_tensor_table(path, table)
 
 
@@ -685,8 +673,8 @@ def _whole_numbers(arr):
 def load_checkpoint(path, params, opt=None):
     """Restore parameters (and optimiser state) in place, all or nothing: a
     missing or misshapen tensor, a meta.next_epoch that is not one whole
-    number >= 0, or a meta.history that is not k rows of 4 with whole epoch
-    numbers, is a DataError and changes nothing. Returns
+    number >= 0, or a meta.history that is not k rows of HISTORY_COLUMNS
+    with whole epoch numbers, is a DataError and changes nothing. Returns
     (next_epoch, history)."""
     table = fileio.load_tensor_table(path)
     shapes = {k: p.data.shape for k, p in params.items()}
@@ -695,15 +683,12 @@ def load_checkpoint(path, params, opt=None):
     if meta_epoch is None or meta_epoch.shape != (1,) or not _whole_numbers(meta_epoch):
         raise DataError(f"{path}: checkpoint meta.next_epoch must be one whole number >= 0, got {meta_epoch!r}")
     meta_history = table.get("meta.history")
-    if (meta_history is None or meta_history.ndim != 2 or meta_history.shape[1] != 4
+    if (meta_history is None or meta_history.ndim != 2 or meta_history.shape[1] != len(HISTORY_COLUMNS)
             or not _whole_numbers(meta_history[:, 0])):
         shape = None if meta_history is None else meta_history.shape
-        raise DataError(f"{path}: checkpoint meta.history must be (k, 4) rows with whole epoch numbers, "
-                        f"got shape {shape}")
-    history = [
-        {"epoch": int(row[0]), "train_loss": float(row[1]), "val_loss": float(row[2]), "val_entropy": float(row[3])}
-        for row in meta_history
-    ]
+        raise DataError(f"{path}: checkpoint meta.history must be (k, {len(HISTORY_COLUMNS)}) rows with whole "
+                        f"epoch numbers, got shape {shape}")
+    history = [dict(zip(HISTORY_COLUMNS, [int(row[0]), *map(float, row[1:])])) for row in meta_history]
     if opt is not None:
         opt.load_state_tensors(table)  # all or nothing too, and before any parameter is assigned
     for k, arr in arrays.items():

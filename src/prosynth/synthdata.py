@@ -32,6 +32,12 @@ STRESS_LEVELS = 3
 REF_DURATION = 7.5  # frames; realized pace factor = mean duration / this
 
 
+def _check_table_size(table, vocab_size):
+    size = np.size(table)
+    if size != vocab_size:
+        raise ConfigError(f"duration_table must have {vocab_size} entries, got {size}")
+
+
 @dataclass
 class CorpusConfig:
     alphabet_size: int = 12
@@ -64,6 +70,8 @@ class CorpusConfig:
             raise ConfigError("feature_width must leave room for the pitch channel")
         if not 1 <= self.base_duration_min <= self.base_duration_max:
             raise ConfigError("base duration range is invalid")
+        if self.duration_table is not None:
+            _check_table_size(self.duration_table, self.vocab_size)
 
     @property
     def word_break_id(self):
@@ -141,8 +149,6 @@ def _corpus_tables(cfg):
     rng = np.random.default_rng((cfg.seed, 0x7AB1E5))
     if cfg.duration_table is not None:
         table = np.asarray(cfg.duration_table, dtype=np.int64)
-        if table.size != cfg.vocab_size:
-            raise ConfigError(f"duration_table must have {cfg.vocab_size} entries, got {table.size}")
     else:
         table = rng.integers(cfg.base_duration_min, cfg.base_duration_max + 1, size=cfg.vocab_size)
         table[cfg.word_break_id] = cfg.base_duration_min
@@ -327,14 +333,18 @@ def _reason(exc):
 
 
 # what a malformed file makes parsing raise; ValueError includes JSON and
-# ASCII decoding errors, TypeError a value of the wrong JSON type
-_PARSE_ERRORS = (DataError, KeyError, TypeError, ValueError)
+# ASCII decoding errors, TypeError a value of the wrong JSON type,
+# ConfigError a config value out of range
+_PARSE_ERRORS = (ConfigError, DataError, KeyError, TypeError, ValueError)
 
 
 def load_corpus(corpus_dir):
     """A corpus as written by save_corpus. Text that is not ASCII JSON, a
-    missing field, an unknown config field or a bad record is a DataError
-    naming the file, and for utterances.jsonl the line."""
+    missing field, an unknown or invalid config field, a duration table
+    without one entry per vocabulary symbol, or a bad record is a DataError
+    naming the file, and for utterances.jsonl the line. A record is bad
+    also when it does not give one duration per symbol or its durations do
+    not sum to its feature rows."""
     root = Path(corpus_dir)
     meta_path = root / "corpus_meta.json"
     if not meta_path.exists():
@@ -345,6 +355,7 @@ def load_corpus(corpus_dir):
             raise DataError(f"unsupported corpus version {meta['version']}")
         cfg = CorpusConfig(**meta["config"])
         table = np.asarray(meta["duration_table"], dtype=np.int64)
+        _check_table_size(table, cfg.vocab_size)
     except _PARSE_ERRORS as exc:
         raise DataError(f"{meta_path}: {_reason(exc)}") from None
     templates = fileio.load_matrix(root / "templates.bin")
@@ -361,6 +372,10 @@ def load_corpus(corpus_dir):
             except _PARSE_ERRORS as exc:
                 raise DataError(f"{records_path}:{lineno}: {_reason(exc)}") from None
             feats = fileio.load_matrix(root / "feats" / f"{utt_id}.bin")
+            if durations.shape != (len(symbols),) or durations.sum() != feats.shape[0]:
+                raise DataError(f"{records_path}:{lineno}: {durations.size} durations summing to "
+                                f"{durations.sum()} frames for {len(symbols)} symbols and "
+                                f"{feats.shape[0]} feature rows")
             utterances.append(SyntheticUtterance(
                 utt_id=utt_id,
                 symbols=symbols,

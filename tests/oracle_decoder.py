@@ -204,5 +204,5 @@ def teacher_forced(ops, params, cfg, utterance, prosody_vec, attention_mode):
     loss = ad.add(seq2seq.spectral_loss(y, z, targets),
                   seq2seq.stop_loss(stop_vec, targets.shape[0], cfg.stop_pos_weight))
     trace = seq2seq.DecoderTrace(y=y.data.copy(), z=z.data.copy(), stop_logits=stop_vec.data.copy(),
-                                 alignment=alignment, targets=targets)
+                                 alignment=alignment)
     return loss, trace

@@ -128,26 +128,26 @@ def test_f2_single_symbol():
 
 
 def test_metric_flat_zero():
-    assert align.structure_metric(flat(10)) == 0.0
+    assert align.structure_metric(flat(10))[0] == 0.0
 
 
 def test_metric_onehot_one():
-    assert align.structure_metric(onehot(10, 0)) == 1.0
+    assert align.structure_metric(onehot(10, 0))[0] == 1.0
 
 
 def test_metric_twopeak_value():
     v = np.zeros(10)
     v[0] = v[1] = 0.5
     expected = oracle_f1(v) * oracle_f2(v)
-    assert align.structure_metric(v) == pytest.approx(expected, abs=1e-12)
-    assert align.structure_metric(v) == pytest.approx(0.424534, abs=1e-5)
+    assert align.structure_metric(v)[0] == pytest.approx(expected, abs=1e-12)
+    assert align.structure_metric(v)[0] == pytest.approx(0.424534, abs=1e-5)
 
 
 def test_metric_bounds_random():
     rng = np.random.default_rng(1)
     for _ in range(500):
         n = int(rng.integers(2, 80))
-        s = align.structure_metric(random_simplex(rng, n))
+        s = align.structure_metric(random_simplex(rng, n))[0]
         assert 0.0 <= s <= 1.0
 
 
@@ -159,7 +159,7 @@ def test_metric_threshold_exact_zero():
         v = random_simplex(rng, n)
         raw = align.f1(v) * align.f2(v)
         if raw <= 0.12:
-            assert align.structure_metric(v) == 0.0
+            assert align.structure_metric(v)[0] == 0.0
             checked += 1
     assert checked > 100  # the sweep actually exercised the threshold
 
@@ -169,7 +169,7 @@ def test_metric_monotone_under_sharpening():
         prev = -1.0
         for p in np.linspace(0.0, 1.0, 101):
             v = p * onehot(n, n // 2) + (1 - p) * flat(n)
-            s = align.structure_metric(v)
+            s = align.structure_metric(v)[0]
             assert s >= prev - 1e-12
             prev = s
 
@@ -183,7 +183,7 @@ def test_metric_gradient_flow_above_threshold():
     raw = align.f1(base) * align.f2(base)
     assert raw > 0.12 + 0.05
     b_prev = flat(8)
-    assert align.structure_metric(align.stage1_select(b_prev, 0.5)) == 0.0
+    assert align.structure_metric(align.stage1_select(b_prev, 0.5)[0])[0] == 0.0
     w = ad.Tensor(np.linspace(-1.0, 1.0, 8))
     half = ad.Tensor(0.5)
 
@@ -199,15 +199,15 @@ def test_metric_gradient_flow_above_threshold():
 
 def test_stage1_alpha_zero_identity():
     b = np.array([0.2, 0.5, 0.3])
-    assert np.allclose(align.stage1_select(b, 0.0), b)
+    assert np.allclose(align.stage1_select(b, 0.0)[0], b)
 
 
 def test_stage1_alpha_one_pure_shift():
-    assert np.allclose(align.stage1_select(onehot(6, 3), 1.0), onehot(6, 4))
+    assert np.allclose(align.stage1_select(onehot(6, 3), 1.0)[0], onehot(6, 4))
 
 
 def test_stage1_alpha_half():
-    out = align.stage1_select(onehot(6, 3), 0.5)
+    out = align.stage1_select(onehot(6, 3), 0.5)[0]
     assert np.allclose(out, [0, 0, 0, 0.5, 0.5, 0])
 
 
@@ -221,14 +221,14 @@ def test_stage1_rejects_out_of_range():
 def test_stage2_prefers_structured_d():
     d = onehot(10, 4)  # f = 1
     b_t = flat(10)  # f = 0 -> gamma = 0
-    out = align.stage2_select(d, b_t, 0.7)
+    out = align.stage2_select(d, b_t, 0.7)[0]
     assert np.allclose(out, d)
 
 
 def test_stage2_prefers_structured_bt():
     d = flat(10)  # f = 0
     b_t = onehot(10, 2)  # f = 1 -> gamma = 1
-    out = align.stage2_select(d, b_t, 0.3)
+    out = align.stage2_select(d, b_t, 0.3)[0]
     assert np.allclose(out, b_t)
 
 
@@ -236,7 +236,7 @@ def test_stage2_equal_inputs_any_beta():
     rng = np.random.default_rng(4)
     v = random_simplex(rng, 12)
     for beta in (0.1, 0.5, 0.9):
-        assert np.allclose(align.stage2_select(v, v, beta), v)
+        assert np.allclose(align.stage2_select(v, v, beta)[0], v)
 
 
 def test_stage2_length_mismatch():
@@ -276,9 +276,9 @@ def test_stage2_structure_preservation_sweep():
         k = int(rng.integers(0, n))
         d = unimodal_at(rng, n, k)
         b_t = unimodal_at(rng, n, k)
-        out = align.stage2_select(d, b_t, rng.uniform(1e-6, 1 - 1e-6))
-        floor = min(align.structure_metric(d), align.structure_metric(b_t))
-        assert align.structure_metric(out) >= floor - 1e-9
+        out = align.stage2_select(d, b_t, rng.uniform(1e-6, 1 - 1e-6))[0]
+        floor = min(align.structure_metric(d)[0], align.structure_metric(b_t)[0])
+        assert align.structure_metric(out)[0] >= floor - 1e-9
 
 
 def test_monotone_support_drift():

@@ -316,6 +316,18 @@ def test_lstm_step_gates_match_separate_logistics():
     assert np.array_equal(h_new, o * np.tanh(c_ref))
 
 
+def test_lstm_weights_layout():
+    # Glorot wx then wh from the one stream, and a bias that opens only the
+    # forget gate, the second of lstm_step's four gate blocks
+    wx, wh, b = ad.lstm_weights(np.random.default_rng(15), 3, 2)
+    rng = np.random.default_rng(15)
+    assert np.array_equal(wx, ad.glorot(rng, 3, 8))
+    assert np.array_equal(wh, ad.glorot(rng, 2, 8))
+    assert np.array_equal(b, [0, 0, 1, 1, 0, 0, 0, 0])
+    h_new, c_new, _ = ad.lstm_step(np.zeros(3), np.zeros(2), np.ones(2), np.zeros((3, 8)), np.zeros((2, 8)), b)
+    assert np.allclose(c_new, 1.0 / (1.0 + np.exp(-1.0)))  # forget gate at sigmoid(1), input gate on a zero g
+
+
 def test_lstm_step_parts_fd():
     # an input built by concatenating parts of sizes 3, 1, 2: the gradient
     # of each part is its own slice of the input's gradient

@@ -13,7 +13,7 @@ from prosynth.errors import ShapeError
 
 import oracle_decoder as oracle
 from oracle_decoder import composed_augmented_step, composed_initial_attention
-from oracle_ops import attention_node
+from oracle_ops import as_node, attention_node
 
 
 # -- location attention -------------------------------------------------------------
@@ -120,10 +120,34 @@ def augmented_loss(step, b_t, b_prev, alpha, beta, w):
     return ad.add(ad.sum_(ad.mul(out, ad.Tensor(w))), ad.sum_(ad.mul(out, out)))
 
 
+def metric_node(c):
+    score, backward = align.structure_metric(c.data)
+    return as_node((score, lambda g: (backward(g),)), (c,))
+
+
+# stage -> (one node over the named inputs, their names); "d" is the
+# stage-1 candidate the case's b_prev and alpha make
+STAGES = {
+    "metric_b_t": (metric_node, ("b_t",)),
+    "metric_d": (metric_node, ("d",)),
+    "stage1": (lambda bp, alpha: as_node(align.stage1_select(bp.data, alpha.data), (bp, alpha)),
+               ("b_prev", "alpha")),
+    "stage2": (lambda d, bt, beta: as_node(align.stage2_select(d.data, bt.data, beta.data), (d, bt, beta)),
+               ("d", "b_t", "beta")),
+}
+
+
+def stage_loss(out):
+    """A scalar loss that reads every entry of a stage's output."""
+    w = np.linspace(0.5, 1.5, out.data.size).reshape(out.data.shape)
+    return ad.add(ad.sum_(ad.mul(out, ad.Tensor(w))), ad.sum_(ad.mul(out, out)))
+
+
 @pytest.mark.parametrize("case", sorted(AUGMENTED_CASES))
 def test_augmented_fd_every_input(case):
     bt, bp, alpha, beta, step, branch = AUGMENTED_CASES[case]
-    assert branch(bt, align.stage1_select(bp, alpha)), "fixture no longer hits its branch"
+    d = align.stage1_select(bp, alpha)[0]
+    assert branch(bt, d), "fixture no longer hits its branch"
     ins = [ad.parameter(np.asarray(x, dtype=np.float64), name=name)
            for x, name in zip((bt, bp, alpha, beta), ("b_t", "b_prev", "alpha", "beta"))]
     w = np.linspace(-1.0, 1.0, bt.size)
@@ -134,11 +158,41 @@ def test_augmented_fd_every_input(case):
     for p in ins:
         err = ad.finite_diff_check(build, p, step=step)
         assert err < 1e-4, f"{case} {p.name}: rel err {err:.3e}"
+    # each stage's own backward, on the same inputs
+    values = {"b_t": bt, "b_prev": bp, "alpha": alpha, "beta": beta, "d": d}
+    for stage, (node, names) in STAGES.items():
+        stage_ins = [ad.parameter(np.asarray(values[k], dtype=np.float64), name=k) for k in names]
+
+        def build_stage():
+            return stage_loss(node(*stage_ins))
+
+        for p in stage_ins:
+            err = ad.finite_diff_check(build_stage, p, step=step)
+            assert err < 1e-4, f"{case} {stage} {p.name}: rel err {err:.3e}"
 
 
-@pytest.mark.parametrize("case", sorted(AUGMENTED_CASES))
+def random_augmented_case(seed):
+    """(b_t, b_prev, alpha, beta) for N = 1..40: every third draw is a pair
+    of peaks a symbol apart, so both scores often clear the threshold."""
+    rng = np.random.default_rng((seed, 0xA16))
+    n = int(rng.integers(1, 41))
+    if seed % 3 == 0:
+        k = int(rng.integers(0, n))
+        peaks = [np.eye(n)[min(k + s, n - 1)] for s in (1, 0)]
+        bt, bp = (p * rng.uniform(0.3, 1.0) for p in peaks)
+        bt, bp = (v + (1.0 - v.sum()) * rng.dirichlet(np.ones(n)) for v in (bt, bp))
+    else:
+        bt, bp = rng.dirichlet(np.full(n, 10 ** rng.uniform(-2, 1)), size=2)
+    return bt, bp, float(rng.uniform()), float(rng.uniform())
+
+
+COMPOSED_CASES = {**{name: case[:4] for name, case in AUGMENTED_CASES.items()},
+                  **{f"random{seed:03d}": random_augmented_case(seed) for seed in range(200)}}
+
+
+@pytest.mark.parametrize("case", sorted(COMPOSED_CASES))
 def test_augmented_matches_composed(case):
-    bt, bp, alpha, beta, _, _ = AUGMENTED_CASES[case]
+    bt, bp, alpha, beta = COMPOSED_CASES[case]
     w = np.linspace(-1.0, 1.0, bt.size)
     results = []
     for step in (oracle.fused_augmented_step, composed_augmented_step):
@@ -197,7 +251,7 @@ def test_decoder_step_fd(mode):
     if mode == "augmented":
         _, alignment = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
         for t in (1, 2):
-            d = align.stage1_select(alignment[:, t - 1], 1.0 / (1.0 + np.exp(2.0)))
+            d = align.stage1_select(alignment[:, t - 1], 1.0 / (1.0 + np.exp(2.0)))[0]
             assert 0.12 < raw_score(d) < 1
             assert not np.allclose(alignment[:, t], d)  # b_t took part in the mix
     checked = [enc_cond, enc_proj] + [p for k, p in sorted(params.items())

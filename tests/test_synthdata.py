@@ -184,6 +184,24 @@ def _drop_symbols(line):
     return json.dumps(rec).encode("ascii")
 
 
+def _edit_durations(edit):
+    def corrupt(line):
+        rec = json.loads(line)
+        rec["durations"] = edit(rec["durations"])
+        return json.dumps(rec).encode("ascii")
+    return corrupt
+
+
+def _fold_last_duration(durations):
+    """One duration short, with the same total."""
+    return [durations[0] + durations[-1]] + durations[1:-1]
+
+
+def _lengthen_first(durations):
+    """One duration per symbol, one frame more in total."""
+    return [durations[0] + 1] + durations[1:]
+
+
 @pytest.mark.parametrize("corrupt, where", [
     (_edit_json("corpus_meta.json", lambda m: m.pop("config")), r"corpus_meta\.json: missing field 'config'"),
     (_edit_json("corpus_meta.json", lambda m: m["config"].update(tempo=2)), r"corpus_meta\.json: .*tempo"),
@@ -192,8 +210,18 @@ def _drop_symbols(line):
     (_edit_line(2, _drop_symbols), r"utterances\.jsonl:2: missing field 'symbols'"),
     (_edit_line(2, lambda line: line[:-3]), r"utterances\.jsonl:2: "),
     (_edit_line(3, lambda line: line.replace(b'"id"', b'"\xe9d"')), r"utterances\.jsonl:3: .*ascii"),
+    (_edit_json("corpus_meta.json", lambda m: m.update(duration_table=[1, 2])),
+     r"corpus_meta\.json: duration_table must have 14 entries, got 2"),
+    (_edit_json("corpus_meta.json", lambda m: m["config"].update(duration_table=[1, 2])),
+     r"corpus_meta\.json: duration_table must have 14 entries, got 2"),
+    (_edit_json("corpus_meta.json", lambda m: m["config"].update(utterance_count=0)),
+     r"corpus_meta\.json: utterance_count"),
+    (_edit_line(2, _edit_durations(_fold_last_duration)), r"utterances\.jsonl:2: .* durations .* symbols"),
+    (_edit_line(2, _edit_durations(_lengthen_first)), r"utterances\.jsonl:2: .* feature rows"),
 ], ids=["meta_no_config", "meta_unknown_field", "meta_bad_json", "meta_non_ascii",
-        "record_no_symbols", "record_bad_json", "record_non_ascii"])
+        "record_no_symbols", "record_bad_json", "record_non_ascii",
+        "meta_short_table", "config_short_table", "config_invalid",
+        "record_duration_count", "record_duration_sum"])
 def test_load_bad_corpus_raises_data_error(tmp_path, corrupt, where):
     small = synthdata.generate_corpus(CorpusConfig(utterance_count=4, validation_count=1))
     synthdata.save_corpus(small, tmp_path)

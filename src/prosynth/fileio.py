@@ -1,39 +1,29 @@
-"""Binary containers shared across modules.
+"""The package's one binary container, and strict readers shared across
+modules.
 
-Two little-endian formats:
-  matrix container  -- magic 'PSMX', u32 version, u32 rows, u32 cols,
-                       then rows*cols float64 row-major.
-  tensor table      -- magic 'PSCT', u32 version, u32 count, then per entry
-                       u32 name length, utf-8 name, u32 ndim, u32 dims...,
-                       float64 data row-major. Used for checkpoints.
-The readers check every size a header declares against the bytes left in
-the file before reading, so a bad or truncated file is a DataError, never
-an attempt to read more than the file holds.
+The tensor table is little-endian: magic 'PSCT', u32 version, u32 count,
+then per entry u32 name length, utf-8 name, u32 ndim, u32 dims..., float64
+data row-major. Checkpoints and saved corpora use it. The reader checks
+every size a header declares against the bytes left in the file before
+reading, so a bad or truncated file is a DataError, never an attempt to
+read more than the file holds. checked_entries then checks the entries a
+caller expects, and strict_dataclass builds a config dataclass from a JSON
+object that must name each of its fields.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import os
 import struct
 
 import numpy as np
 
-from .errors import DataError
+from .errors import ConfigError, DataError
 
-MATRIX_MAGIC = b"PSMX"
 TABLE_MAGIC = b"PSCT"
 FORMAT_VERSION = 1
-
-
-def save_matrix(path, matrix):
-    m = np.ascontiguousarray(matrix, dtype="<f8")
-    if m.ndim != 2:
-        raise ValueError(f"save_matrix: expected 2-D matrix, got shape {m.shape}")
-    with open(path, "wb") as fh:
-        fh.write(MATRIX_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, m.shape[0], m.shape[1]))
-        fh.write(m.tobytes())
 
 
 def _read(fh, n, path, what):
@@ -43,18 +33,6 @@ def _read(fh, n, path, what):
     if n > left:
         raise DataError(f"{path}: truncated {what} ({left} of {n} bytes)")
     return fh.read(n)
-
-
-def load_matrix(path):
-    with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != MATRIX_MAGIC:
-            raise DataError(f"{path}: bad magic {magic!r}, expected {MATRIX_MAGIC!r}")
-        version, rows, cols = struct.unpack("<III", _read(fh, 12, path, "matrix header"))
-        if version != FORMAT_VERSION:
-            raise DataError(f"{path}: unsupported container version {version}")
-        data = _read(fh, 8 * rows * cols, path, "matrix payload")
-        return np.frombuffer(data, dtype="<f8").reshape(rows, cols).copy()
 
 
 def save_tensor_table(path, table):
@@ -114,3 +92,20 @@ def checked_entries(table, shapes, source, prefix=""):
             raise DataError(f"{source}: {key} holds a non-finite value")
         out[name] = arr
     return out
+
+
+def strict_dataclass(cls, raw):
+    """cls(**raw) for a JSON object raw that names every field of the
+    dataclass cls and no other; anything else is a ConfigError naming the
+    fields. Defaults never fill a gap, so a file read back means what it
+    says."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(raw).__name__}")
+    expected = {f.name for f in dataclasses.fields(cls)}
+    missing = expected - set(raw)
+    if missing:
+        raise ConfigError(f"missing config field(s): {', '.join(sorted(missing))}")
+    unknown = set(raw) - expected
+    if unknown:
+        raise ConfigError(f"unknown config field(s): {', '.join(sorted(unknown))}")
+    return cls(**raw)

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import gc
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,10 +48,23 @@ from .errors import ConfigError, DataError
 ATTENTION_MODES = ("augmented", "plain")  # plain: the initial alignment is final
 
 
+# the ModelConfig fields that must be at least 1: the batch size, the
+# decode cap and every layer width and kernel size
+_AT_LEAST_ONE = ("batch_size", "max_decode_ratio", "symbol_embedding", "stress_embedding", "phrase_embedding",
+                 "encoder_conv_channels", "encoder_conv_kernel", "encoder_rnn_width", "decoder_rnn_width",
+                 "prenet_hidden", "prenet_out", "attention_dim", "location_filters", "location_kernel",
+                 "frame_width", "postnet_channels", "postnet_kernel")
+
+
 @dataclass
 class ModelConfig:
     """Every training hyperparameter, explicit. When loaded from a file all
-    fields must be present; omissions are errors, not defaults."""
+    fields must be present; omissions are errors, not defaults. A value that
+    training or decoding cannot run with is a ConfigError at construction:
+    widths, kernels, batch_size and max_decode_ratio below 1, an even
+    kernel, negative epoch counts, a learning_rate or stop_pos_weight not
+    above 0, a momentum outside [0, 1), a grad_clip not None or above 0, a
+    stop_threshold outside [0, 1]."""
 
     seed: int = 7
     epochs: int = 30
@@ -79,6 +92,26 @@ class ModelConfig:
     postnet_channels: int = 16
     postnet_kernel: int = 5
 
+    def __post_init__(self):
+        for name in _AT_LEAST_ONE:
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        for name in ("epochs", "prosody_zero_epochs"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be at least 0, got {getattr(self, name)}")
+        for name in ("encoder_conv_kernel", "location_kernel", "postnet_kernel"):
+            if getattr(self, name) % 2 != 1:
+                raise ConfigError(f"{name} must be odd, got {getattr(self, name)}")
+        for name in ("learning_rate", "stop_pos_weight"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
+        if self.grad_clip is not None and not self.grad_clip > 0:
+            raise ConfigError(f"grad_clip must be None or > 0, got {self.grad_clip}")
+        if not 0 <= self.stop_threshold <= 1:
+            raise ConfigError(f"stop_threshold must be in [0, 1], got {self.stop_threshold}")
+
     @property
     def context_dim(self):
         return 2 * self.encoder_rnn_width + 2
@@ -90,17 +123,13 @@ class ModelConfig:
 
 
 def load_model_config(path):
-    """Strict loader: every field required, unknown fields rejected."""
-    with open(path, "r", encoding="ascii") as fh:
-        raw = json.load(fh)
-    expected = set(ModelConfig.__dataclass_fields__)
-    missing = expected - set(raw)
-    if missing:
-        raise ConfigError(f"{path}: missing config field(s): {', '.join(sorted(missing))}")
-    unknown = set(raw) - expected
-    if unknown:
-        raise ConfigError(f"{path}: unknown config field(s): {', '.join(sorted(unknown))}")
-    return ModelConfig(**raw)
+    """Strict loader: every field required, unknown fields rejected. Text
+    that is not ASCII JSON, or a missing, unknown or invalid field, is a
+    ConfigError naming the file."""
+    try:
+        return fileio.strict_dataclass(ModelConfig, json.loads(Path(path).read_bytes().decode("ascii")))
+    except (ConfigError, TypeError, ValueError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 @dataclass
@@ -589,6 +618,16 @@ def _train_batch(params, cfg, opt, utts, vecs, attention_mode):
     return float(batch_loss.data)
 
 
+def _check_resume_config(path, cfg):
+    """A resume must train with the config that wrote its checkpoint; only
+    epochs, the run's length, may change. Anything else is a ConfigError
+    naming the changed fields."""
+    saved = load_model_config(path)
+    changed = [f.name for f in fields(cfg) if f.name != "epochs" and getattr(saved, f.name) != getattr(cfg, f.name)]
+    if changed:
+        raise ConfigError(f"{path}: resume with a config that differs in {', '.join(changed)}")
+
+
 def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
           resume=False, log=None):
     """Teacher-forced training over the corpus train split.
@@ -596,9 +635,11 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     prosody_table maps utt_id -> normalised (pace, pitch_span) pair; the
     conditioning is forced to zero for the first prosody_zero_epochs. The
     entropy log gets one entry per epoch. Checkpoints land in out_dir, which
-    is created before the first epoch if missing; with resume=True training
-    continues from the last one and the result is bit-identical to an
-    uninterrupted run.
+    is created before the first epoch if missing, each beside the
+    config.json that trained it; with resume=True training continues from
+    the last one and the result is bit-identical to an uninterrupted run. A
+    resume whose cfg differs from that config.json in any field but epochs
+    is a ConfigError.
 
     Each batch's forward, backward and optimiser step run with Python's
     cyclic garbage collector paused, since training graphs hold no
@@ -624,6 +665,7 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     history = []
     start_epoch = 0
     if resume and out_dir is not None and (Path(out_dir) / "checkpoint.bin").exists():
+        _check_resume_config(Path(out_dir) / "config.json", cfg)
         start_epoch, history = load_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt)
 
     zeros = np.zeros(2)
@@ -650,6 +692,7 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
         if log is not None:
             log(row)
         if out_dir is not None:
+            cfg.save(Path(out_dir) / "config.json")
             save_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt, epoch + 1, history)
     return TrainResult(params=params, history=history)
 

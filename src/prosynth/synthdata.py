@@ -12,6 +12,17 @@ components measurably disentangled.
 Generation is reproducible: every utterance draws from its own stream
 seeded by (corpus seed, utterance index), so parallel generation cannot
 reorder randomness.
+
+On disk (save_corpus, load_corpus) a corpus is a directory of three files:
+  corpus_meta.json  -- {"version": 2, "config": every CorpusConfig field,
+                       "duration_table": one base duration per symbol}
+  utterances.jsonl  -- one JSON record per utterance, in corpus order: id,
+                       symbols (symbols_to_string form), phrase, durations,
+                       pace_factor, pitch_variance, split
+  arrays.bin        -- one fileio tensor table: "templates", (vocab_size,
+                       feature_width - 1), and "features.<id>",
+                       (sum(durations), feature_width), per utterance
+An id is a table key, never a path.
 """
 
 from __future__ import annotations
@@ -265,8 +276,20 @@ def symbols_to_string(symbols):
     return " ".join(toks)
 
 
+def _whole(text, what):
+    try:
+        return int(text)
+    except ValueError:
+        raise DataError(f"{what} {text!r} is not a whole number") from None
+
+
 def symbols_from_string(text, cfg, phrase=0):
-    """Parse the compact token form back into a SymbolSequence."""
+    """Parse the compact token form back into a SymbolSequence. A phone id
+    outside the alphabet, a stress outside 0..STRESS_LEVELS-1, a phrase
+    outside 0..len(PHRASE_TYPES)-1, a part that is not a whole number or an
+    unknown token is a DataError."""
+    if not 0 <= phrase < len(PHRASE_TYPES):
+        raise DataError(f"phrase {phrase} outside 0..{len(PHRASE_TYPES) - 1}")
     ids, stress, brk, sil = [], [], [], []
     for tok in text.split():
         if tok == "sil":
@@ -280,13 +303,15 @@ def symbols_from_string(text, cfg, phrase=0):
             brk.append(True)
             sil.append(False)
         elif tok.startswith("p"):
-            body = tok[1:]
-            pid, _, st = body.partition(":")
-            pid = int(pid)
+            pid, _, st = tok[1:].partition(":")
+            pid = _whole(pid, "symbol id")
             if not 0 <= pid < cfg.alphabet_size:
                 raise DataError(f"symbol id {pid} outside alphabet of {cfg.alphabet_size}")
+            st = _whole(st, "stress") if st else 0
+            if not 0 <= st < STRESS_LEVELS:
+                raise DataError(f"stress {st} outside 0..{STRESS_LEVELS - 1}")
             ids.append(pid)
-            stress.append(int(st) if st else 0)
+            stress.append(st)
             brk.append(False)
             sil.append(False)
         else:
@@ -299,19 +324,30 @@ def symbols_from_string(text, cfg, phrase=0):
 # -- disk format -----------------------------------------------------------------------
 
 
+CORPUS_VERSION = 2
+CORPUS_FILES = ("corpus_meta.json", "utterances.jsonl", "arrays.bin")
+SPLITS = ("train", "val")
+
+
 def save_corpus(corpus, out_dir):
+    """Write corpus to out_dir, created if missing, as the three files the
+    module docstring lays out. The same corpus gives the same bytes. A
+    repeated utterance id, which would make two utterances share one
+    features entry, is a DataError raised before anything is written."""
+    ids = [u.utt_id for u in corpus.utterances]
+    if len(set(ids)) != len(ids):
+        raise DataError(f"save_corpus: duplicate utterance id {next(i for i in ids if ids.count(i) > 1)!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "feats").mkdir(exist_ok=True)
     meta = {
-        "version": 1,
+        "version": CORPUS_VERSION,
         "config": asdict(corpus.config),
         "duration_table": corpus.duration_table.tolist(),
     }
     with open(out / "corpus_meta.json", "w", encoding="ascii", newline="\n") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    fileio.save_matrix(out / "templates.bin", corpus.templates)
+    arrays = {"templates": corpus.templates}
     with open(out / "utterances.jsonl", "w", encoding="ascii", newline="\n") as fh:
         for u in corpus.utterances:
             record = {
@@ -324,8 +360,8 @@ def save_corpus(corpus, out_dir):
                 "split": u.split,
             }
             fh.write(json.dumps(record, sort_keys=True) + "\n")
-    for u in corpus.utterances:
-        fileio.save_matrix(out / "feats" / f"{u.utt_id}.bin", u.features)
+            arrays[f"features.{u.utt_id}"] = u.features
+    fileio.save_tensor_table(out / "arrays.bin", arrays)
 
 
 def _reason(exc):
@@ -334,56 +370,64 @@ def _reason(exc):
 
 # what a malformed file makes parsing raise; ValueError includes JSON and
 # ASCII decoding errors, TypeError a value of the wrong JSON type,
-# ConfigError a config value out of range
+# ConfigError a config value out of range or a config field missing
 _PARSE_ERRORS = (ConfigError, DataError, KeyError, TypeError, ValueError)
 
 
 def load_corpus(corpus_dir):
-    """A corpus as written by save_corpus. Text that is not ASCII JSON, a
-    missing field, an unknown or invalid config field, a duration table
-    without one entry per vocabulary symbol, or a bad record is a DataError
-    naming the file, and for utterances.jsonl the line. A record is bad
-    also when it does not give one duration per symbol or its durations do
-    not sum to its feature rows."""
+    """A corpus as written by save_corpus. Rejected with a DataError:
+    - a missing file, naming the directory;
+    - in corpus_meta.json, naming it: text that is not ASCII JSON, a
+      missing field, a version other than CORPUS_VERSION, a config without
+      every CorpusConfig field or with another field or an invalid value,
+      a duration table without one entry per vocabulary symbol;
+    - in utterances.jsonl, naming it and the line: text that is not ASCII
+      JSON, a missing field, an id that is not a string or repeats, a split
+      other than train or val, a bad symbol string or phrase, not one
+      duration per symbol;
+    - in arrays.bin, naming the file, or for features the record's line:
+      a malformed table, or a missing, misshapen or non-finite templates
+      or features.<id> entry (fileio.checked_entries); the features must
+      be (sum(durations), feature_width)."""
     root = Path(corpus_dir)
-    meta_path = root / "corpus_meta.json"
-    if not meta_path.exists():
-        raise DataError(f"{corpus_dir}: not a corpus directory (missing corpus_meta.json)")
+    for name in CORPUS_FILES:
+        if not (root / name).is_file():
+            raise DataError(f"{corpus_dir}: not a corpus directory (missing {name})")
+    meta_path, records_path, arrays_path = (root / name for name in CORPUS_FILES)
     try:
         meta = json.loads(meta_path.read_bytes().decode("ascii"))
-        if meta["version"] != 1:
+        if meta["version"] != CORPUS_VERSION:
             raise DataError(f"unsupported corpus version {meta['version']}")
-        cfg = CorpusConfig(**meta["config"])
+        cfg = fileio.strict_dataclass(CorpusConfig, meta["config"])
         table = np.asarray(meta["duration_table"], dtype=np.int64)
         _check_table_size(table, cfg.vocab_size)
     except _PARSE_ERRORS as exc:
         raise DataError(f"{meta_path}: {_reason(exc)}") from None
-    templates = fileio.load_matrix(root / "templates.bin")
-    utterances = []
-    records_path = root / "utterances.jsonl"
+    arrays = fileio.load_tensor_table(arrays_path)
+    shapes = {"templates": (cfg.vocab_size, cfg.feature_width - 1)}
+    templates = fileio.checked_entries(arrays, shapes, arrays_path)["templates"]
+    utterances = {}
     with open(records_path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
+            source = f"{records_path}:{lineno}"
             try:
                 rec = json.loads(line.decode("ascii"))
-                utt_id = rec["id"]
+                utt_id, split, pace_factor, pitch_variance = (
+                    rec["id"], rec["split"], rec["pace_factor"], rec["pitch_variance"])
+                if not isinstance(utt_id, str):
+                    raise DataError(f"id {utt_id!r} is not a string")
+                if utt_id in utterances:
+                    raise DataError(f"duplicate id {utt_id!r}")
+                if split not in SPLITS:
+                    raise DataError(f"split {split!r} is not one of {', '.join(SPLITS)}")
                 symbols = symbols_from_string(rec["symbols"], cfg, phrase=rec["phrase"])
                 durations = np.asarray(rec["durations"], dtype=np.int64)
-                pace_factor, pitch_variance, split = rec["pace_factor"], rec["pitch_variance"], rec["split"]
+                if durations.shape != (len(symbols),):
+                    raise DataError(f"{durations.size} durations for {len(symbols)} symbols")
             except _PARSE_ERRORS as exc:
-                raise DataError(f"{records_path}:{lineno}: {_reason(exc)}") from None
-            feats = fileio.load_matrix(root / "feats" / f"{utt_id}.bin")
-            if durations.shape != (len(symbols),) or durations.sum() != feats.shape[0]:
-                raise DataError(f"{records_path}:{lineno}: {durations.size} durations summing to "
-                                f"{durations.sum()} frames for {len(symbols)} symbols and "
-                                f"{feats.shape[0]} feature rows")
-            utterances.append(SyntheticUtterance(
-                utt_id=utt_id,
-                symbols=symbols,
-                durations=durations,
-                pace_factor=pace_factor,
-                pitch_variance=pitch_variance,
-                pitch_contour=feats[:, -1].copy(),
-                features=feats,
-                split=split,
-            ))
-    return Corpus(cfg, table, templates, utterances)
+                raise DataError(f"{source}: {_reason(exc)}") from None
+            shapes = {utt_id: (int(durations.sum()), cfg.feature_width)}
+            feats = fileio.checked_entries(arrays, shapes, source, prefix="features.")[utt_id]
+            utterances[utt_id] = SyntheticUtterance(utt_id, symbols, durations, pace_factor, pitch_variance,
+                                                    feats[:, -1].copy(), feats, split)
+    return Corpus(cfg, table, templates, list(utterances.values()))

@@ -1,6 +1,6 @@
 """Checkpoint files: tensor-table round trips, truncated headers, strict
-optimiser state, all-or-nothing restores, and bit-identical resumed
-training."""
+optimiser state, all-or-nothing restores, bit-identical resumed training,
+and resumes refused when the config changed."""
 
 import struct
 
@@ -9,7 +9,7 @@ import pytest
 
 from prosynth import fileio, prosody, seq2seq, synthdata
 from prosynth import autodiff as ad
-from prosynth.errors import DataError
+from prosynth.errors import ConfigError, DataError
 
 
 def test_tensor_table_roundtrip_keeps_0d_shape(tmp_path):
@@ -44,17 +44,10 @@ def _table_file(tmp_path):
     return path
 
 
-def _matrix_file(tmp_path):
-    path = tmp_path / "m.bin"
-    fileio.save_matrix(path, np.ones((2, 2)))
-    return path
-
-
 @pytest.mark.parametrize("make, load, length", [
     (_table_file, fileio.load_tensor_table, 6),  # inside the version/count header
     (_table_file, fileio.load_tensor_table, 14),  # inside the first name length
     (_table_file, fileio.load_tensor_table, 20),  # inside the first name
-    (_matrix_file, fileio.load_matrix, 10),  # inside the version/rows/cols header
 ])
 def test_truncated_header_raises_data_error(tmp_path, make, load, length):
     path = make(tmp_path)
@@ -199,21 +192,36 @@ def test_resume_is_bit_identical(tmp_path, small_corpus, mode):
     assert (tmp_path / "a" / "checkpoint.bin").read_bytes() == (tmp_path / "b" / "checkpoint.bin").read_bytes()
 
 
+def test_train_writes_config_beside_checkpoint(tmp_path, small_corpus):
+    corpus, table = small_corpus
+    cfg = seq2seq.ModelConfig(epochs=1, **TINY)
+    seq2seq.train(corpus, table, cfg, "plain", out_dir=tmp_path)
+    assert seq2seq.load_model_config(tmp_path / "config.json") == cfg
+
+
+@pytest.mark.parametrize("changes, names", [
+    (dict(learning_rate=0.01, seed=8), "seed, learning_rate"),
+    (dict(batch_size=1), "batch_size"),
+    (dict(grad_clip=None), "grad_clip"),
+], ids=["lr_and_seed", "batch_size", "grad_clip"])
+def test_resume_with_different_config_raises(tmp_path, small_corpus, changes, names):
+    corpus, table = small_corpus
+    seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain", out_dir=tmp_path)
+    before = (tmp_path / "checkpoint.bin").read_bytes()
+    epochs = []
+    with pytest.raises(ConfigError, match=rf"config\.json: .* differs in {names}$"):
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=2, **{**TINY, **changes}), "plain",
+                      out_dir=tmp_path, resume=True, log=epochs.append)
+    assert epochs == []
+    assert (tmp_path / "checkpoint.bin").read_bytes() == before
+
+
 def test_table_name_not_utf8_raises_data_error(tmp_path):
     path = tmp_path / "t.bin"
     entry = struct.pack("<I", 2) + b"\xff\xfe" + struct.pack("<I", 0) + np.zeros(1).tobytes()
     path.write_bytes(fileio.TABLE_MAGIC + struct.pack("<II", fileio.FORMAT_VERSION, 1) + entry)
     with pytest.raises(DataError, match="entry 0 name is not UTF-8"):
         fileio.load_tensor_table(path)
-
-
-@pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (2**20, 2**12)], ids=["overflow", "32GiB"])
-def test_matrix_larger_than_file_raises_data_error(tmp_path, rows, cols):
-    # a 16-byte file whose header declares a payload it cannot hold
-    path = tmp_path / "m.bin"
-    path.write_bytes(fileio.MATRIX_MAGIC + struct.pack("<III", fileio.FORMAT_VERSION, rows, cols))
-    with pytest.raises(DataError, match=r"truncated matrix payload \(0 of"):
-        fileio.load_matrix(path)
 
 
 def test_table_entry_larger_than_file_raises_data_error(tmp_path):

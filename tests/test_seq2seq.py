@@ -1,6 +1,7 @@
-"""seq2seq: the strict config loader, decode truncation, the training
-output directory, graph-free inference (values bit-identical to grad
-mode, no graph recorded), and the collector pause in train."""
+"""seq2seq: the strict config loader and the config's value checks, decode
+truncation, the training output directory, graph-free inference (values
+bit-identical to grad mode, no graph recorded), and the collector pause in
+train."""
 
 import dataclasses
 import gc
@@ -74,6 +75,49 @@ def test_config_strict_fields(tmp_path, edit, field):
     path.write_text(json.dumps(raw))
     with pytest.raises(ConfigError, match=field):
         seq2seq.load_model_config(path)
+
+
+@pytest.mark.parametrize("body, match", [
+    (b'{"seed": 7,', "Expecting"),
+    (b'{"seed": 7, "n\xe9": 0}', "ascii"),
+    (b'[1, 2]', "config must be a JSON object, got list"),
+], ids=["bad_json", "non_ascii", "not_object"])
+def test_config_bad_file_names_it(tmp_path, body, match):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(body)
+    with pytest.raises(ConfigError, match=rf"cfg\.json: .*{match}"):
+        seq2seq.load_model_config(path)
+
+
+@pytest.mark.parametrize("value, match", [(0, "batch_size must be at least 1"), ("8", "not supported")],
+                         ids=["out_of_range", "wrong_type"])
+def test_config_invalid_value_in_file_names_it(tmp_path, value, match):
+    path = tmp_path / "cfg.json"
+    seq2seq.ModelConfig().save(path)
+    raw = json.loads(path.read_text())
+    raw["batch_size"] = value
+    path.write_text(json.dumps(raw))
+    with pytest.raises(ConfigError, match=rf"cfg\.json: .*{match}"):
+        seq2seq.load_model_config(path)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("batch_size", 0), ("max_decode_ratio", 0), ("attention_dim", 0), ("frame_width", 0),
+    ("encoder_conv_kernel", 4), ("location_kernel", 2), ("postnet_kernel", 0), ("postnet_kernel", -1),
+    ("epochs", -1), ("prosody_zero_epochs", -1),
+    ("learning_rate", 0.0), ("learning_rate", float("nan")), ("stop_pos_weight", -1.0),
+    ("momentum", 1.0), ("momentum", -0.1), ("grad_clip", 0.0),
+    ("stop_threshold", 1.5), ("stop_threshold", -0.1),
+])
+def test_config_rejects_unusable_value(field, value):
+    with pytest.raises(ConfigError, match=field):
+        seq2seq.ModelConfig(**{field: value})
+
+
+def test_config_accepts_edge_values():
+    seq2seq.ModelConfig(epochs=0, prosody_zero_epochs=0, momentum=0.0, grad_clip=None, stop_threshold=0.0,
+                        batch_size=1, max_decode_ratio=1, encoder_conv_kernel=1, location_kernel=1, postnet_kernel=1)
+    seq2seq.ModelConfig(stop_threshold=1.0)
 
 
 # -- truncation ----------------------------------------------------------------------

@@ -1,11 +1,13 @@
-"""Corpus generator tests: ground truth must be recoverable exactly."""
+"""Corpus generator tests: ground truth must be recoverable exactly, and a
+saved corpus loads back equal or fails with a DataError naming the file."""
 
 import json
+import re
 
 import numpy as np
 import pytest
 
-from prosynth import prosody, synthdata
+from prosynth import fileio, prosody, synthdata
 from prosynth.errors import ConfigError, DataError
 from prosynth.synthdata import CorpusConfig, generate_corpus, generate_utterance
 
@@ -126,6 +128,19 @@ def test_symbol_string_rejects_garbage():
         synthdata.symbols_from_string("", cfg)
 
 
+@pytest.mark.parametrize("text, phrase, match", [
+    ("p1:3", 0, r"stress 3 outside 0\.\.2"),
+    ("p1:-1", 0, r"stress -1 outside"),
+    ("p1:x", 0, r"stress 'x' is not a whole number"),
+    ("px:0", 0, r"symbol id 'x' is not a whole number"),
+    ("p1:0", 4, r"phrase 4 outside 0\.\.3"),
+    ("p1:0", -1, r"phrase -1 outside"),
+], ids=["stress_high", "stress_negative", "stress_not_int", "id_not_int", "phrase_high", "phrase_negative"])
+def test_symbol_string_rejects_out_of_range(text, phrase, match):
+    with pytest.raises(DataError, match=match):
+        synthdata.symbols_from_string(text, CorpusConfig(), phrase=phrase)
+
+
 def test_degenerate_config_rejected():
     with pytest.raises(ConfigError):
         CorpusConfig(alphabet_size=0)
@@ -140,19 +155,33 @@ def test_save_load_roundtrip(tmp_path, corpus):
     assert back.config == small.config
     assert np.array_equal(back.duration_table, small.duration_table)
     assert np.array_equal(back.templates, small.templates)
+    assert len(back.utterances) == len(small.utterances)
     for a, b in zip(small.utterances, back.utterances):
         assert a.utt_id == b.utt_id
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.durations, b.durations)
+        assert np.array_equal(a.pitch_contour, b.pitch_contour)
         assert a.split == b.split
+        assert (a.pace_factor, a.pitch_variance) == (b.pace_factor, b.pitch_variance)
+        assert synthdata.symbols_to_string(a.symbols) == synthdata.symbols_to_string(b.symbols)
+        assert np.array_equal(a.symbols.phrase, b.symbols.phrase)
 
 
 def test_save_byte_identical(tmp_path):
     small = synthdata.generate_corpus(CorpusConfig(utterance_count=5, validation_count=1))
     synthdata.save_corpus(small, tmp_path / "a")
     synthdata.save_corpus(small, tmp_path / "b")
-    for rel in ["corpus_meta.json", "utterances.jsonl", "templates.bin", "feats/utt_0000.bin"]:
+    assert sorted(p.name for p in (tmp_path / "a").iterdir()) == sorted(synthdata.CORPUS_FILES)
+    for rel in ["corpus_meta.json", "utterances.jsonl", "arrays.bin"]:
         assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+
+def test_save_rejects_duplicate_id(tmp_path):
+    small = synthdata.generate_corpus(CorpusConfig(utterance_count=4, validation_count=1))
+    small.utterances[2].utt_id = small.utterances[1].utt_id
+    with pytest.raises(DataError, match="duplicate utterance id 'utt_0001'"):
+        synthdata.save_corpus(small, tmp_path / "corpus")
+    assert not (tmp_path / "corpus").exists()
 
 
 def test_load_missing_dir(tmp_path):
@@ -176,6 +205,30 @@ def _edit_line(lineno, edit):
         lines[lineno - 1] = edit(lines[lineno - 1])
         path.write_bytes(b"\n".join(lines))
     return corrupt
+
+
+def _edit_record(edit):
+    def corrupt(line):
+        rec = json.loads(line)
+        edit(rec)
+        return json.dumps(rec).encode("ascii")
+    return corrupt
+
+
+def _edit_arrays(edit):
+    def corrupt(root):
+        table = fileio.load_tensor_table(root / "arrays.bin")
+        edit(table)
+        fileio.save_tensor_table(root / "arrays.bin", table)
+    return corrupt
+
+
+def _set_nan(table):
+    table["features.utt_0001"][3, 2] = np.nan
+
+
+def _stress_five(rec):
+    rec["symbols"] = re.sub(r"p(\d+):\d", r"p\1:5", rec["symbols"], count=1)
 
 
 def _drop_symbols(line):
@@ -217,11 +270,37 @@ def _lengthen_first(durations):
     (_edit_json("corpus_meta.json", lambda m: m["config"].update(utterance_count=0)),
      r"corpus_meta\.json: utterance_count"),
     (_edit_line(2, _edit_durations(_fold_last_duration)), r"utterances\.jsonl:2: .* durations .* symbols"),
-    (_edit_line(2, _edit_durations(_lengthen_first)), r"utterances\.jsonl:2: .* feature rows"),
+    (_edit_line(2, _edit_durations(_lengthen_first)),
+     r"utterances\.jsonl:2: features\.utt_0001 has shape \(\d+, 8\), expected \(\d+, 8\)"),
+    (lambda root: (root / "arrays.bin").unlink(), r"not a corpus directory \(missing arrays\.bin\)"),
+    (lambda root: (root / "utterances.jsonl").unlink(), r"not a corpus directory \(missing utterances\.jsonl\)"),
+    (_edit_arrays(lambda t: t.pop("features.utt_0001")), r"utterances\.jsonl:2: missing features\.utt_0001"),
+    (_edit_arrays(lambda t: t.update({"features.utt_0001": t["features.utt_0001"][:, :5]})),
+     r"utterances\.jsonl:2: features\.utt_0001 has shape \(\d+, 5\), expected \(\d+, 8\)"),
+    (_edit_arrays(_set_nan), r"utterances\.jsonl:2: features\.utt_0001 holds a non-finite value"),
+    (_edit_arrays(lambda t: t.update(templates=np.ones((3, 3)))),
+     r"arrays\.bin: templates has shape \(3, 3\), expected \(14, 7\)"),
+    (lambda root: (root / "arrays.bin").write_bytes(b"PSCT\x01\x00"), r"arrays\.bin: truncated table header"),
+    (_edit_json("corpus_meta.json", lambda m: m["config"].pop("pitch_sigma")),
+     r"corpus_meta\.json: missing config field\(s\): pitch_sigma"),
+    (_edit_json("corpus_meta.json", lambda m: m.update(config=[1, 2])),
+     r"corpus_meta\.json: config must be a JSON object, got list"),
+    (_edit_json("corpus_meta.json", lambda m: m.update(version=1)), r"corpus_meta\.json: unsupported corpus version 1"),
+    (_edit_line(3, _edit_record(lambda r: r.update(id="utt_0001"))), r"utterances\.jsonl:3: duplicate id 'utt_0001'"),
+    (_edit_line(2, _edit_record(lambda r: r.update(id=5))), r"utterances\.jsonl:2: id 5 is not a string"),
+    (_edit_line(2, _edit_record(lambda r: r.update(id="../templates"))),
+     r"utterances\.jsonl:2: missing features\.\.\./templates"),
+    (_edit_line(2, _edit_record(lambda r: r.update(split="valid"))), r"utterances\.jsonl:2: split 'valid'"),
+    (_edit_line(2, _edit_record(_stress_five)), r"utterances\.jsonl:2: stress 5 outside 0\.\.2"),
+    (_edit_line(2, _edit_record(lambda r: r.update(phrase=9))), r"utterances\.jsonl:2: phrase 9 outside 0\.\.3"),
 ], ids=["meta_no_config", "meta_unknown_field", "meta_bad_json", "meta_non_ascii",
         "record_no_symbols", "record_bad_json", "record_non_ascii",
         "meta_short_table", "config_short_table", "config_invalid",
-        "record_duration_count", "record_duration_sum"])
+        "record_duration_count", "record_duration_sum",
+        "no_arrays", "no_utterances", "features_missing", "features_width", "features_nan",
+        "templates_shape", "arrays_truncated", "config_missing_field", "config_not_object", "meta_version_1",
+        "record_duplicate_id", "record_id_not_string", "record_id_path", "record_unknown_split",
+        "record_stress_range", "record_phrase_range"])
 def test_load_bad_corpus_raises_data_error(tmp_path, corrupt, where):
     small = synthdata.generate_corpus(CorpusConfig(utterance_count=4, validation_count=1))
     synthdata.save_corpus(small, tmp_path)

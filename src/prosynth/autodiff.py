@@ -555,6 +555,13 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w
     softmax(tanh(enc_proj + loc @ loc_w + query @ query_w) @ v), an (N,)
     distribution. Returns (result, backward), where backward(g) gives the
     gradients of all eight inputs in order, query_w's as an Outer pair.
+
+    The location term is linear in both weights, so it is computed as one
+    'same'-padded convolution with the composed (K, 2, A) kernel
+    conv_w @ loc_w: one matmul of the (N, 2K) windows of the padded
+    [prev_align, cum_align] against that kernel's (2K, A) form. The
+    backward takes the composed kernel's gradient from the same windows
+    and chains it back to conv_w and loc_w.
     """
     fits = enc_proj.ndim == 2 and conv_w.ndim == 3 and query.ndim == 1
     if fits:
@@ -565,9 +572,12 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w
     if not fits:
         raise ShapeError("location_attention: shapes do not fit: " + ", ".join(
             str(np.shape(t)) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v)))
-    loc_in = np.stack([prev_align, cum_align], axis=1)
-    loc, loc_pad = _conv_same(loc_in, conv_w)
-    th = np.tanh(enc_proj + loc @ loc_w + query @ query_w)
+    pad = k // 2
+    loc_pad = np.zeros((n + 2 * pad, 2))
+    loc_pad[pad:pad + n, 0] = prev_align
+    loc_pad[pad:pad + n, 1] = cum_align
+    conv_flat = conv_w.reshape(2 * k, f)
+    th = np.tanh(enc_proj + _windows(loc_pad, k) @ (conv_flat @ loc_w) + query @ query_w)
     e = th @ v
     z = np.exp(e - e.max())
     data = z / z.sum()
@@ -576,9 +586,12 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w
         ge = data * (g - np.dot(g, data))
         gterms = np.outer(ge, v) * (1.0 - th * th)
         gq = gterms.sum(axis=0)
-        gin, gw = _conv_same_grads(gterms @ loc_w.T, loc_pad, conv_w)
-        return (query_w @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), gw,
-                loc.T @ gterms, Outer(query, gq), th.T @ ge)
+        # the kernel is made again rather than kept: a decoder holds every
+        # frame's backward until its utterance's backward runs
+        gin, g_kernel = _conv_same_grads(gterms, loc_pad, (conv_flat @ loc_w).reshape(k, 2, a))
+        g_kernel = g_kernel.reshape(2 * k, a)
+        return (query_w @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), (g_kernel @ loc_w.T).reshape(k, 2, f),
+                conv_flat.T @ g_kernel, Outer(query, gq), th.T @ ge)
 
     return data, backward
 

@@ -26,6 +26,22 @@ each outer-product weight gradient once. So the training graph's size does
 not depend on the length of the input or of the decode, and without graph
 building the loop keeps no backwards at all.
 
+The attention context x_c = a_t @ enc_cond enters every stage that reads it
+linearly: both LSTMs' input weights, the frame and stop readouts and the
+alpha and beta heads each multiply it by a block of C = context_dim rows.
+So the decode never forms x_c. It projects once per utterance,
+M = enc_cond @ W_ctx, with W_ctx those blocks side by side, (C, 4D + 4D +
+F + 1 + 2) (plain mode leaves the heads' two columns out), and each frame
+makes one a_t @ M. The LSTM cells read only their own input rows, with
+their context terms added to the bias argument; the heads and the readout
+take their projected terms. In the backward each frame adds M @ g_ctx to
+a_t's gradient and puts Outer(a_t, g_ctx) into the StepGrads buffer, where
+g_ctx is the gradient of that frame's a_t @ M (the LSTMs' bias gradients,
+the readout's and the next frame's heads' context gradients). The buffer
+contracts those pairs once per pass into M's gradient, and decoder_node
+then differentiates enc_cond @ W_ctx once per utterance, for enc_cond and
+for the context rows of the six weights.
+
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
 alignment entropy is logged every epoch as the convergence diagnostic.
@@ -262,16 +278,30 @@ _PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.
 _LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
 _LSTM2_KEYS = ("dec.lstm2.wx", "dec.lstm2.wh", "dec.lstm2.b")
 _ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
-_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")
+_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")  # att.beta.w meets x_c alone
 _READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 _CELLS = ("h1", "c1", "h2", "c2")  # start from the dec.init.* parameters
 _INIT_KEYS = tuple(f"dec.init.{k}" for k in _CELLS)
 _PLAIN_KEYS = _PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
-_AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
+_AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS + ("att.beta.w",)
 
 
 def _weights(params, keys):
-    return (params[k].data for k in keys)
+    return [params[k].data for k in keys]
+
+
+def _context_blocks(params, cfg, attention_mode):
+    """(key, first row, block) for each weight whose C = context_dim rows
+    from the first row on meet x_c: both LSTMs' wx and the frame and stop
+    readouts, then, in augmented mode, the alpha and beta heads. block is
+    those rows as a (C, columns) view of the parameter's array. Side by
+    side, in this order, the blocks are W_ctx, (C, 4D + 4D + F + 1 [+ 2]),
+    and each frame's context terms are a_t @ (enc_cond @ W_ctx)."""
+    c, p, d = cfg.context_dim, cfg.prenet_out, cfg.decoder_rnn_width
+    rows = (("dec.lstm1.wx", p), ("dec.lstm2.wx", d), ("out.frame.w", d), ("out.stop.w", d))
+    if attention_mode == "augmented":
+        rows += (("att.alpha.w", p), ("att.beta.w", 0))
+    return [(k, row, params[k].data[row:row + c].reshape(c, -1)) for k, row in rows]
 
 
 def initial_attention(params, query, enc_proj, prev_align, cum_align):
@@ -312,124 +342,141 @@ def prenet_double_feed(params, prev_true, prev_pred):
     return out, backward
 
 
-def selection_heads(params, s_p, x_c, h2):
+def selection_heads(params, s_p, ctx_heads, h2):
     """The augmented step's stage weights [alpha, beta]:
     alpha = sigmoid([s_p, x_c, h2] . w_alpha + b_alpha) and
-    beta = sigmoid(x_c . w_beta + b_beta). Returns (heads, backward);
-    backward(g) gives the gradients of (s_p, x_c, h2) and the four head
-    weights."""
-    aw, ab, bw, bb = _weights(params, _HEAD_KEYS)
-    head_in = np.concatenate([s_p, x_c, h2])
-    alpha = 0.5 * (1.0 + np.tanh(0.5 * (head_in @ aw + ab)))  # stable logistic
-    beta = 0.5 * (1.0 + np.tanh(0.5 * (x_c @ bw + bb)))
-    lo, hi = s_p.shape[0], s_p.shape[0] + x_c.shape[0]
+    beta = sigmoid(x_c . w_beta + b_beta), where x_c enters as its
+    projected terms ctx_heads = [x_c . w_alpha[x_c rows], x_c . w_beta].
+    Returns (heads, backward); backward(g) gives the gradients of (s_p,
+    ctx_heads, h2), of the rows of w_alpha that s_p and h2 meet (s_p's
+    first, as one vector), of b_alpha and of b_beta."""
+    aw, ab, bb = _weights(params, _HEAD_KEYS)
+    aw_s, aw_h = aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]
+    heads = 0.5 * (1.0 + np.tanh(0.5 * (np.array([s_p @ aw_s + h2 @ aw_h + ab, bb]) + ctx_heads)))  # stable logistic
 
     def backward(g):
-        ga = g[0] * alpha * (1.0 - alpha)
-        gb = g[1] * beta * (1.0 - beta)
-        g_in = ga * aw
-        return g_in[:lo], g_in[lo:hi] + gb * bw, g_in[hi:], ga * head_in, ga, gb * x_c, gb
+        g_logits = g * heads * (1.0 - heads)
+        ga, gb = g_logits
+        return ga * aw_s, g_logits, ga * aw_h, ga * np.concatenate([s_p, h2]), ga, gb
 
-    return np.array([alpha, beta]), backward
+    return heads, backward
 
 
-def frame_output(params, h2, x_c):
+def frame_output(params, h2, ctx_out):
     """The readout as one (F+1,) vector: the frame [h2, x_c] @ W + b, then
-    the stop logit [h2, x_c] . w_stop + b_stop. Returns (out, backward);
-    backward(g) gives the gradients of (h2, x_c) and the four readout
-    weights."""
+    the stop logit [h2, x_c] . w_stop + b_stop, where x_c enters as its
+    projected terms ctx_out = x_c @ [W, w_stop][x_c rows], an (F+1,)
+    vector. Returns (out, backward); backward(g) gives the gradients of
+    (h2, ctx_out), of the rows of W that h2 meets, of b, of the rows of
+    w_stop that h2 meets and of b_stop."""
     fw, fb, sw, sb = _weights(params, _READOUT_KEYS)
-    readout = np.concatenate([h2, x_c])
-    y = readout @ fw + fb
-    stop = readout @ sw + sb
     hid = h2.shape[0]
+    fw_h, sw_h = fw[:hid], sw[:hid]
+    out = np.concatenate([h2 @ fw_h + fb, (h2 @ sw_h + sb,)]) + ctx_out
 
     def backward(g):
         gy, gs = g[:-1], g[-1]
-        g_read = fw @ gy + gs * sw
-        return g_read[:hid], g_read[hid:], ad.Outer(readout, gy), gy, gs * readout, gs
+        return fw_h @ gy + gs * sw_h, g, ad.Outer(h2, gy), gy, gs * h2, gs
 
-    return np.append(y, stop), backward
+    return out, backward
 
 
-def init_decoder_state(params, cfg, n_positions):
+def init_decoder_state(params, cfg, ctx_proj):
+    """The state before the first frame of a decode whose context
+    projection is ctx_proj (see decoder_step)."""
+    n_positions, width = ctx_proj.shape
     return {
         "h1": params["dec.init.h1"].data, "c1": params["dec.init.c1"].data,
         "h2": params["dec.init.h2"].data, "c2": params["dec.init.c2"].data,
-        "x_c": np.zeros(cfg.context_dim),
+        "ctx": np.zeros(width),  # x_c = 0, projected: no context yet
         "a_prev": None,  # no alignment history at t = 0
         "cum": np.zeros(n_positions),
         "y_prev": np.zeros(cfg.frame_width),
     }
 
 
-def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
+def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=None):
     """Advance one frame on plain arrays: returns (out_t, a_t, new state,
     backward), where out_t is frame_output's (F+1,) vector [y_t, stop
-    logit]. prev_true is the true previous frame under teacher forcing,
-    None when decoding free-running. attention_mode is one of
+    logit]. ctx_proj is the utterance's context projection
+    enc_cond @ W_ctx (see _context_blocks), (N, 4D + 4D + F + 1 + 2) in
+    augmented mode, so a_t @ ctx_proj holds every term of
+    x_c = a_t @ enc_cond that a stage adds: the two LSTMs' context terms,
+    which go in through their bias argument, the readout's and the
+    selection heads' (plain mode runs no heads and leaves their two
+    columns out). prev_true is the true previous frame under teacher
+    forcing, None when decoding free-running. attention_mode is one of
     ATTENTION_MODES; any other value is a ValueError.
 
-    backward(g_out, g_next, grads) takes the gradients of out_t and of the
-    new state's h1, c1, h2, c2, x_c, a_prev and cum, gives the weight,
-    enc_cond and enc_proj gradients to grads (an ad.StepGrads) and returns
-    the gradients of the same entries of state.
+    While ad.grad_enabled(), backward(g_out, g_next, grads) takes the
+    gradients of out_t and of the new state's h1, c1, h2, c2, ctx, a_prev
+    and cum, gives the weight, ctx_proj and enc_proj gradients to grads
+    (an ad.StepGrads; a weight whose rows x_c meets gets the gradient of
+    its other rows only, and ctx_proj its Outer pair) and returns the
+    gradients of the same entries of state. Under no_grad backward is None.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
-    x_c, a_prev = state["x_c"], state["a_prev"]
+    ctx_prev, a_prev = state["ctx"], state["a_prev"]
+    d4 = 4 * state["h1"].shape[0]
+    heads_at = 2 * d4 + state["y_prev"].shape[0] + 1  # the columns after the LSTMs' and the readout's
     s_p, prenet_backward = prenet_double_feed(params, prev_true, state["y_prev"])
-    h1, c1, lstm1_backward = ad.lstm_step(np.concatenate([s_p, x_c]), state["h1"], state["c1"],
-                                          *_weights(params, _LSTM1_KEYS))
-    prev_align = np.zeros(enc_cond.shape[0]) if a_prev is None else a_prev
+    wx1, wh1, b1 = _weights(params, _LSTM1_KEYS)
+    h1, c1, lstm1_backward = ad.lstm_step(s_p, state["h1"], state["c1"], wx1[:s_p.shape[0]], wh1,
+                                          b1 + ctx_prev[:d4])
+    prev_align = np.zeros(ctx_proj.shape[0]) if a_prev is None else a_prev
     b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
     augment = attention_mode == "augmented" and a_prev is not None
     if augment:
-        heads, heads_backward = selection_heads(params, s_p, x_c, state["h2"])
+        heads, heads_backward = selection_heads(params, s_p, ctx_prev[heads_at:], state["h2"])
         a_t, augment_backward = align.augmented_step(b_t, a_prev, heads[0], heads[1])
     else:
         a_t = b_t
-    x_c_new = a_t @ enc_cond
-    h2, c2, lstm2_backward = ad.lstm_step(np.concatenate([h1, x_c_new]), state["h2"], state["c2"],
-                                          *_weights(params, _LSTM2_KEYS))
-    out_t, readout_backward = frame_output(params, h2, x_c_new)
+    ctx = a_t @ ctx_proj
+    wx2, wh2, b2 = _weights(params, _LSTM2_KEYS)
+    h2, c2, lstm2_backward = ad.lstm_step(h1, state["h2"], state["c2"], wx2[:h1.shape[0]], wh2,
+                                          b2 + ctx[d4:2 * d4])
+    out_t, readout_backward = frame_output(params, h2, ctx[2 * d4:heads_at])
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
-        "x_c": x_c_new,
+        "ctx": ctx,
         "a_prev": a_t,  # the final alignment feeds both location features
         "cum": state["cum"] + a_t,
         "y_prev": out_t[:-1],  # autoregressive input, gradient stays local
     }
-    n_sp, n_h1 = s_p.shape[0], h1.shape[0]
+    if not ad.grad_enabled():
+        return out_t, a_t, new_state, None
 
     def backward(g_out, g_next, grads):
-        g_h2, g_xc, *g_w = readout_backward(g_out)
+        g_h2, g_ctx_out, *g_w = readout_backward(g_out)
         grads.add(_READOUT_KEYS, g_w)
-        g_in2, g_h2_prev, g_c2_prev, *g_w = lstm2_backward(g_next["h2"] + g_h2, g_next["c2"])
+        g_h1, g_h2_prev, g_c2_prev, *g_w = lstm2_backward(g_next["h2"] + g_h2, g_next["c2"])
         grads.add(_LSTM2_KEYS, g_w)
-        g_xc = g_next["x_c"] + g_xc + g_in2[n_h1:]
-        grads.add(("enc_cond",), (ad.Outer(a_t, g_xc),))
-        g_at = g_next["a_prev"] + g_next["cum"] + enc_cond @ g_xc
+        g_ctx_next = g_next["ctx"]  # the next frame's lstm1 and head terms
+        g_ctx = np.concatenate([g_ctx_next[:d4], g_w[2], g_ctx_out, g_ctx_next[heads_at:]])
+        grads.add(("ctx_proj",), (ad.Outer(a_t, g_ctx),))
+        g_at = g_next["a_prev"] + g_next["cum"] + ctx_proj @ g_ctx
+        g_ctx_prev = np.zeros_like(g_ctx)
         if augment:
             g_bt, g_a_prev, g_alpha, g_beta = augment_backward(g_at)
-            g_sp_heads, g_xc_heads, g_h2_heads, *g_w = heads_backward(np.array([g_alpha, g_beta]))
+            g_sp_heads, g_ctx_heads, g_h2_heads, *g_w = heads_backward(np.array([g_alpha, g_beta]))
             grads.add(_HEAD_KEYS, g_w)
+            g_ctx_prev[heads_at:] = g_ctx_heads
             g_h2_prev = g_h2_prev + g_h2_heads
         else:
             g_bt = g_at
         g_query, g_proj, g_prev_align, g_cum, *g_w = attention_backward(g_bt)
         grads.add(_ATTENTION_KEYS, g_w)
         grads.add(("enc_proj",), (g_proj,))
-        g_in1, g_h1_prev, g_c1_prev, *g_w = lstm1_backward(g_next["h1"] + g_in2[:n_h1] + g_query, g_next["c1"])
+        g_sp, g_h1_prev, g_c1_prev, *g_w = lstm1_backward(g_next["h1"] + g_h1 + g_query, g_next["c1"])
         grads.add(_LSTM1_KEYS, g_w)
-        g_sp, g_xc_prev = g_in1[:n_sp], g_in1[n_sp:]
+        g_ctx_prev[:d4] = g_w[2]
         if augment:
             g_sp = g_sp + g_sp_heads
-            g_xc_prev = g_xc_prev + g_xc_heads
             g_prev_align = g_prev_align + g_a_prev
         grads.add(_PRENET_KEYS, prenet_backward(g_sp))
         return {"h1": g_h1_prev, "c1": g_c1_prev, "h2": g_h2_prev, "c2": g_c2_prev,
-                "x_c": g_xc_prev, "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
+                "ctx": g_ctx_prev, "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
 
     return out_t, a_t, new_state, backward
 
@@ -437,23 +484,27 @@ def decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true=No
 def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
     """Run the decoder recurrence on the plain arrays enc_cond and enc_proj.
 
-    With targets, a (T, F) array, every frame is fed the true previous one
-    and the decode runs T frames; without, the decoder runs free until the
-    stop probability clears cfg.stop_threshold, or truncates at
-    cfg.max_decode_ratio times the input length. Returns (out, alignment,
-    truncated, steps): out is (T, F+1) with [y_t, stop logit] rows, the
-    alignment is (N, T), and steps holds each frame's backward while graph
-    building is on and is empty under no_grad.
+    The context projection enc_cond @ W_ctx is made once, here, for every
+    frame's decoder_step. With targets, a (T, F) array, every frame is fed
+    the true previous one and the decode runs T frames; without, the
+    decoder runs free until the stop probability clears
+    cfg.stop_threshold, or truncates at cfg.max_decode_ratio times the
+    input length. Returns (out, alignment, truncated, steps): out is
+    (T, F+1) with [y_t, stop logit] rows, the alignment is (N, T), and
+    steps holds each frame's backward while graph building is on and is
+    empty under no_grad.
     """
     n = enc_cond.shape[0]
-    state = init_decoder_state(params, cfg, n)
+    w_ctx = np.concatenate([block for *_, block in _context_blocks(params, cfg, attention_mode)], axis=1)
+    ctx_proj = enc_cond @ w_ctx
+    state = init_decoder_state(params, cfg, ctx_proj)
     record = ad.grad_enabled()
     frames = cfg.max_decode_ratio * n if targets is None else targets.shape[0]
     rows, aligns, steps = [], [], []
     truncated = targets is None
     for t in range(frames):
         prev_true = None if targets is None else (targets[t - 1] if t > 0 else np.zeros(cfg.frame_width))
-        out_t, a_t, state, backward = decoder_step(params, state, enc_cond, enc_proj, attention_mode, prev_true)
+        out_t, a_t, state, backward = decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true)
         rows.append(out_t)
         aligns.append(a_t)
         if record:
@@ -471,17 +522,26 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     array. Returns (out, alignment): out is the (T, F+1) Tensor whose rows
     are [y_t, stop logit], over enc_cond, enc_proj and every decoder weight
     the mode uses (plain mode runs no selection heads); alignment is the
-    (N, T) array. The node's backward walks the frames in
-    reverse through each one's backward and returns one dense gradient per
-    input; it depends on its output gradient alone, so a second backward
-    adds the same again.
+    (N, T) array. The node's backward walks the frames in reverse through
+    each one's backward, which leaves the context projection's gradient
+    as one contraction of its Outer pairs; it then differentiates
+    enc_cond @ W_ctx once, for enc_cond and the context rows of the six
+    weights in W_ctx, and returns one dense gradient per input. It
+    depends on its output gradient alone, so a second backward adds the
+    same again.
     """
     out, alignment, _, steps = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode, targets)
     keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
-    shapes = {"enc_cond": enc_cond.shape, "enc_proj": enc_proj.shape, **{k: params[k].shape for k in keys}}
     n, width = enc_cond.shape
+    # views of the arrays the forward read (SGD assigns new ones); W_ctx
+    # itself is made again in the backward rather than kept
+    blocks = _context_blocks(params, cfg, attention_mode)
+    columns = sum(block.shape[1] for *_, block in blocks)
+    shapes = {"ctx_proj": (n, columns), "enc_proj": enc_proj.shape, **{k: params[k].shape for k in keys}}
+    for k, _, _ in blocks:  # these keys collect the gradient of their other rows
+        shapes[k] = (shapes[k][0] - width, *shapes[k][1:])
     final = {k: np.zeros(params["dec.init.h1"].shape) for k in _CELLS}
-    final.update(x_c=np.zeros(width), a_prev=np.zeros(n), cum=np.zeros(n))
+    final.update(ctx=np.zeros(columns), a_prev=np.zeros(n), cum=np.zeros(n))
 
     def backward(g):
         grads = ad.StepGrads(shapes, len(steps))
@@ -490,7 +550,16 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
             grads.step = t
             g_state = steps[t](g[t], g_state, grads)
         grads.add(_INIT_KEYS, [g_state[k] for k in _CELLS])
-        return [grads.total(k) for k in ("enc_cond", "enc_proj", *keys)]
+        g_ctx_proj = grads.total("ctx_proj")
+        g_w_ctx = enc_cond.data.T @ g_ctx_proj
+        totals = {k: grads.total(k) for k in keys}
+        col = 0
+        for k, row, block in blocks:
+            g_block = g_w_ctx[:, col:col + block.shape[1]].reshape(width, *totals[k].shape[1:])
+            totals[k] = np.concatenate([totals[k][:row], g_block, totals[k][row:]])
+            col += block.shape[1]
+        g_enc_cond = g_ctx_proj @ np.concatenate([block for *_, block in blocks], axis=1).T
+        return [g_enc_cond, grads.total("enc_proj"), *(totals[k] for k in keys)]
 
     node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
     return node, alignment
@@ -638,8 +707,9 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     is created before the first epoch if missing, each beside the
     config.json that trained it; with resume=True training continues from
     the last one and the result is bit-identical to an uninterrupted run. A
-    resume whose cfg differs from that config.json in any field but epochs
-    is a ConfigError.
+    resume whose cfg differs from that config.json in any field but epochs,
+    or whose attention_mode differs from the checkpoint's, is a
+    ConfigError.
 
     Each batch's forward, backward and optimiser step run with Python's
     cyclic garbage collector paused, since training graphs hold no
@@ -666,7 +736,10 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     start_epoch = 0
     if resume and out_dir is not None and (Path(out_dir) / "checkpoint.bin").exists():
         _check_resume_config(Path(out_dir) / "config.json", cfg)
-        start_epoch, history = load_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt)
+        start_epoch, history, saved_mode = load_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt)
+        if saved_mode != attention_mode:
+            raise ConfigError(f"{Path(out_dir) / 'checkpoint.bin'}: resume in {attention_mode!r} attention mode "
+                              f"of a run trained in {saved_mode!r}")
 
     zeros = np.zeros(2)
     for epoch in range(start_epoch, cfg.epochs):
@@ -693,17 +766,20 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
             log(row)
         if out_dir is not None:
             cfg.save(Path(out_dir) / "config.json")
-            save_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt, epoch + 1, history)
+            save_checkpoint(Path(out_dir) / "checkpoint.bin", params, opt, epoch + 1, history, attention_mode)
     return TrainResult(params=params, history=history)
 
 
 # -- checkpoints -----------------------------------------------------------------
 
 
-def save_checkpoint(path, params, opt, next_epoch, history):
+def save_checkpoint(path, params, opt, next_epoch, history, attention_mode):
+    """Write parameters, optimiser state and meta entries: the next epoch,
+    the history rows and the index of attention_mode in ATTENTION_MODES."""
     table = {f"model.{k}": p.data for k, p in params.items()}
     table.update(opt.state_tensors())
     table["meta.next_epoch"] = np.array([float(next_epoch)])
+    table["meta.attention_mode"] = np.array([float(ATTENTION_MODES.index(attention_mode))])
     table["meta.history"] = np.array([[row[k] for k in HISTORY_COLUMNS] for row in history]).reshape(
         len(history), len(HISTORY_COLUMNS))
     fileio.save_tensor_table(path, table)
@@ -716,15 +792,21 @@ def _whole_numbers(arr):
 def load_checkpoint(path, params, opt=None):
     """Restore parameters (and optimiser state) in place, all or nothing: a
     missing or misshapen tensor, a meta.next_epoch that is not one whole
-    number >= 0, or a meta.history that is not k rows of HISTORY_COLUMNS
-    with whole epoch numbers, is a DataError and changes nothing. Returns
-    (next_epoch, history)."""
+    number >= 0, a meta.attention_mode that is not one whole number
+    indexing ATTENTION_MODES, or a meta.history that is not k rows of
+    HISTORY_COLUMNS with whole epoch numbers, is a DataError and changes
+    nothing. Returns (next_epoch, history, attention_mode)."""
     table = fileio.load_tensor_table(path)
     shapes = {k: p.data.shape for k, p in params.items()}
     arrays = fileio.checked_entries(table, shapes, f"{path}: checkpoint", prefix="model.")
     meta_epoch = table.get("meta.next_epoch")
     if meta_epoch is None or meta_epoch.shape != (1,) or not _whole_numbers(meta_epoch):
         raise DataError(f"{path}: checkpoint meta.next_epoch must be one whole number >= 0, got {meta_epoch!r}")
+    meta_mode = table.get("meta.attention_mode")
+    if (meta_mode is None or meta_mode.shape != (1,) or not _whole_numbers(meta_mode)
+            or meta_mode[0] >= len(ATTENTION_MODES)):
+        raise DataError(f"{path}: checkpoint meta.attention_mode must be one whole number indexing "
+                        f"{ATTENTION_MODES}, got {meta_mode!r}")
     meta_history = table.get("meta.history")
     if (meta_history is None or meta_history.ndim != 2 or meta_history.shape[1] != len(HISTORY_COLUMNS)
             or not _whole_numbers(meta_history[:, 0])):
@@ -736,4 +818,4 @@ def load_checkpoint(path, params, opt=None):
         opt.load_state_tensors(table)  # all or nothing too, and before any parameter is assigned
     for k, arr in arrays.items():
         params[k].data = arr
-    return int(meta_epoch[0]), history
+    return int(meta_epoch[0]), history, ATTENTION_MODES[int(meta_mode[0])]

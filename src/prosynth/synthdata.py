@@ -28,6 +28,7 @@ An id is a table key, never a path.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -368,10 +369,25 @@ def _reason(exc):
     return f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
 
 
+def _finite_number(value, what):
+    """A finite JSON number (not a bool), as a float."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise DataError(f"{what} {value!r} is not a finite number")
+    return float(value)
+
+
+def _whole_number(value, what, low=None):
+    """A JSON int (not a bool), at least low when low is given."""
+    if type(value) is not int or (low is not None and value < low):
+        raise DataError(f"{what} {value!r} is not a whole number" + ("" if low is None else f" >= {low}"))
+    return value
+
+
 # what a malformed file makes parsing raise; ValueError includes JSON and
 # ASCII decoding errors, TypeError a value of the wrong JSON type,
-# ConfigError a config value out of range or a config field missing
-_PARSE_ERRORS = (ConfigError, DataError, KeyError, TypeError, ValueError)
+# ConfigError a config value out of range or a config field missing,
+# OverflowError a whole number too large for its array
+_PARSE_ERRORS = (ConfigError, DataError, KeyError, TypeError, ValueError, OverflowError)
 
 
 def load_corpus(corpus_dir):
@@ -383,7 +399,9 @@ def load_corpus(corpus_dir):
       a duration table without one entry per vocabulary symbol;
     - in utterances.jsonl, naming it and the line: text that is not ASCII
       JSON, a missing field, an id that is not a string or repeats, a split
-      other than train or val, a bad symbol string or phrase, not one
+      other than train or val, a pace_factor or pitch_variance that is not
+      a finite number, a bad symbol string, a phrase that is not a whole
+      number in range, durations that are not whole numbers >= 1, not one
       duration per symbol;
     - in arrays.bin, naming the file, or for features the record's line:
       a malformed table, or a missing, misshapen or non-finite templates
@@ -412,16 +430,17 @@ def load_corpus(corpus_dir):
             source = f"{records_path}:{lineno}"
             try:
                 rec = json.loads(line.decode("ascii"))
-                utt_id, split, pace_factor, pitch_variance = (
-                    rec["id"], rec["split"], rec["pace_factor"], rec["pitch_variance"])
+                utt_id, split = rec["id"], rec["split"]
+                pace_factor = _finite_number(rec["pace_factor"], "pace_factor")
+                pitch_variance = _finite_number(rec["pitch_variance"], "pitch_variance")
                 if not isinstance(utt_id, str):
                     raise DataError(f"id {utt_id!r} is not a string")
                 if utt_id in utterances:
                     raise DataError(f"duplicate id {utt_id!r}")
                 if split not in SPLITS:
                     raise DataError(f"split {split!r} is not one of {', '.join(SPLITS)}")
-                symbols = symbols_from_string(rec["symbols"], cfg, phrase=rec["phrase"])
-                durations = np.asarray(rec["durations"], dtype=np.int64)
+                symbols = symbols_from_string(rec["symbols"], cfg, phrase=_whole_number(rec["phrase"], "phrase"))
+                durations = np.asarray([_whole_number(d, "duration", low=1) for d in rec["durations"]], dtype=np.int64)
                 if durations.shape != (len(symbols),):
                     raise DataError(f"{durations.size} durations for {len(symbols)} symbols")
             except _PARSE_ERRORS as exc:

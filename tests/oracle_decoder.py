@@ -1,21 +1,27 @@
 """The decoder as a graph of per-frame Tensor nodes: the reference that the
-library's one-node-per-utterance decoder (seq2seq.decoder_node) is tested
-against.
+library's one-node-per-utterance decoder (seq2seq.decoder_node) and its
+free-running decode (seq2seq.synthesize) are tested against.
 
-decoder_step and teacher_forced below advance one frame at a time on
-autodiff Tensors and let Tensor.backward route every gradient. They run in
+decoder_step, teacher_forced and synthesize below advance one frame at a
+time on autodiff Tensors and let Tensor.backward route every gradient. They run in
 one of two forms, chosen by an ops table:
 
 - FUSED: each decoder stage is one node whose backward is the library
   stage's own (seq2seq's stage functions and align.augmented_step, each
   wrapped by as_node), so only the routing between stages differs from
-  the library;
+  the library. Like the library, it projects the context once per
+  utterance, M = enc_cond @ W_ctx over the context rows of every weight
+  that x_c meets, and each frame reads its context terms from a_t @ M:
+  the LSTMs through their bias argument, the heads and the readout as
+  their projected terms;
 - COMPOSED: each stage is rebuilt from engine primitives and the ops in
   oracle_ops.py, one node per primitive op, so nothing of the library's
-  hand-written backwards is used.
+  hand-written backwards is used. Each frame forms x_c = a_t @ enc_cond
+  and every stage reads it whole.
 
 Both forms run the decoder LSTMs as oracle_ops.lstm_node, the engine's
-lstm_step as one node, on the concatenation of the cell's input parts.
+lstm_step as one node. The state's "ctx" entry is the previous frame's
+context in the form's own terms: a_t @ M or x_c.
 """
 
 from types import SimpleNamespace
@@ -28,7 +34,7 @@ from prosynth import autodiff as ad
 from oracle_ops import as_node, clamp_max, div, logsumexp, lstm_node, sigmoid, softmax, stack, threshold_keep
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
-HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.w", "att.beta.b")
+HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")  # what the library's heads stage reads
 READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
 
@@ -40,13 +46,53 @@ def fused_prenet(params, prev_true, prev_pred):
     return as_node(seq2seq.prenet_double_feed(params, prev_true, prev_pred.data), (params[k] for k in PRENET_KEYS))
 
 
-def fused_selection_heads(params, s_p, x_c, h2):
-    return as_node(seq2seq.selection_heads(params, s_p.data, x_c.data, h2.data),
-                   (s_p, x_c, h2, *(params[k] for k in HEAD_KEYS)))
+def fused_selection_heads(params, s_p, ctx_heads, h2):
+    # the stage reads the rows of att.alpha.w that s_p and h2 meet, and
+    # hands their gradient over as one vector
+    aw = params["att.alpha.w"]
+    aw_own = ad.concat([aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]])
+    return as_node(seq2seq.selection_heads(params, s_p.data, ctx_heads.data, h2.data),
+                   (s_p, ctx_heads, h2, aw_own, *(params[k] for k in HEAD_KEYS[1:])))
 
 
-def fused_frame_output(params, h2, x_c):
-    return as_node(seq2seq.frame_output(params, h2.data, x_c.data), (h2, x_c, *(params[k] for k in READOUT_KEYS)))
+def fused_frame_output(params, h2, ctx_out):
+    hid = h2.shape[0]
+    return as_node(seq2seq.frame_output(params, h2.data, ctx_out.data),
+                   (h2, ctx_out, params["out.frame.w"][:hid], params["out.frame.b"], params["out.stop.w"][:hid],
+                    params["out.stop.b"]))
+
+
+def fused_context(params, cfg, enc_cond, attention_mode):
+    """M = enc_cond @ W_ctx, W_ctx the context rows of the two LSTMs' wx,
+    of the frame and stop readouts and, in augmented mode, of the alpha and
+    beta heads, side by side in that order: (N, 4D + 4D + F + 1 [+ 2])."""
+    c, p, d = cfg.context_dim, cfg.prenet_out, cfg.decoder_rnn_width
+    blocks = (("dec.lstm1.wx", p), ("dec.lstm2.wx", d), ("out.frame.w", d), ("out.stop.w", d))
+    if attention_mode == "augmented":
+        blocks += (("att.alpha.w", p), ("att.beta.w", 0))
+    w_ctx = ad.concat([ad.reshape(params[k][row:row + c], (c, -1)) for k, row in blocks], axis=1)
+    return ad.matmul(enc_cond, w_ctx)
+
+
+def fused_lstm(layer, params, x, ctx, h, c):
+    # layer 1 reads the first 4D context terms, layer 2 the next 4D
+    d4 = 4 * h.shape[0]
+    terms = ctx[:d4] if layer == 1 else ctx[d4:2 * d4]
+    return lstm_node(x, h, c, params[f"dec.lstm{layer}.wx"][:x.shape[0]], params[f"dec.lstm{layer}.wh"],
+                     ad.add(params[f"dec.lstm{layer}.b"], terms))
+
+
+def readout_end(params, h2):
+    # the context terms run [lstm1 (4D), lstm2 (4D), readout (F+1), heads]
+    return 8 * h2.shape[0] + params["out.frame.b"].shape[0] + 1
+
+
+def fused_heads_step(params, s_p, ctx, h2):
+    return fused_selection_heads(params, s_p, ctx[readout_end(params, h2):], h2)
+
+
+def fused_readout_step(params, h2, ctx):
+    return fused_frame_output(params, h2, ctx[8 * h2.shape[0]:readout_end(params, h2)])
 
 
 def fused_initial_attention(params, query, enc_proj, prev_align, cum_align):
@@ -58,9 +104,9 @@ def fused_augmented_step(b_t, b_prev, alpha, beta):
     return as_node(align.augmented_step(b_t.data, b_prev.data, alpha.data, beta.data), (b_t, b_prev, alpha, beta))
 
 
-FUSED = SimpleNamespace(prenet=fused_prenet, initial_attention=fused_initial_attention,
-                        selection_heads=fused_selection_heads, augmented_step=fused_augmented_step,
-                        frame_output=fused_frame_output, stack=stack)
+FUSED = SimpleNamespace(context=fused_context, prenet=fused_prenet, lstm=fused_lstm,
+                        initial_attention=fused_initial_attention, selection_heads=fused_heads_step,
+                        augmented_step=fused_augmented_step, frame_output=fused_readout_step, stack=stack)
 
 
 # -- COMPOSED: every stage from primitives -------------------------------------------
@@ -136,61 +182,92 @@ def composed_stack(rows):
     return ad.concat([ad.reshape(r, (1, r.shape[0])) for r in rows], axis=0)
 
 
-COMPOSED = SimpleNamespace(prenet=composed_prenet, initial_attention=composed_initial_attention,
-                           selection_heads=composed_selection_heads, augmented_step=composed_augmented_step,
-                           frame_output=composed_frame_output, stack=composed_stack)
+def composed_context(params, cfg, enc_cond, attention_mode):
+    return enc_cond  # each frame forms x_c = a_t @ enc_cond
+
+
+def composed_lstm(layer, params, x, x_c, h, c):
+    return lstm_node(ad.concat([x, x_c]), h, c, params[f"dec.lstm{layer}.wx"], params[f"dec.lstm{layer}.wh"],
+                     params[f"dec.lstm{layer}.b"])
+
+
+COMPOSED = SimpleNamespace(context=composed_context, prenet=composed_prenet, lstm=composed_lstm,
+                           initial_attention=composed_initial_attention, selection_heads=composed_selection_heads,
+                           augmented_step=composed_augmented_step, frame_output=composed_frame_output,
+                           stack=composed_stack)
 
 
 # -- the per-frame decoder ----------------------------------------------------------------
 
 
-def init_decoder_state(params, cfg, n_positions):
+def init_decoder_state(params, cfg, context):
     return {
         "h1": params["dec.init.h1"], "c1": params["dec.init.c1"],
         "h2": params["dec.init.h2"], "c2": params["dec.init.c2"],
-        "x_c": ad.Tensor(np.zeros(cfg.context_dim)),
+        "ctx": ad.Tensor(np.zeros(context.shape[1])),
         "a_prev": None,
-        "cum": ad.Tensor(np.zeros(n_positions)),
+        "cum": ad.Tensor(np.zeros(context.shape[0])),
         "y_prev": ad.Tensor(np.zeros(cfg.frame_width)),
     }
 
 
-def decoder_step(ops, params, state, enc_cond, enc_proj, attention_mode, prev_true=None):
-    """One frame as Tensor nodes: returns (out_t, a_t, new state)."""
+def decoder_step(ops, params, state, context, enc_proj, attention_mode, prev_true=None):
+    """One frame as Tensor nodes: returns (out_t, a_t, new state). context
+    is what ops.context made of enc_cond."""
     s_p = ops.prenet(params, prev_true, state["y_prev"])
-    h1, c1 = lstm_node(ad.concat([s_p, state["x_c"]]), state["h1"], state["c1"],
-                       params["dec.lstm1.wx"], params["dec.lstm1.wh"], params["dec.lstm1.b"])
-    n = enc_cond.shape[0]
+    h1, c1 = ops.lstm(1, params, s_p, state["ctx"], state["h1"], state["c1"])
+    n = context.shape[0]
     prev_align = state["a_prev"] if state["a_prev"] is not None else ad.Tensor(np.zeros(n))
     b_t = ops.initial_attention(params, h1, enc_proj, prev_align, state["cum"])
     if attention_mode == "augmented" and state["a_prev"] is not None:
-        heads = ops.selection_heads(params, s_p, state["x_c"], state["h2"])
+        heads = ops.selection_heads(params, s_p, state["ctx"], state["h2"])
         a_t = ops.augmented_step(b_t, state["a_prev"], heads[0], heads[1])
     else:
         a_t = b_t
-    x_c = ad.matmul(a_t, enc_cond)
-    h2, c2 = lstm_node(ad.concat([h1, x_c]), state["h2"], state["c2"],
-                       params["dec.lstm2.wx"], params["dec.lstm2.wh"], params["dec.lstm2.b"])
-    out_t = ops.frame_output(params, h2, x_c)
+    ctx = ad.matmul(a_t, context)
+    h2, c2 = ops.lstm(2, params, h1, ctx, state["h2"], state["c2"])
+    out_t = ops.frame_output(params, h2, ctx)
     new_state = {
-        "h1": h1, "c1": c1, "h2": h2, "c2": c2, "x_c": x_c, "a_prev": a_t,
+        "h1": h1, "c1": c1, "h2": h2, "c2": c2, "ctx": ctx, "a_prev": a_t,
         "cum": ad.add(state["cum"], a_t),
         "y_prev": ad.Tensor(out_t.data[:-1]),
     }
     return out_t, a_t, new_state
 
 
-def decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets):
-    """Teacher-forced frames as Tensor nodes: returns ((T, F+1) Tensor,
-    (N, T) alignment array), the counterpart of seq2seq.decoder_node."""
-    state = init_decoder_state(params, cfg, enc_cond.shape[0])
+def decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
+    """The decode as Tensor nodes, the counterpart of seq2seq._decode:
+    teacher-forced over targets, a (T, F) array, or free-running without,
+    until the stop probability clears cfg.stop_threshold or the length
+    reaches cfg.max_decode_ratio times the input length. Returns ((T, F+1)
+    Tensor, (N, T) alignment array, truncated)."""
+    context = ops.context(params, cfg, enc_cond, attention_mode)
+    state = init_decoder_state(params, cfg, context)
+    frames = cfg.max_decode_ratio * enc_cond.shape[0] if targets is None else targets.shape[0]
     outs, aligns = [], []
-    for t in range(targets.shape[0]):
-        prev_true = targets[t - 1] if t > 0 else np.zeros(cfg.frame_width)
-        out_t, a_t, state = decoder_step(ops, params, state, enc_cond, enc_proj, attention_mode, prev_true)
+    truncated = targets is None
+    for t in range(frames):
+        prev_true = None if targets is None else (targets[t - 1] if t > 0 else np.zeros(cfg.frame_width))
+        out_t, a_t, state = decoder_step(ops, params, state, context, enc_proj, attention_mode, prev_true)
         outs.append(out_t)
         aligns.append(a_t.data)
-    return ops.stack(outs), np.stack(aligns, axis=1)
+        if targets is None and 1.0 / (1.0 + np.exp(-float(out_t.data[-1]))) > cfg.stop_threshold:
+            truncated = False
+            break
+    return ops.stack(outs), np.stack(aligns, axis=1), truncated
+
+
+@ad.no_grad()
+def synthesize(ops, params, cfg, symbols, prosody_vec, attention_mode):
+    """seq2seq.synthesize with the per-frame decoder: each frame is fed its
+    own previous prediction. Returns a DecoderTrace."""
+    enc_cond = seq2seq.encode(params, symbols, prosody_vec)
+    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
+    out, alignment, truncated = decode(ops, params, cfg, enc_cond, enc_proj, attention_mode)
+    y = out[:, :-1]
+    z = seq2seq.postnet(params, y)
+    return seq2seq.DecoderTrace(y=y.data.copy(), z=z.data.copy(), stop_logits=out.data[:, -1].copy(),
+                                alignment=alignment, truncated=truncated)
 
 
 def teacher_forced(ops, params, cfg, utterance, prosody_vec, attention_mode):
@@ -198,7 +275,7 @@ def teacher_forced(ops, params, cfg, utterance, prosody_vec, attention_mode):
     targets = utterance.features
     enc_cond = seq2seq.encode(params, utterance.symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    out, alignment = decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets)
+    out, alignment, _ = decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]
     z = seq2seq.postnet(params, y)
     loss = ad.add(seq2seq.spectral_loss(y, z, targets),

@@ -1,6 +1,6 @@
 """Checkpoint files: tensor-table round trips, truncated headers, strict
 optimiser state, all-or-nothing restores, bit-identical resumed training,
-and resumes refused when the config changed."""
+and resumes refused when the config or the attention mode changed."""
 
 import struct
 
@@ -31,9 +31,9 @@ def test_checkpoint_restores_scalar_parameters(tmp_path):
     for i, k in enumerate(scalars):
         params[k].data = np.asarray(0.25 * (i + 1))
     opt = ad.SGD(params, lr=0.1)
-    seq2seq.save_checkpoint(tmp_path / "c.bin", params, opt, 1, [])
+    seq2seq.save_checkpoint(tmp_path / "c.bin", params, opt, 1, [], "plain")
     fresh = seq2seq.init_params(cfg, vocab_size=14)
-    seq2seq.load_checkpoint(tmp_path / "c.bin", fresh, ad.SGD(fresh, lr=0.1))
+    assert seq2seq.load_checkpoint(tmp_path / "c.bin", fresh, ad.SGD(fresh, lr=0.1)) == (1, [], "plain")
     for k in scalars:
         assert fresh[k].data.shape == () and fresh[k].data == params[k].data, k
 
@@ -104,13 +104,18 @@ def test_sgd_state_wrong_shape_raises():
     (lambda t: t.update({"meta.next_epoch": np.array([1.5])}), "meta.next_epoch"),
     (lambda t: t.update({"meta.next_epoch": np.array([-1.0])}), "meta.next_epoch"),
     (lambda t: t.update({"meta.next_epoch": np.array([np.nan])}), "meta.next_epoch"),
+    (lambda t: t.pop("meta.attention_mode"), "meta.attention_mode"),
+    (lambda t: t.update({"meta.attention_mode": np.array([2.0])}), "meta.attention_mode"),
+    (lambda t: t.update({"meta.attention_mode": np.array([0.5])}), "meta.attention_mode"),
+    (lambda t: t.update({"meta.attention_mode": np.array([0.0, 1.0])}), "meta.attention_mode"),
     (lambda t: t.pop("meta.history"), "meta.history"),
     (lambda t: t.update({"meta.history": np.zeros(6)}), "meta.history"),
     (lambda t: t.update({"meta.history": np.zeros((2, 3))}), "meta.history"),
     (lambda t: t.update({"meta.history": np.array([[0.5, 1.0, 1.0, 1.0]])}), "meta.history"),
 ], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "model_nan", "velocity_inf",
         "epoch_missing", "epoch_empty", "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative",
-        "epoch_nan", "history_missing", "history_six_values", "history_width_3", "history_epoch_fraction"])
+        "epoch_nan", "mode_missing", "mode_out_of_range", "mode_fraction", "mode_two_values", "history_missing",
+        "history_six_values", "history_width_3", "history_epoch_fraction"])
 def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
     assert list(params)[-1] == "post.conv2.b"
@@ -118,7 +123,7 @@ def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     for v in opt.velocity.values():
         v += 0.5
     path = tmp_path / "c.bin"
-    seq2seq.save_checkpoint(path, params, opt, 1, [])
+    seq2seq.save_checkpoint(path, params, opt, 1, [], "augmented")
     table = fileio.load_tensor_table(path)
     corrupt(table)
     fileio.save_tensor_table(path, table)
@@ -212,6 +217,20 @@ def test_resume_with_different_config_raises(tmp_path, small_corpus, changes, na
     with pytest.raises(ConfigError, match=rf"config\.json: .* differs in {names}$"):
         seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=2, **{**TINY, **changes}), "plain",
                       out_dir=tmp_path, resume=True, log=epochs.append)
+    assert epochs == []
+    assert (tmp_path / "checkpoint.bin").read_bytes() == before
+
+
+@pytest.mark.parametrize("first, second", [("plain", "augmented"), ("augmented", "plain")])
+def test_resume_in_other_attention_mode_raises(tmp_path, small_corpus, first, second):
+    corpus, table = small_corpus
+    seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), first, out_dir=tmp_path)
+    before = (tmp_path / "checkpoint.bin").read_bytes()
+    epochs = []
+    with pytest.raises(ConfigError, match=rf"checkpoint\.bin: resume in '{second}' attention mode of a run "
+                                          rf"trained in '{first}'"):
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=2, **TINY), second, out_dir=tmp_path,
+                      resume=True, log=epochs.append)
     assert epochs == []
     assert (tmp_path / "checkpoint.bin").read_bytes() == before
 

@@ -1,8 +1,12 @@
 """The hand-differentiated decoder stages, each made one node with
-as_node, and the decoder node: gradients against finite differences, and
-the whole teacher-forced pass against the per-frame decoder of
-oracle_decoder.py, in its form with the library's stages and in its form
-composed from engine primitives (one graph node per op)."""
+as_node, and the decoder node: gradients against finite differences (also
+of the per-utterance context projection), the whole teacher-forced
+pass against the per-frame decoder of oracle_decoder.py, in its form with
+the library's stages and in its form composed from engine primitives (one
+graph node per op), and free-running synthesis against the composed
+form."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -261,6 +265,44 @@ def test_decoder_step_fd(mode):
         assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
 
 
+# the rows of each weight that x_c meets, for TINY: P = prenet_out = 3,
+# D = decoder_rnn_width = 4, C = context_dim = 6
+CONTEXT_ROWS = {"dec.lstm1.wx": slice(3, 9), "dec.lstm2.wx": slice(4, 10), "out.frame.w": slice(4, 10),
+                "out.stop.w": slice(4, 10), "att.alpha.w": slice(3, 9), "att.beta.w": slice(0, 6)}
+
+
+@pytest.mark.parametrize("mode", ["augmented", "plain"])
+def test_context_projection_fd(mode):
+    # the context projection enc_cond @ W_ctx is differentiated once per
+    # utterance: its gradient reaches enc_cond and the rows of the six
+    # weights that x_c meets (four in plain mode, which runs no heads)
+    cfg = seq2seq.ModelConfig(**TINY)
+    params = seq2seq.init_params(cfg, vocab_size=5)
+    rng = np.random.default_rng(35)
+    for p in params.values():
+        p.data = np.asarray(p.data + rng.normal(scale=0.3, size=p.data.shape))
+    params["dec.prenet1.w"].data[cfg.frame_width:] = 0.0  # the fed-back prediction is data
+    params["att.v"].data = params["att.v"].data * 10.0  # b_t sharp enough that 0 < gamma < 1, not one-hot
+    params["att.alpha.b"].data = np.asarray(-2.0)
+    n = 5
+    enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)), name="enc_cond")
+    enc_proj = ad.Tensor(rng.normal(size=(n, cfg.attention_dim)))
+    targets = rng.normal(size=(4, cfg.frame_width))
+    w = ad.Tensor(rng.normal(size=(4, cfg.frame_width + 1)))
+
+    def build():
+        out, _ = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
+        return ad.sum_(ad.mul(out, w))
+
+    keys = sorted(CONTEXT_ROWS) if mode == "augmented" else sorted(set(CONTEXT_ROWS) - {"att.alpha.w", "att.beta.w"})
+    build().backward()
+    for k in keys:  # the check is not vacuous: x_c's rows get a gradient
+        assert np.max(np.abs(params[k].grad[CONTEXT_ROWS[k]])) > 1e-6, k
+    for p in [enc_cond] + [params[k] for k in keys]:
+        err = ad.finite_diff_check(build, p)
+        assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
+
+
 def decoder_params(seed):
     """TINY-config parameters moved off their init, so every head and
     relu carries signal."""
@@ -294,27 +336,29 @@ def test_prenet_double_feed_fd_every_input(feed):
 
 
 def test_selection_heads_fd_every_input():
+    # x_c enters as its two projected terms; att.beta.w, which meets x_c
+    # alone, is not an input of the stage
     cfg, params, rng = decoder_params(32)
-    s_p, x_c, h2 = (ad.parameter(rng.normal(size=n), name=name) for n, name in
-                    ((cfg.prenet_out, "s_p"), (cfg.context_dim, "x_c"), (cfg.decoder_rnn_width, "h2")))
+    s_p, ctx_heads, h2 = (ad.parameter(rng.normal(size=n), name=name) for n, name in
+                          ((cfg.prenet_out, "s_p"), (2, "ctx_heads"), (cfg.decoder_rnn_width, "h2")))
     w = ad.Tensor(np.array([0.7, -1.3]))
 
     def build():
-        return ad.matmul(oracle.fused_selection_heads(params, s_p, x_c, h2), w)
+        return ad.matmul(oracle.fused_selection_heads(params, s_p, ctx_heads, h2), w)
 
-    check_every_input(build, [s_p, x_c, h2] + [params[k] for k in oracle.HEAD_KEYS])
+    check_every_input(build, [s_p, ctx_heads, h2] + [params[k] for k in oracle.HEAD_KEYS])
 
 
 def test_frame_output_fd_every_input():
     cfg, params, rng = decoder_params(33)
     h2 = ad.parameter(rng.normal(size=cfg.decoder_rnn_width), name="h2")
-    x_c = ad.parameter(rng.normal(size=cfg.context_dim), name="x_c")
+    ctx_out = ad.parameter(rng.normal(size=cfg.frame_width + 1), name="ctx_out")
     w = ad.Tensor(rng.normal(size=cfg.frame_width + 1))
 
     def build():
-        return ad.matmul(oracle.fused_frame_output(params, h2, x_c), w)
+        return ad.matmul(oracle.fused_frame_output(params, h2, ctx_out), w)
 
-    check_every_input(build, [h2, x_c] + [params[k] for k in oracle.READOUT_KEYS])
+    check_every_input(build, [h2, ctx_out] + [params[k] for k in oracle.READOUT_KEYS])
 
 
 @pytest.mark.parametrize("mode", ["augmented", "plain"])
@@ -323,12 +367,13 @@ def test_decoder_step_node_count(mode, made_nodes):
     # first takes, runs on plain arrays and makes no graph node
     cfg, params, rng = decoder_params(34)
     n = 5
-    enc_cond = rng.normal(size=(n, cfg.context_dim))
-    enc_proj = enc_cond @ params["att.memory.w"].data
     a_prev = rng.dirichlet(np.ones(n))
-    state = {**seq2seq.init_decoder_state(params, cfg, n), "a_prev": a_prev, "cum": a_prev}
+    d, f = cfg.decoder_rnn_width, cfg.frame_width
+    ctx_proj = rng.normal(size=(n, 8 * d + f + (3 if mode == "augmented" else 1)))
+    enc_proj = rng.normal(size=(n, cfg.attention_dim))
+    state = {**seq2seq.init_decoder_state(params, cfg, ctx_proj), "a_prev": a_prev, "cum": a_prev}
     made_nodes.clear()
-    seq2seq.decoder_step(params, state, enc_cond, enc_proj, mode, prev_true=rng.normal(size=cfg.frame_width))
+    seq2seq.decoder_step(params, state, ctx_proj, enc_proj, mode, prev_true=rng.normal(size=cfg.frame_width))
     assert made_nodes == []
 
 
@@ -374,3 +419,48 @@ def test_teacher_forced_matches_composed(mode, utterance):
             assert largest_relative_difference(grads[k], fused_grads[k]) < 1e-12, k
             assert np.max(np.abs(grads[k] - g)) < 1e-10, k
     assert grads["att.query.w"] is not None and np.any(grads["att.query.w"] != 0.0)
+
+
+def free_run_params(cfg, vocab):
+    """Parameters with a peaked initial attention and selection heads off
+    their zero init, so augmented steps mix b_t in and the heads carry
+    signal; the stop head, scaled by -10, gives a stop probability that
+    rises over the first frames."""
+    params = seq2seq.init_params(cfg, vocab)
+    params["att.v"].data = params["att.v"].data * 10.0
+    params["out.stop.w"].data = params["out.stop.w"].data * -10.0
+    rng = np.random.default_rng(41)
+    for k in ("att.alpha.w", "att.beta.w"):
+        params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
+    return params
+
+
+def first_symbols(symbols, n):
+    return synthdata.SymbolSequence(symbols.ids[:n], symbols.stress[:n], symbols.phrase[:n],
+                                    symbols.word_break[:n], symbols.silence[:n])
+
+
+@pytest.mark.parametrize("mode", ["augmented", "plain"])
+@pytest.mark.parametrize("n", [1, 9])
+def test_synthesize_matches_composed_free_run(mode, n, utterance):
+    # free-running decodes, fed their own predictions, against the per-frame
+    # decoder composed from engine primitives: one run to the length cap,
+    # then one with a threshold that the stop probability first clears
+    # part-way through that run
+    vocab, utt = utterance
+    symbols = first_symbols(utt.symbols, n)
+    vec = np.array([0.3, -0.2])
+    capped = seq2seq.ModelConfig(stop_threshold=1.0, max_decode_ratio=6)
+    params = free_run_params(capped, vocab)
+    probs = 1.0 / (1.0 + np.exp(-seq2seq.synthesize(params, capped, symbols, vec, mode).stop_logits))
+    # the frames before the last whose stop probability tops every earlier one
+    records = [k for k in range(1, probs.size - 1) if probs[k] > np.max(probs[:k]) + 1e-6]
+    last = records[len(records) // 2]
+    stopping = dataclasses.replace(capped, stop_threshold=0.5 * (probs[last] + np.max(probs[:last])))
+    for cfg, frames in ((capped, 6 * n), (stopping, last + 1)):
+        trace = seq2seq.synthesize(params, cfg, symbols, vec, mode)
+        ref = oracle.synthesize(oracle.COMPOSED, params, cfg, symbols, vec, mode)
+        assert trace.frame_count == ref.frame_count == frames
+        assert trace.truncated == ref.truncated == (frames == 6 * n)
+        for key in ("y", "z", "stop_logits", "alignment"):
+            assert np.max(np.abs(getattr(trace, key) - getattr(ref, key))) < 1e-10, key

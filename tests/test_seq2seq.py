@@ -279,16 +279,15 @@ def test_teacher_forced_second_backward_adds_the_same_again(corpus, table, param
 
 @pytest.mark.parametrize("mode", MODES)
 def test_teacher_forced_under_no_grad_keeps_no_step_backward(corpus, table, params, mode, monkeypatch):
-    # a frame's backward is freed as the decode moves on under no_grad, and
-    # kept for the graph node otherwise; at each step the decode still holds
-    # the previous frame's, so count the ones before it
+    # under no_grad a frame builds no backward at all; with graph building
+    # on, each frame's is kept for the graph node until the pass returns
     real = seq2seq.decoder_step
     kept, alive = [], []
 
     def step(*args, **kwargs):
-        alive.append(sum(ref() is not None for ref in kept[:-1]))
+        alive.append(sum(ref is not None and ref() is not None for ref in kept))
         result = real(*args, **kwargs)
-        kept.append(weakref.ref(result[3]))
+        kept.append(result[3] if result[3] is None else weakref.ref(result[3]))
         return result
 
     monkeypatch.setattr(seq2seq, "decoder_step", step)
@@ -296,11 +295,11 @@ def test_teacher_forced_under_no_grad_keeps_no_step_backward(corpus, table, para
     u = corpus.utterances[0]
     with ad.no_grad():
         seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
-    assert len(alive) == u.features.shape[0] and max(alive) == 0
+    assert len(kept) == u.features.shape[0] and all(k is None for k in kept)
     kept.clear()
     alive.clear()
     loss, _ = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
-    assert alive[-1] == u.features.shape[0] - 2
+    assert alive[-1] == u.features.shape[0] - 1
 
 
 # -- the collector during training -----------------------------------------------------

@@ -293,6 +293,19 @@ def _lengthen_first(durations):
     (_edit_line(2, _edit_record(lambda r: r.update(split="valid"))), r"utterances\.jsonl:2: split 'valid'"),
     (_edit_line(2, _edit_record(_stress_five)), r"utterances\.jsonl:2: stress 5 outside 0\.\.2"),
     (_edit_line(2, _edit_record(lambda r: r.update(phrase=9))), r"utterances\.jsonl:2: phrase 9 outside 0\.\.3"),
+    (_edit_line(2, _edit_record(lambda r: r.update(pace_factor="fast"))),
+     r"utterances\.jsonl:2: pace_factor 'fast' is not a finite number"),
+    (_edit_line(3, _edit_record(lambda r: r.update(pitch_variance=None))),
+     r"utterances\.jsonl:3: pitch_variance None is not a finite number"),
+    (_edit_line(2, _edit_record(lambda r: r.update(pitch_variance=True))),
+     r"utterances\.jsonl:2: pitch_variance True is not a finite number"),
+    (_edit_line(2, _edit_record(lambda r: r.update(phrase=1.7))), r"utterances\.jsonl:2: phrase 1\.7 is not a whole"),
+    (_edit_line(2, _edit_durations(lambda d: [0] + d[1:])),
+     r"utterances\.jsonl:2: duration 0 is not a whole number >= 1"),
+    (_edit_line(3, _edit_durations(lambda d: [-1] + d[1:])),
+     r"utterances\.jsonl:3: duration -1 is not a whole number >= 1"),
+    (_edit_line(2, _edit_durations(lambda d: d[:-1] + [2.7])),
+     r"utterances\.jsonl:2: duration 2\.7 is not a whole number >= 1"),
 ], ids=["meta_no_config", "meta_unknown_field", "meta_bad_json", "meta_non_ascii",
         "record_no_symbols", "record_bad_json", "record_non_ascii",
         "meta_short_table", "config_short_table", "config_invalid",
@@ -300,7 +313,9 @@ def _lengthen_first(durations):
         "no_arrays", "no_utterances", "features_missing", "features_width", "features_nan",
         "templates_shape", "arrays_truncated", "config_missing_field", "config_not_object", "meta_version_1",
         "record_duplicate_id", "record_id_not_string", "record_id_path", "record_unknown_split",
-        "record_stress_range", "record_phrase_range"])
+        "record_stress_range", "record_phrase_range", "record_pace_string", "record_pitch_null",
+        "record_pitch_bool", "record_phrase_float", "record_duration_zero", "record_duration_negative",
+        "record_duration_float"])
 def test_load_bad_corpus_raises_data_error(tmp_path, corrupt, where):
     small = synthdata.generate_corpus(CorpusConfig(utterance_count=4, validation_count=1))
     synthdata.save_corpus(small, tmp_path)

@@ -16,18 +16,20 @@ reshape and index_rows; conv1d; and lstm_layer, a whole LSTM layer over a
 sequence as one node. Two cells come as functions on plain arrays that
 return their value together with their backward, without making a node:
 lstm_step, one LSTM cell update whose initial weights lstm_weights draws in
-the same gate layout, and location_attention_vjp. A caller that
-runs many cells and routes their gradients itself, as lstm_layer does for a
-sequence and the decoder for a whole utterance, uses those and wraps its
-result in one node with fused. Other modules build their own nodes the same
-way. Tensors define no arithmetic operators; call the functions.
+the same gate layout, and location_attention_vjp, whose kernel
+location_kernel composes. A caller that runs many cells and routes their
+gradients itself, as lstm_layer does for a sequence and the decoder for a
+whole utterance, uses those and wraps its result in one node with fused.
+Other modules build their own nodes the same way. Tensors define no
+arithmetic operators; call the functions.
 
-A stage's backward may hand over a weight gradient that is an outer
-product as its two factors, Outer(a, b), standing for np.outer(a, b);
-lstm_step (wx, wh) and location_attention_vjp (query_w) do. Such a caller
-puts every step's gradients into one StepGrads buffer, which sums them and
-contracts the pairs once per backward pass instead of building a full
-matrix per step. Graph nodes hand Tensor.backward plain arrays only.
+Such a caller keeps only the recurrence in its reverse loop. The cells'
+backwards give no weight gradients: lstm_step's gives the gate gradient,
+which is also the bias gradient, and location_attention_vjp's the rows its
+weight gradients are made of. The caller writes each step's rows into
+(T, .) arrays and contracts every weight gradient once after the loop, with
+lstm_weight_grads and location_attention_weight_grads; a single step is
+T = 1. Graph nodes hand Tensor.backward plain arrays only.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -82,56 +84,6 @@ def no_grad():
         yield
     finally:
         _GRAD_MODE.enabled = prev
-
-
-class Outer:
-    """The gradient np.outer(a, b), kept as its two 1-D factors; a stage
-    backward returns it for a StepGrads buffer to contract."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a, b):
-        self.a = a
-        self.b = b
-
-
-class StepGrads:
-    """The gradients one backward pass over a recurrence of T steps
-    collects, by key (shapes maps each key to its gradient's shape), in
-    (T, .) buffers whose row t holds step t's part: one buffer per key for
-    dense gradients, and one per factor for keys that receive Outer pairs.
-    Set step before each add. total(key) sums the rows once, and contracts
-    the factors once as sum_t outer(a_t, b_t) = A^T B."""
-
-    def __init__(self, shapes, steps):
-        self.step = 0
-        self._shapes = shapes
-        self._steps = steps
-        self._rows = {}
-        self._factors = {}
-
-    def add(self, keys, grads):
-        t = self.step
-        for k, g in zip(keys, grads):
-            if type(g) is Outer:
-                factors = self._factors.get(k)
-                if factors is None:
-                    rows, cols = self._shapes[k]
-                    factors = self._factors[k] = (np.zeros((self._steps, rows)), np.zeros((self._steps, cols)))
-                factors[0][t] = g.a
-                factors[1][t] = g.b
-            else:
-                rows = self._rows.get(k)
-                if rows is None:
-                    rows = self._rows[k] = np.zeros((self._steps, *self._shapes[k]))
-                rows[t] = g
-
-    def total(self, k):
-        g = self._rows[k].sum(axis=0) if k in self._rows else np.zeros(self._shapes[k])
-        if k in self._factors:
-            a, b = self._factors[k]
-            g += a.T @ b
-        return g
 
 
 class Tensor:
@@ -438,6 +390,17 @@ def _conv_same_grads(g, xp, w):
     return _windows(gp, k) @ w[::-1].transpose(0, 2, 1).reshape(k * cout, cin), gw
 
 
+@functools.lru_cache(maxsize=64)
+def _window_index(n, k):
+    """Read-only (N, 2K) flat indices of the K-row windows of a padded
+    (N + K - 1, 2) array: entry (t, 2j + c) is 2 (t + j) + c, row t + j and
+    channel c. Taking them gives the windows; adding a gradient of the
+    windows back through them gives the padded array's."""
+    index = np.add.outer(2 * np.arange(n), np.arange(2 * k))
+    index.flags.writeable = False
+    return index
+
+
 def conv1d(x, w, bias=None):
     """'Same'-padded 1-D convolution over time.
 
@@ -479,9 +442,10 @@ def lstm_step(x, h, c, wx, wh, b):
 
     x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
     i,f,g,o. Returns (h', c', backward), where backward(gh, gc) maps the
-    gradients of h' and c' to those of (x, h, c, wx, wh, b); the two weight
-    gradients come as Outer pairs sharing the gate gradient, which is also
-    the bias gradient.
+    gradients of h' and c' to those of (x, h, c) and to the (4H,) gate
+    gradient gz, which is also b's. The weight gradients are
+    outer(x, gz) and outer(h, gz); lstm_weight_grads makes them, over the
+    rows of many steps or of one.
     """
     hid = h.shape[0]
     if wx.shape != (x.shape[0], 4 * hid) or wh.shape != (hid, 4 * hid):
@@ -498,12 +462,16 @@ def lstm_step(x, h, c, wx, wh, b):
     def backward(gh, gc):
         gc_total = gc + gh * o * (1.0 - tc * tc)
         gz = np.concatenate([gc_total * g, gc_total * c, gc_total * i, gh * tc]) * ((1.0 - t * t) * scale2)
-        return wx @ gz, wh @ gz, gc_total * f, Outer(x, gz), Outer(h, gz), gz
+        return wx @ gz, wh @ gz, gc_total * f, gz
 
     return h_new, c_new, backward
 
 
-_LAYER_KEYS = ("wx", "wh", "b")
+def lstm_weight_grads(xs, hs, gz):
+    """The gradients of lstm_step's (wx, wh, b) summed over T steps, from
+    the (T, I) inputs xs, the (T, H) states hs the steps read and their
+    (T, 4H) gate gradients gz: one contraction each."""
+    return xs.T @ gz, hs.T @ gz, gz.sum(axis=0)
 
 
 def lstm_layer(xs, wx, wh, b, reverse=False):
@@ -512,8 +480,9 @@ def lstm_layer(xs, wx, wh, b, reverse=False):
     The cell (see lstm_step) starts from a zero state and reads the rows of
     xs first to last, or last to first when reverse is set. Returns the
     (T, H) Tensor whose row t is the h the cell gave after reading row t.
-    The node's backward walks the steps in reverse and contracts each
-    weight's gradient once per pass.
+    The node's backward walks the steps in reverse, writing each step's
+    gate gradient as a row of a (T, 4H) array, and then contracts each
+    weight's gradient once (lstm_weight_grads).
     """
     xs, wx, wh, b = _wrap(xs), _wrap(wx), _wrap(wh), _wrap(b)
     if xs.data.ndim != 2:
@@ -529,55 +498,68 @@ def lstm_layer(xs, wx, wh, b, reverse=False):
         out[t] = h
         if record:
             backwards.append(step_backward)
-    shapes = {"wx": wx.data.shape, "wh": wh.data.shape, "b": b.data.shape}
 
     def backward(g):
-        grads = StepGrads(shapes, steps)
         gxs = np.empty_like(xs.data)
+        gz = np.empty((steps, 4 * hid))
         gh = gc = np.zeros(hid)
         for k in range(steps - 1, -1, -1):
             t = order[k]
-            grads.step = k
-            gxs[t], gh, gc, *g_w = backwards[k](g[t] + gh, gc)
-            grads.add(_LAYER_KEYS, g_w)
-        return (gxs, *(grads.total(k) for k in _LAYER_KEYS))
+            gxs[t], gh, gc, gz[t] = backwards[k](g[t] + gh, gc)
+        hs = np.zeros_like(out)  # row t: the h the cell read with row t of xs
+        if reverse:
+            hs[:-1] = out[1:]
+        else:
+            hs[1:] = out[:-1]
+        return (gxs, *lstm_weight_grads(xs.data, hs, gz))
 
     return fused(out, (xs, wx, wh, b), backward)
 
 
-def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v):
+def location_kernel(conv_w, loc_w):
+    """The (K, 2, A) kernel of location_attention_vjp: conv_w (K, 2, F)
+    with odd K composed with loc_w (F, A). The location term is linear in
+    both, so a convolution with conv_w followed by loc_w is one
+    convolution with this kernel. A ShapeError when they do not fit."""
+    if not (conv_w.ndim == 3 and conv_w.shape[0] % 2 == 1 and conv_w.shape[1] == 2
+            and loc_w.ndim == 2 and loc_w.shape[0] == conv_w.shape[2]):
+        raise ShapeError(f"location_attention: kernel shapes do not fit: {np.shape(conv_w)}, {np.shape(loc_w)}")
+    k, _, f = conv_w.shape
+    return (conv_w.reshape(2 * k, f) @ loc_w).reshape(k, 2, loc_w.shape[1])
+
+
+def location_attention_vjp(query, enc_proj, prev_align, cum_align, kernel, query_w, v):
     """Location-sensitive additive attention on plain arrays, with its
     backward.
 
-    query: (D,), enc_proj: (N, A), prev_align/cum_align: (N,),
-    conv_w: (K, 2, F) with odd K, loc_w: (F, A), query_w: (D, A), v: (A,).
-    loc = conv1d([prev_align, cum_align], conv_w) and the result is
-    softmax(tanh(enc_proj + loc @ loc_w + query @ query_w) @ v), an (N,)
+    query: (D,), enc_proj: (N, A), prev_align/cum_align: (N,), kernel:
+    (K, 2, A) with odd K (see location_kernel), query_w: (D, A), v: (A,).
+    loc = conv1d([prev_align, cum_align], kernel), one matmul of the
+    (N, 2K) windows of the padded [prev_align, cum_align], gathered by one
+    index, against the kernel's (2K, A) form, and the result is
+    softmax(tanh(enc_proj + loc + query @ query_w) @ v), an (N,)
     distribution. Returns (result, backward), where backward(g) gives the
-    gradients of all eight inputs in order, query_w's as an Outer pair.
-
-    The location term is linear in both weights, so it is computed as one
-    'same'-padded convolution with the composed (K, 2, A) kernel
-    conv_w @ loc_w: one matmul of the (N, 2K) windows of the padded
-    [prev_align, cum_align] against that kernel's (2K, A) form. The
-    backward takes the composed kernel's gradient from the same windows
-    and chains it back to conv_w and loc_w.
+    gradients of (query, prev_align, cum_align) and the step's rows for
+    location_attention_weight_grads: gterms, the (N, A) gradient of the
+    tanh's argument, which is also enc_proj's, ge, the (N,) gradient of
+    the scores, and th, the (N, A) tanh.
     """
-    fits = enc_proj.ndim == 2 and conv_w.ndim == 3 and query.ndim == 1
+    fits = enc_proj.ndim == 2 and kernel.ndim == 3 and query.ndim == 1
     if fits:
         n, a = enc_proj.shape
-        k, cin, f = conv_w.shape
-        fits = (prev_align.shape == cum_align.shape == (n,) and cin == 2 and k % 2 == 1
-                and loc_w.shape == (f, a) and query_w.shape == (query.shape[0], a) and v.shape == (a,))
+        k = kernel.shape[0]
+        fits = (prev_align.shape == cum_align.shape == (n,) and kernel.shape == (k, 2, a) and k % 2 == 1
+                and query_w.shape == (query.shape[0], a) and v.shape == (a,))
     if not fits:
         raise ShapeError("location_attention: shapes do not fit: " + ", ".join(
-            str(np.shape(t)) for t in (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v)))
+            str(np.shape(t)) for t in (query, enc_proj, prev_align, cum_align, kernel, query_w, v)))
     pad = k // 2
     loc_pad = np.zeros((n + 2 * pad, 2))
     loc_pad[pad:pad + n, 0] = prev_align
     loc_pad[pad:pad + n, 1] = cum_align
-    conv_flat = conv_w.reshape(2 * k, f)
-    th = np.tanh(enc_proj + _windows(loc_pad, k) @ (conv_flat @ loc_w) + query @ query_w)
+    index = _window_index(n, k)
+    flat = kernel.reshape(2 * k, a)
+    th = np.tanh(enc_proj + loc_pad.take(index) @ flat + query @ query_w)
     e = th @ v
     z = np.exp(e - e.max())
     data = z / z.sum()
@@ -585,15 +567,31 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, conv_w, loc_w
     def backward(g):
         ge = data * (g - np.dot(g, data))
         gterms = np.outer(ge, v) * (1.0 - th * th)
-        gq = gterms.sum(axis=0)
-        # the kernel is made again rather than kept: a decoder holds every
-        # frame's backward until its utterance's backward runs
-        gin, g_kernel = _conv_same_grads(gterms, loc_pad, (conv_flat @ loc_w).reshape(k, 2, a))
-        g_kernel = g_kernel.reshape(2 * k, a)
-        return (query_w @ gq, gterms, gin[:, 0].copy(), gin[:, 1].copy(), (g_kernel @ loc_w.T).reshape(k, 2, f),
-                conv_flat.T @ g_kernel, Outer(query, gq), th.T @ ge)
+        # the windows' gradient, added back onto the padded rows they read
+        g_windows = gterms @ flat.T
+        gin = np.bincount(index.ravel(), g_windows.ravel(), 2 * (n + 2 * pad)).reshape(-1, 2)[pad:pad + n]
+        return query_w @ gterms.sum(axis=0), gin[:, 0], gin[:, 1], gterms, ge, th
 
     return data, backward
+
+
+def location_attention_weight_grads(queries, prev_aligns, cum_aligns, gterms, ges, ths, conv_w, loc_w):
+    """The gradients of location_attention_vjp's enc_proj, conv_w, loc_w,
+    query_w and v summed over T steps, from each step's (T, .) rows: the
+    queries, alignments and cumulative alignments the steps read and the
+    gterms, ge and th their backwards gave. The composed kernel's gradient
+    is one (2K, T*N) @ (T*N, A) matmul over every step's windows, chained
+    once to conv_w and loc_w."""
+    steps, n, a = gterms.shape
+    k, _, f = conv_w.shape
+    pad = k // 2
+    loc_pad = np.zeros((steps, n + 2 * pad, 2))
+    loc_pad[:, pad:pad + n, 0] = prev_aligns
+    loc_pad[:, pad:pad + n, 1] = cum_aligns
+    windows = loc_pad.reshape(steps, -1)[:, _window_index(n, k)]
+    g_kernel = windows.reshape(steps * n, 2 * k).T @ gterms.reshape(steps * n, a)
+    return (gterms.sum(axis=0), (g_kernel @ loc_w.T).reshape(k, 2, f), conv_w.reshape(2 * k, f).T @ g_kernel,
+            queries.T @ gterms.sum(axis=1), ths.reshape(steps * n, a).T @ ges.reshape(steps * n))
 
 
 # -- parameters, optimiser, gradient checking ------------------------------------

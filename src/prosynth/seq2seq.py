@@ -14,17 +14,21 @@ convolutional post-net refines the whole utterance residually.
 
 The decoder's recurrence runs on plain arrays, in one loop that
 synthesize (free-running, with the stop test) and teacher_forced (fed the
-true previous frames) share. Each stage, the pre-net, the two LSTM cells
+true previous frames) share. Its stages are the pre-net, the two LSTM cells
 (autodiff.lstm_step), the location attention, the alpha/beta selection
-heads, the augmented step and the readout, returns its value with its
-hand-written backward, and decoder_step composes them into one backward per
-frame that routes the recurrent state's gradients by hand. Under teacher
-forcing the whole decoded utterance is one graph node of shape (T, F+1),
-rows [y_t, stop logit], whose backward walks the frames in reverse and
-gathers their gradients in one autodiff.StepGrads buffer, which contracts
-each outer-product weight gradient once. So the training graph's size does
-not depend on the length of the input or of the decode, and without graph
-building the loop keeps no backwards at all.
+heads, the augmented step and the readout. Under teacher forcing the whole
+decoded utterance is one graph node of shape (T, F+1), rows [y_t, stop
+logit], whose backward runs in three parts. First the readout's backward
+runs once over the (T, F+1) output gradient and the forward's h2 rows. Then
+a loop walks the frames in reverse and holds only the recurrence: the two
+cells' input and state gradients, the attention's softmax/tanh chain, the
+augmented step and the heads' logit gradients, and the routing of the
+recurrent state's gradients. Each frame writes its rows, such as the gate
+gradients and the attention's per-position terms, into (T, .) arrays. Last,
+every weight gradient is one contraction over those rows: the pre-net's,
+both LSTMs', the heads', the attention's and the context projection's. So
+the training graph's size does not depend on the length of the input or of
+the decode, and without graph building the loop keeps no backwards at all.
 
 The attention context x_c = a_t @ enc_cond enters every stage that reads it
 linearly: both LSTMs' input weights, the frame and stop readouts and the
@@ -35,12 +39,14 @@ F + 1 + 2) (plain mode leaves the heads' two columns out), and each frame
 makes one a_t @ M. The LSTM cells read only their own input rows, with
 their context terms added to the bias argument; the heads and the readout
 take their projected terms. In the backward each frame adds M @ g_ctx to
-a_t's gradient and puts Outer(a_t, g_ctx) into the StepGrads buffer, where
-g_ctx is the gradient of that frame's a_t @ M (the LSTMs' bias gradients,
-the readout's and the next frame's heads' context gradients). The buffer
-contracts those pairs once per pass into M's gradient, and decoder_node
-then differentiates enc_cond @ W_ctx once per utterance, for enc_cond and
-for the context rows of the six weights.
+a_t's gradient, where g_ctx, a row of a (T + 1, .) array, is the gradient
+of that frame's a_t @ M: its lstm2 gate gradient and output gradient,
+and the next frame's lstm1 gate gradient and heads' logit gradients, the
+stages that add those terms. After the loop, M's
+gradient is the (N, T) alignment times those rows, and decoder_node then
+differentiates enc_cond @ W_ctx once per utterance, for enc_cond and for
+the context rows of the six weights. The location attention's kernel is
+composed once per decode as well (autodiff.location_kernel).
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -269,10 +275,15 @@ def encode(params, symbols, prosody_vec):
 
 # -- decoder ---------------------------------------------------------------------
 #
-# The decoder runs on plain arrays. Each stage returns (value, backward), where
-# backward maps the value's gradient to one gradient per input, in the order
-# its docstring gives, weights last in the order of the stage's key tuple; a
-# weight gradient that is an outer product comes as an ad.Outer pair.
+# The decoder runs on plain arrays, one decoder_step per frame. Each stage's
+# backward is split where the recurrence ends. What a frame's reverse step
+# needs comes from the backward that a stage returns with its value:
+# (value, backward), where backward maps the value's gradient to the
+# gradients the reverse loop routes, in the order its docstring gives. The
+# rest, every weight gradient and the input gradients that feed only stages
+# outside the loop, comes from the stage's *_grads function over (T, .)
+# rows, run once per utterance; one frame is T = 1. The pre-net and the
+# readout have no part in the loop and only a *_grads function.
 
 _PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
 _LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
@@ -304,42 +315,54 @@ def _context_blocks(params, cfg, attention_mode):
     return [(k, row, params[k].data[row:row + c].reshape(c, -1)) for k, row in rows]
 
 
-def initial_attention(params, query, enc_proj, prev_align, cum_align):
+def location_kernel(params):
+    """The composed location kernel att.location.conv @ att.location.w
+    that initial_attention reads (see autodiff.location_kernel)."""
+    return ad.location_kernel(*_weights(params, _ATTENTION_KEYS[:2]))
+
+
+def initial_attention(params, query, enc_proj, prev_align, cum_align, kernel):
     """Additive content+location attention over encoder positions.
 
     Location features come from a 1-D convolution over the stacked previous
-    and cumulative alignment vectors. Returns (b_t, backward); backward(g)
-    gives the gradients of (query, enc_proj, prev_align, cum_align) and the
-    attention weights.
+    and cumulative alignment vectors with kernel, the location_kernel of
+    params. Returns (b_t, backward); backward(g) gives the gradients of
+    (query, prev_align, cum_align) and the frame's rows for
+    autodiff.location_attention_weight_grads, which gives the enc_proj and
+    weight gradients.
     """
     n = prev_align.shape[0]
     if enc_proj.shape[0] != n:
         raise DataError(f"attention: {enc_proj.shape[0]} encoder rows vs {n} alignment entries")
-    return ad.location_attention_vjp(query, enc_proj, prev_align, cum_align, *_weights(params, _ATTENTION_KEYS))
+    return ad.location_attention_vjp(query, enc_proj, prev_align, cum_align, kernel,
+                                     *_weights(params, _ATTENTION_KEYS[2:]))
 
 
 def prenet_double_feed(params, prev_true, prev_pred):
-    """Pre-net over [true, predicted] under teacher forcing, the prediction
-    duplicated when prev_true is None (free-running decode).
+    """Pre-net over x = [true, predicted] under teacher forcing, the
+    prediction duplicated when prev_true is None (free-running decode).
 
-    Two relu layers. Returns (out, backward); backward(g) gives the
-    gradients of the four weights only: both frames are data, since the
-    decoder feeds its prediction back as a constant.
+    Two relu layers. Returns (out, hidden), hidden being the first layer's
+    output. Both frames are data, since the decoder feeds its prediction
+    back as a constant, so only the weights have gradients: prenet_grads.
     """
     first = prev_pred if prev_true is None else np.asarray(prev_true, dtype=np.float64)
     if first.shape != prev_pred.shape:
         raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
     w1, b1, w2, b2 = _weights(params, _PRENET_KEYS)
-    x = np.concatenate([first, prev_pred])
-    h = np.maximum(x @ w1 + b1, 0.0)
-    out = np.maximum(h @ w2 + b2, 0.0)
+    hidden = np.maximum(np.concatenate([first, prev_pred]) @ w1 + b1, 0.0)
+    return np.maximum(hidden @ w2 + b2, 0.0), hidden
 
-    def backward(g):
-        g2 = g * (out > 0.0)
-        g1 = (w2 @ g2) * (h > 0.0)
-        return ad.Outer(x, g1), g1, ad.Outer(h, g2), g2
 
-    return out, backward
+def prenet_grads(weights, xs, hiddens, outs, g):
+    """The pre-net's backward over T frames: the gradients of its four
+    weights (the arrays of _PRENET_KEYS, in weights) from the (T, 2F)
+    inputs xs, the (T, .) hidden and output rows that prenet_double_feed
+    gave and the (T, P) output gradients g."""
+    w2 = weights[2]
+    g2 = g * (outs > 0.0)
+    g1 = (g2 @ w2.T) * (hiddens > 0.0)
+    return xs.T @ g1, g1.sum(axis=0), hiddens.T @ g2, g2.sum(axis=0)
 
 
 def selection_heads(params, s_p, ctx_heads, h2):
@@ -347,38 +370,51 @@ def selection_heads(params, s_p, ctx_heads, h2):
     alpha = sigmoid([s_p, x_c, h2] . w_alpha + b_alpha) and
     beta = sigmoid(x_c . w_beta + b_beta), where x_c enters as its
     projected terms ctx_heads = [x_c . w_alpha[x_c rows], x_c . w_beta].
-    Returns (heads, backward); backward(g) gives the gradients of (s_p,
-    ctx_heads, h2), of the rows of w_alpha that s_p and h2 meet (s_p's
-    first, as one vector), of b_alpha and of b_beta."""
+    Returns (heads, backward); backward(g) gives the logits' gradient,
+    which is also ctx_heads', and h2's. selection_heads_grads gives the
+    rest."""
     aw, ab, bb = _weights(params, _HEAD_KEYS)
     aw_s, aw_h = aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]
     heads = 0.5 * (1.0 + np.tanh(0.5 * (np.array([s_p @ aw_s + h2 @ aw_h + ab, bb]) + ctx_heads)))  # stable logistic
 
     def backward(g):
         g_logits = g * heads * (1.0 - heads)
-        ga, gb = g_logits
-        return ga * aw_s, g_logits, ga * aw_h, ga * np.concatenate([s_p, h2]), ga, gb
+        return g_logits, g_logits[0] * aw_h
 
     return heads, backward
+
+
+def selection_heads_grads(weights, s_ps, h2s, g_logits):
+    """The rest of selection_heads' backward over T frames, from the (T, P)
+    and (T, D) rows of s_p and h2 and the (T, 2) logit gradients: the
+    (T, P) gradients of s_p, then those of the rows of w_alpha that s_p
+    and h2 meet (s_p's first, as one vector), of b_alpha and of b_beta.
+    weights holds the arrays of _HEAD_KEYS."""
+    ga = g_logits[:, 0]
+    return (np.outer(ga, weights[0][:s_ps.shape[1]]), ga @ np.concatenate([s_ps, h2s], axis=1), ga.sum(),
+            g_logits[:, 1].sum())
 
 
 def frame_output(params, h2, ctx_out):
     """The readout as one (F+1,) vector: the frame [h2, x_c] @ W + b, then
     the stop logit [h2, x_c] . w_stop + b_stop, where x_c enters as its
     projected terms ctx_out = x_c @ [W, w_stop][x_c rows], an (F+1,)
-    vector. Returns (out, backward); backward(g) gives the gradients of
-    (h2, ctx_out), of the rows of W that h2 meets, of b, of the rows of
-    w_stop that h2 meets and of b_stop."""
+    vector. Its backward is frame_output_grads."""
     fw, fb, sw, sb = _weights(params, _READOUT_KEYS)
     hid = h2.shape[0]
-    fw_h, sw_h = fw[:hid], sw[:hid]
-    out = np.concatenate([h2 @ fw_h + fb, (h2 @ sw_h + sb,)]) + ctx_out
+    return np.concatenate([h2 @ fw[:hid] + fb, (h2 @ sw[:hid] + sb,)]) + ctx_out
 
-    def backward(g):
-        gy, gs = g[:-1], g[-1]
-        return fw_h @ gy + gs * sw_h, g, ad.Outer(h2, gy), gy, gs * h2, gs
 
-    return out, backward
+def frame_output_grads(weights, h2s, g):
+    """frame_output's backward over T frames, from the (T, D) rows of h2
+    and the (T, F+1) output gradients g: the gradients of h2 and ctx_out
+    as (T, .) rows, of the rows of W that h2 meets, of b, of the rows of
+    w_stop that h2 meets and of b_stop. weights holds the arrays of
+    _READOUT_KEYS."""
+    fw, _, sw, _ = weights
+    hid = h2s.shape[1]
+    gy, gs = g[:, :-1], g[:, -1]
+    return gy @ fw[:hid].T + np.outer(gs, sw[:hid]), g, h2s.T @ gy, gy.sum(axis=0), h2s.T @ gs, gs.sum()
 
 
 def init_decoder_state(params, cfg, ctx_proj):
@@ -395,7 +431,35 @@ def init_decoder_state(params, cfg, ctx_proj):
     }
 
 
-def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=None):
+class DecoderRows:
+    """The (T, .) arrays one teacher-forced backward over T frames fills,
+    frame by frame in reverse, for the contractions after its loop.
+
+    ctx has T + 1 rows: row t + 1 is the gradient of frame t's context
+    terms a_t @ ctx_proj, and row 0 that of the zero terms before the
+    first frame, which no weight reads. So the lstm1 and head columns of
+    row t hold frame t's gate and logit gradients, and the lstm2 and
+    readout columns of row t + 1 frame t's. g_h2 holds the readout's h2
+    gradients, which the loop reads; the attention rows, the pre-net's
+    output and hidden rows and s_p's gradients from lstm1 are written by
+    the loop.
+    """
+
+    __slots__ = ("ctx", "g_h2", "gterms", "ge", "th", "s_p", "hidden", "g_s_p")
+
+    def __init__(self, cfg, steps, n_positions, columns, g_h2):
+        a = cfg.attention_dim
+        self.ctx = np.zeros((steps + 1, columns))
+        self.g_h2 = g_h2
+        self.gterms = np.empty((steps, n_positions, a))
+        self.ge = np.empty((steps, n_positions))
+        self.th = np.empty((steps, n_positions, a))
+        self.s_p = np.empty((steps, cfg.prenet_out))
+        self.hidden = np.empty((steps, cfg.prenet_hidden))
+        self.g_s_p = np.empty((steps, cfg.prenet_out))
+
+
+def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev_true=None):
     """Advance one frame on plain arrays: returns (out_t, a_t, new state,
     backward), where out_t is frame_output's (F+1,) vector [y_t, stop
     logit]. ctx_proj is the utterance's context projection
@@ -404,28 +468,32 @@ def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=No
     x_c = a_t @ enc_cond that a stage adds: the two LSTMs' context terms,
     which go in through their bias argument, the readout's and the
     selection heads' (plain mode runs no heads and leaves their two
-    columns out). prev_true is the true previous frame under teacher
-    forcing, None when decoding free-running. attention_mode is one of
-    ATTENTION_MODES; any other value is a ValueError.
+    columns out). kernel is the decode's location_kernel. prev_true is the
+    true previous frame under teacher forcing, None when decoding
+    free-running. attention_mode is one of ATTENTION_MODES; any other value
+    is a ValueError.
 
-    While ad.grad_enabled(), backward(g_out, g_next, grads) takes the
-    gradients of out_t and of the new state's h1, c1, h2, c2, ctx, a_prev
-    and cum, gives the weight, ctx_proj and enc_proj gradients to grads
-    (an ad.StepGrads; a weight whose rows x_c meets gets the gradient of
-    its other rows only, and ctx_proj its Outer pair) and returns the
-    gradients of the same entries of state. Under no_grad backward is None.
+    While ad.grad_enabled(), backward(t, g_next, rows) is the frame's step
+    of the reverse loop, for frame index t: it takes the gradients of the
+    new state's h1, c1, h2, c2, a_prev and cum, reads the readout's h2
+    gradient from rows (a DecoderRows) and that of its context terms from
+    rows.ctx, writes its rows there, and returns the gradients of the same
+    entries of state. It runs the two LSTM cells' backwards, the
+    attention's softmax/tanh chain, the augmented step's and the heads'
+    and routes the state; every weight gradient is left to the
+    contractions over rows. Under no_grad backward is None.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
     ctx_prev, a_prev = state["ctx"], state["a_prev"]
     d4 = 4 * state["h1"].shape[0]
     heads_at = 2 * d4 + state["y_prev"].shape[0] + 1  # the columns after the LSTMs' and the readout's
-    s_p, prenet_backward = prenet_double_feed(params, prev_true, state["y_prev"])
+    s_p, hidden = prenet_double_feed(params, prev_true, state["y_prev"])
     wx1, wh1, b1 = _weights(params, _LSTM1_KEYS)
     h1, c1, lstm1_backward = ad.lstm_step(s_p, state["h1"], state["c1"], wx1[:s_p.shape[0]], wh1,
                                           b1 + ctx_prev[:d4])
     prev_align = np.zeros(ctx_proj.shape[0]) if a_prev is None else a_prev
-    b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"])
+    b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"], kernel)
     augment = attention_mode == "augmented" and a_prev is not None
     if augment:
         heads, heads_backward = selection_heads(params, s_p, ctx_prev[heads_at:], state["h2"])
@@ -436,7 +504,7 @@ def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=No
     wx2, wh2, b2 = _weights(params, _LSTM2_KEYS)
     h2, c2, lstm2_backward = ad.lstm_step(h1, state["h2"], state["c2"], wx2[:h1.shape[0]], wh2,
                                           b2 + ctx[d4:2 * d4])
-    out_t, readout_backward = frame_output(params, h2, ctx[2 * d4:heads_at])
+    out_t = frame_output(params, h2, ctx[2 * d4:heads_at])
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
         "ctx": ctx,
@@ -447,36 +515,24 @@ def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=No
     if not ad.grad_enabled():
         return out_t, a_t, new_state, None
 
-    def backward(g_out, g_next, grads):
-        g_h2, g_ctx_out, *g_w = readout_backward(g_out)
-        grads.add(_READOUT_KEYS, g_w)
-        g_h1, g_h2_prev, g_c2_prev, *g_w = lstm2_backward(g_next["h2"] + g_h2, g_next["c2"])
-        grads.add(_LSTM2_KEYS, g_w)
-        g_ctx_next = g_next["ctx"]  # the next frame's lstm1 and head terms
-        g_ctx = np.concatenate([g_ctx_next[:d4], g_w[2], g_ctx_out, g_ctx_next[heads_at:]])
-        grads.add(("ctx_proj",), (ad.Outer(a_t, g_ctx),))
+    def backward(t, g_next, rows):
+        rows.s_p[t], rows.hidden[t] = s_p, hidden
+        g_ctx = rows.ctx[t + 1]  # complete: frame t + 1 wrote its lstm1 and head columns
+        g_h1, g_h2_prev, g_c2_prev, g_ctx[d4:2 * d4] = lstm2_backward(g_next["h2"] + rows.g_h2[t], g_next["c2"])
         g_at = g_next["a_prev"] + g_next["cum"] + ctx_proj @ g_ctx
-        g_ctx_prev = np.zeros_like(g_ctx)
         if augment:
             g_bt, g_a_prev, g_alpha, g_beta = augment_backward(g_at)
-            g_sp_heads, g_ctx_heads, g_h2_heads, *g_w = heads_backward(np.array([g_alpha, g_beta]))
-            grads.add(_HEAD_KEYS, g_w)
-            g_ctx_prev[heads_at:] = g_ctx_heads
+            rows.ctx[t, heads_at:], g_h2_heads = heads_backward(np.array([g_alpha, g_beta]))
             g_h2_prev = g_h2_prev + g_h2_heads
         else:
             g_bt = g_at
-        g_query, g_proj, g_prev_align, g_cum, *g_w = attention_backward(g_bt)
-        grads.add(_ATTENTION_KEYS, g_w)
-        grads.add(("enc_proj",), (g_proj,))
-        g_sp, g_h1_prev, g_c1_prev, *g_w = lstm1_backward(g_next["h1"] + g_h1 + g_query, g_next["c1"])
-        grads.add(_LSTM1_KEYS, g_w)
-        g_ctx_prev[:d4] = g_w[2]
+        g_query, g_prev_align, g_cum, rows.gterms[t], rows.ge[t], rows.th[t] = attention_backward(g_bt)
+        rows.g_s_p[t], g_h1_prev, g_c1_prev, rows.ctx[t, :d4] = lstm1_backward(
+            g_next["h1"] + g_h1 + g_query, g_next["c1"])
         if augment:
-            g_sp = g_sp + g_sp_heads
             g_prev_align = g_prev_align + g_a_prev
-        grads.add(_PRENET_KEYS, prenet_backward(g_sp))
         return {"h1": g_h1_prev, "c1": g_c1_prev, "h2": g_h2_prev, "c2": g_c2_prev,
-                "ctx": g_ctx_prev, "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
+                "a_prev": g_prev_align, "cum": g_next["cum"] + g_cum}
 
     return out_t, a_t, new_state, backward
 
@@ -484,19 +540,20 @@ def decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true=No
 def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
     """Run the decoder recurrence on the plain arrays enc_cond and enc_proj.
 
-    The context projection enc_cond @ W_ctx is made once, here, for every
-    frame's decoder_step. With targets, a (T, F) array, every frame is fed
-    the true previous one and the decode runs T frames; without, the
-    decoder runs free until the stop probability clears
-    cfg.stop_threshold, or truncates at cfg.max_decode_ratio times the
-    input length. Returns (out, alignment, truncated, steps): out is
+    The context projection enc_cond @ W_ctx and the location kernel are
+    made once, here, for every frame's decoder_step. With targets, a (T, F)
+    array, every frame is fed the true previous one and the decode runs T
+    frames; without, the decoder runs free until the stop probability
+    clears cfg.stop_threshold, or truncates at cfg.max_decode_ratio times
+    the input length. Returns (out, alignment, truncated, steps): out is
     (T, F+1) with [y_t, stop logit] rows, the alignment is (N, T), and
-    steps holds each frame's backward while graph building is on and is
-    empty under no_grad.
+    steps holds each frame's (h1, h2, backward) while graph building is on
+    and is empty under no_grad.
     """
     n = enc_cond.shape[0]
     w_ctx = np.concatenate([block for *_, block in _context_blocks(params, cfg, attention_mode)], axis=1)
     ctx_proj = enc_cond @ w_ctx
+    kernel = location_kernel(params)
     state = init_decoder_state(params, cfg, ctx_proj)
     record = ad.grad_enabled()
     frames = cfg.max_decode_ratio * n if targets is None else targets.shape[0]
@@ -504,11 +561,12 @@ def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
     truncated = targets is None
     for t in range(frames):
         prev_true = None if targets is None else (targets[t - 1] if t > 0 else np.zeros(cfg.frame_width))
-        out_t, a_t, state, backward = decoder_step(params, state, ctx_proj, enc_proj, attention_mode, prev_true)
+        out_t, a_t, state, backward = decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode,
+                                                   prev_true)
         rows.append(out_t)
         aligns.append(a_t)
         if record:
-            steps.append(backward)
+            steps.append((state["h1"], state["h2"], backward))
         if targets is None and 1.0 / (1.0 + np.exp(-float(out_t[-1]))) > cfg.stop_threshold:
             truncated = False
             break
@@ -522,44 +580,82 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     array. Returns (out, alignment): out is the (T, F+1) Tensor whose rows
     are [y_t, stop logit], over enc_cond, enc_proj and every decoder weight
     the mode uses (plain mode runs no selection heads); alignment is the
-    (N, T) array. The node's backward walks the frames in reverse through
-    each one's backward, which leaves the context projection's gradient
-    as one contraction of its Outer pairs; it then differentiates
-    enc_cond @ W_ctx once, for enc_cond and the context rows of the six
-    weights in W_ctx, and returns one dense gradient per input. It
-    depends on its output gradient alone, so a second backward adds the
-    same again.
+    (N, T) array.
+
+    The node's backward runs the readout's backward once, over the output
+    gradient and the forward's h2 rows. Its frame loop then walks the
+    frames in reverse through each one's backward, which holds only the
+    recurrence and writes its rows into a DecoderRows. After the loop every
+    weight gradient is one contraction over those rows: the pre-net's, both
+    LSTMs', the heads', the attention's and the context projection's. The
+    last is differentiated once more, as enc_cond @ W_ctx, for enc_cond and
+    the context rows of the six weights in W_ctx. It depends on its output
+    gradient alone, so a second backward adds the same again.
     """
     out, alignment, _, steps = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode, targets)
     keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
-    n, width = enc_cond.shape
-    # views of the arrays the forward read (SGD assigns new ones); W_ctx
-    # itself is made again in the backward rather than kept
+    # the arrays the forward read (SGD assigns new ones); W_ctx itself is
+    # made again in the backward rather than kept
+    weights = {k: params[k].data for k in keys}
     blocks = _context_blocks(params, cfg, attention_mode)
     columns = sum(block.shape[1] for *_, block in blocks)
-    shapes = {"ctx_proj": (n, columns), "enc_proj": enc_proj.shape, **{k: params[k].shape for k in keys}}
-    for k, _, _ in blocks:  # these keys collect the gradient of their other rows
-        shapes[k] = (shapes[k][0] - width, *shapes[k][1:])
-    final = {k: np.zeros(params["dec.init.h1"].shape) for k in _CELLS}
-    final.update(ctx=np.zeros(columns), a_prev=np.zeros(n), cum=np.zeros(n))
+    n, width = enc_cond.shape
+    d4 = 4 * cfg.decoder_rnn_width
+    heads_at = 2 * d4 + cfg.frame_width + 1
+    final = {k: np.zeros(cfg.decoder_rnn_width) for k in _CELLS}
+    final.update(a_prev=np.zeros(n), cum=np.zeros(n))
+
+    def arrays(group):
+        return [weights[k] for k in group]
 
     def backward(g):
-        grads = ad.StepGrads(shapes, len(steps))
+        frames = len(steps)
+        h1s, h2s, backwards = zip(*steps)
+        h1s, h2s = np.stack(h1s), np.stack(h2s)
+        g_h2, _, *g_readout = frame_output_grads(arrays(_READOUT_KEYS), h2s, g)
+        rows = DecoderRows(cfg, frames, n, columns, g_h2)
+        rows.ctx[1:, 2 * d4:heads_at] = g
         g_state = final
-        for t in range(len(steps) - 1, -1, -1):
-            grads.step = t
-            g_state = steps[t](g[t], g_state, grads)
-        grads.add(_INIT_KEYS, [g_state[k] for k in _CELLS])
-        g_ctx_proj = grads.total("ctx_proj")
+        for t in range(frames - 1, -1, -1):
+            g_state = backwards[t](t, g_state, rows)
+
+        grads = dict(zip(_INIT_KEYS, (g_state[k] for k in _CELLS)))
+        grads.update(zip(_READOUT_KEYS, g_readout))
+        h1_prev = np.concatenate([weights["dec.init.h1"][None], h1s[:-1]])
+        h2_prev = np.concatenate([weights["dec.init.h2"][None], h2s[:-1]])
+        grads.update(zip(_LSTM1_KEYS, ad.lstm_weight_grads(rows.s_p, h1_prev, rows.ctx[:-1, :d4])))
+        grads.update(zip(_LSTM2_KEYS, ad.lstm_weight_grads(h1s, h2_prev, rows.ctx[1:, d4:2 * d4])))
+        g_s_p = rows.g_s_p
+        if attention_mode == "augmented":
+            g_s_p_heads, *g_heads = selection_heads_grads(arrays(_HEAD_KEYS), rows.s_p, h2_prev,
+                                                          rows.ctx[:-1, heads_at:])
+            g_s_p = g_s_p + g_s_p_heads
+            grads.update(zip(_HEAD_KEYS, g_heads))
+            grads["att.beta.w"] = np.zeros(0)  # all of its rows meet x_c
+        # the pre-net's inputs: the true and the predicted previous frame,
+        # both zero before the first frame
+        fw = cfg.frame_width
+        xs = np.zeros((frames, 2 * fw))
+        xs[1:, :fw] = targets[:-1]
+        xs[1:, fw:] = out[:-1, :-1]
+        grads.update(zip(_PRENET_KEYS, prenet_grads(arrays(_PRENET_KEYS), xs, rows.hidden, rows.s_p, g_s_p)))
+        aligns = alignment.T
+        prev_aligns = np.zeros_like(aligns)
+        prev_aligns[1:] = aligns[:-1]
+        cum_aligns = np.cumsum(prev_aligns, axis=0)
+        g_enc_proj, *g_attention = ad.location_attention_weight_grads(
+            h1s, prev_aligns, cum_aligns, rows.gterms, rows.ge, rows.th, *arrays(_ATTENTION_KEYS[:2]))
+        grads.update(zip(_ATTENTION_KEYS, g_attention))
+
+        g_ctx_proj = alignment @ rows.ctx[1:]
         g_w_ctx = enc_cond.data.T @ g_ctx_proj
-        totals = {k: grads.total(k) for k in keys}
         col = 0
-        for k, row, block in blocks:
-            g_block = g_w_ctx[:, col:col + block.shape[1]].reshape(width, *totals[k].shape[1:])
-            totals[k] = np.concatenate([totals[k][:row], g_block, totals[k][row:]])
+        for k, row, block in blocks:  # each stage gave the gradient of the rows x_c does not meet
+            g_block = g_w_ctx[:, col:col + block.shape[1]].reshape(width, *grads[k].shape[1:])
+            grads[k] = np.concatenate([grads[k][:row], g_block, grads[k][row:]])
             col += block.shape[1]
         g_enc_cond = g_ctx_proj @ np.concatenate([block for *_, block in blocks], axis=1).T
-        return [g_enc_cond, grads.total("enc_proj"), *(totals[k] for k in keys)]
+        return [g_enc_cond, g_enc_proj, *(grads[k] for k in keys)]
 
     node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
     return node, alignment

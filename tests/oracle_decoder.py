@@ -8,12 +8,14 @@ one of two forms, chosen by an ops table:
 
 - FUSED: each decoder stage is one node whose backward is the library
   stage's own (seq2seq's stage functions and align.augmented_step, each
-  wrapped by as_node), so only the routing between stages differs from
-  the library. Like the library, it projects the context once per
-  utterance, M = enc_cond @ W_ctx over the context rows of every weight
-  that x_c meets, and each frame reads its context terms from a_t @ M:
-  the LSTMs through their bias argument, the heads and the readout as
-  their projected terms;
+  wrapped by as_node), with the weight gradients from the stage's
+  function over rows at T = 1, so only the routing between stages and
+  the order of the sums over frames differ from the library. Like the
+  library, it projects the context once per utterance,
+  M = enc_cond @ W_ctx over the context rows of every weight that x_c
+  meets, and each frame reads its context terms from a_t @ M: the LSTMs
+  through their bias argument, the heads and the readout as their
+  projected terms;
 - COMPOSED: each stage is rebuilt from engine primitives and the ops in
   oracle_ops.py, one node per primitive op, so nothing of the library's
   hand-written backwards is used. Each frame forms x_c = a_t @ enc_cond
@@ -31,7 +33,8 @@ import numpy as np
 from prosynth import align, seq2seq
 from prosynth import autodiff as ad
 
-from oracle_ops import as_node, clamp_max, div, logsumexp, lstm_node, sigmoid, softmax, stack, threshold_keep
+from oracle_ops import (as_node, attention_stage_node, clamp_max, div, logsumexp, lstm_node, sigmoid, softmax, stack,
+                        threshold_keep)
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
 HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")  # what the library's heads stage reads
@@ -42,8 +45,17 @@ ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
 # -- FUSED: the library's stages, one node each ---------------------------------------
 
 
+def weights(params, keys):
+    return [params[k].data for k in keys]
+
+
 def fused_prenet(params, prev_true, prev_pred):
-    return as_node(seq2seq.prenet_double_feed(params, prev_true, prev_pred.data), (params[k] for k in PRENET_KEYS))
+    pred = prev_pred.data
+    out, hidden = seq2seq.prenet_double_feed(params, prev_true, pred)
+    x = np.concatenate([pred if prev_true is None else prev_true, pred])
+    return as_node((out, lambda g: seq2seq.prenet_grads(weights(params, PRENET_KEYS), x[None], hidden[None],
+                                                        out[None], g[None])),
+                   (params[k] for k in PRENET_KEYS))
 
 
 def fused_selection_heads(params, s_p, ctx_heads, h2):
@@ -51,13 +63,21 @@ def fused_selection_heads(params, s_p, ctx_heads, h2):
     # hands their gradient over as one vector
     aw = params["att.alpha.w"]
     aw_own = ad.concat([aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]])
-    return as_node(seq2seq.selection_heads(params, s_p.data, ctx_heads.data, h2.data),
-                   (s_p, ctx_heads, h2, aw_own, *(params[k] for k in HEAD_KEYS[1:])))
+    heads, step_backward = seq2seq.selection_heads(params, s_p.data, ctx_heads.data, h2.data)
+
+    def backward(g):
+        g_logits, g_h2 = step_backward(g)
+        g_s_p, *g_w = seq2seq.selection_heads_grads(weights(params, HEAD_KEYS), s_p.data[None], h2.data[None],
+                                                    g_logits[None])
+        return (g_s_p, g_logits, g_h2, *g_w)
+
+    return as_node((heads, backward), (s_p, ctx_heads, h2, aw_own, *(params[k] for k in HEAD_KEYS[1:])))
 
 
 def fused_frame_output(params, h2, ctx_out):
     hid = h2.shape[0]
-    return as_node(seq2seq.frame_output(params, h2.data, ctx_out.data),
+    out = seq2seq.frame_output(params, h2.data, ctx_out.data)
+    return as_node((out, lambda g: seq2seq.frame_output_grads(weights(params, READOUT_KEYS), h2.data[None], g[None])),
                    (h2, ctx_out, params["out.frame.w"][:hid], params["out.frame.b"], params["out.stop.w"][:hid],
                     params["out.stop.b"]))
 
@@ -96,8 +116,9 @@ def fused_readout_step(params, h2, ctx):
 
 
 def fused_initial_attention(params, query, enc_proj, prev_align, cum_align):
-    return as_node(seq2seq.initial_attention(params, query.data, enc_proj.data, prev_align.data, cum_align.data),
-                   (query, enc_proj, prev_align, cum_align, *(params[k] for k in ATTENTION_KEYS)))
+    b_t = seq2seq.initial_attention(params, query.data, enc_proj.data, prev_align.data, cum_align.data,
+                                    seq2seq.location_kernel(params))
+    return attention_stage_node(b_t, (query, enc_proj, prev_align, cum_align, *(params[k] for k in ATTENTION_KEYS)))
 
 
 def fused_augmented_step(b_t, b_prev, alpha, beta):

@@ -1,9 +1,11 @@
 """Engine ops that only the tests use.
 
 as_node makes one graph node of a library stage's (value, backward) pair,
-the one form every hand-differentiated stage comes in; the tests check
-those stages on such nodes. lstm_node does the same for one LSTM cell, so
-a chain of them is the per-step reference for autodiff.lstm_layer.
+the form every hand-differentiated stage comes in; the tests check those
+stages on such nodes. A stage whose backward leaves its weight gradients
+to a function over (T, .) rows is checked through that function at T = 1,
+as lstm_node and attention_node do for the engine's two cells. A chain of
+lstm_node steps is the per-step reference for autodiff.lstm_layer.
 
 The composed-primitive oracle in oracle_decoder.py rebuilds location
 attention, the augmented step and the decoder's selection heads from the
@@ -18,32 +20,56 @@ from prosynth import autodiff as ad
 from prosynth.errors import ShapeError
 
 
-def _dense(g):
-    return np.outer(g.a, g.b) if type(g) is ad.Outer else g
-
-
 def as_node(stage_result, inputs):
     """A library stage's (value, backward) as one graph node over inputs,
-    the Tensors or arrays whose gradients backward returns, in its order;
-    an Outer pair becomes its full matrix."""
+    the Tensors or arrays whose gradients backward returns, in its order."""
     value, backward = stage_result
-    return ad.fused(value, tuple(inputs), lambda g: [_dense(x) for x in backward(g)])
+    return ad.fused(value, tuple(inputs), backward)
+
+
+def data(x):
+    return x.data if isinstance(x, ad.Tensor) else x
 
 
 def lstm_node(x, h, c, wx, wh, b):
     """autodiff.lstm_step as one node over its six inputs, each a Tensor or
     an array: returns (h', c') as the two halves of that node."""
     inputs = (x, h, c, wx, wh, b)
-    h_new, c_new, step_backward = ad.lstm_step(*(v.data if isinstance(v, ad.Tensor) else v for v in inputs))
+    h_new, c_new, step_backward = ad.lstm_step(*map(data, inputs))
     hid = h_new.shape[0]
-    hc = as_node((np.concatenate([h_new, c_new]), lambda g: step_backward(g[:hid], g[hid:])), inputs)
+
+    def backward(g):
+        g_x, g_h, g_c, gz = step_backward(g[:hid], g[hid:])
+        return (g_x, g_h, g_c, *ad.lstm_weight_grads(data(x)[None], data(h)[None], gz[None]))
+
+    hc = as_node((np.concatenate([h_new, c_new]), backward), inputs)
     return hc[:hid], hc[hid:]
 
 
+def attention_stage_node(stage_result, inputs):
+    """One location attention step's (value, backward), from
+    autodiff.location_attention_vjp, as one node over the eight inputs
+    (query, enc_proj, prev_align, cum_align, conv_w, loc_w, query_w, v)
+    whose values it was made from."""
+    value, step_backward = stage_result
+    query, _, prev_align, cum_align, conv_w, loc_w, _, _ = map(data, inputs)
+
+    def backward(g):
+        g_query, g_prev, g_cum, *rows = step_backward(g)
+        g_proj, g_conv, g_loc, g_query_w, g_v = ad.location_attention_weight_grads(
+            query[None], prev_align[None], cum_align[None], *(r[None] for r in rows), conv_w, loc_w)
+        return g_query, g_proj, g_prev, g_cum, g_conv, g_loc, g_query_w, g_v
+
+    return as_node((value, backward), inputs)
+
+
 def attention_node(*inputs):
-    """autodiff.location_attention_vjp as one node over its eight inputs,
-    each a Tensor or an array."""
-    return as_node(ad.location_attention_vjp(*(x.data if isinstance(x, ad.Tensor) else x for x in inputs)), inputs)
+    """autodiff.location_attention_vjp as one node over its inputs, each a
+    Tensor or an array, with the two kernel factors conv_w and loc_w in
+    place of the composed kernel."""
+    query, enc_proj, prev, cum, conv_w, loc_w, query_w, v = map(data, inputs)
+    kernel = ad.location_kernel(conv_w, loc_w)
+    return attention_stage_node(ad.location_attention_vjp(query, enc_proj, prev, cum, kernel, query_w, v), inputs)
 
 
 def stack(rows):

@@ -536,7 +536,7 @@ def test_nonfinite_reported_not_clipped():
     def build():
         return ad.sum_(ad.mul(x, 1e306))  # overflows to inf
 
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError), pytest.warns(RuntimeWarning, match="overflow"):
         ad.finite_diff_check(build, x)
 
 

@@ -70,10 +70,10 @@ def test_location_attention_rejects_bad_shapes():
     ins = list(attention_inputs(rng))
     ins[3] = ins[3][:-1]  # cum_align one entry short
     with pytest.raises(ShapeError, match="location_attention"):
-        ad.location_attention_vjp(*ins)
+        ad.location_attention_vjp(*ins[:4], ad.location_kernel(*ins[4:6]), *ins[6:])
     ins = list(attention_inputs(rng, k=4))  # even kernel
-    with pytest.raises(ShapeError):
-        ad.location_attention_vjp(*ins)
+    with pytest.raises(ShapeError, match="location_attention"):
+        ad.location_kernel(*ins[4:6])
 
 
 # -- augmented step -------------------------------------------------------------------
@@ -373,7 +373,8 @@ def test_decoder_step_node_count(mode, made_nodes):
     enc_proj = rng.normal(size=(n, cfg.attention_dim))
     state = {**seq2seq.init_decoder_state(params, cfg, ctx_proj), "a_prev": a_prev, "cum": a_prev}
     made_nodes.clear()
-    seq2seq.decoder_step(params, state, ctx_proj, enc_proj, mode, prev_true=rng.normal(size=cfg.frame_width))
+    kernel = seq2seq.location_kernel(params)
+    seq2seq.decoder_step(params, state, ctx_proj, enc_proj, kernel, mode, prev_true=rng.normal(size=cfg.frame_width))
     assert made_nodes == []
 
 
@@ -419,6 +420,48 @@ def test_teacher_forced_matches_composed(mode, utterance):
             assert largest_relative_difference(grads[k], fused_grads[k]) < 1e-12, k
             assert np.max(np.abs(grads[k] - g)) < 1e-10, k
     assert grads["att.query.w"] is not None and np.any(grads["att.query.w"] != 0.0)
+
+
+@pytest.fixture(scope="module")
+def long_utterance():
+    """An utterance of N = 35 symbols cut to T = 155 frames, the length of
+    the longest utterance the training benchmark runs."""
+    corpus = synthdata.generate_corpus(synthdata.CorpusConfig(utterance_count=10, validation_count=0, min_words=4,
+                                                              max_words=8, seed=5))
+    utt = corpus.utterances[9]
+    return corpus.config.vocab_size, dataclasses.replace(utt, features=utt.features[:155])
+
+
+@pytest.mark.parametrize("mode", ["augmented", "plain"])
+def test_teacher_forced_matches_fused_on_a_long_utterance(mode, long_utterance):
+    # the library pass contracts every weight gradient once over the
+    # utterance's rows, where the per-frame decoder with the library's
+    # stages sums one frame's part at a time: over 155 frames of 35
+    # positions the forward stays bit-identical and the gradient sums'
+    # order moves furthest
+    vocab, utt = long_utterance
+    assert utt.features.shape[0] == 155 and len(utt.symbols) >= 20
+    cfg = seq2seq.ModelConfig()
+    results = []
+    for run in (seq2seq.teacher_forced, lambda *a: oracle.teacher_forced(oracle.FUSED, *a)):
+        params = seq2seq.init_params(cfg, vocab)
+        params["att.v"].data = params["att.v"].data * 10.0
+        rng = np.random.default_rng(42)
+        for k in ("att.alpha.w", "att.beta.w"):
+            params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
+        loss, trace = run(params, cfg, utt, np.array([-0.4, 0.5]), mode)
+        loss.backward()
+        results.append((loss.data, trace, {k: p.grad for k, p in params.items()}))
+    (loss, trace, grads), (fused_loss, fused_trace, fused_grads) = results
+    assert np.array_equal(loss, fused_loss)
+    for key in ("y", "z", "stop_logits", "alignment"):
+        assert np.array_equal(getattr(trace, key), getattr(fused_trace, key)), key
+    for k, g in fused_grads.items():
+        if g is None:
+            assert grads[k] is None, k
+        else:
+            assert largest_relative_difference(grads[k], g) < 1e-12, k
+    assert np.any(grads["att.location.conv"] != 0.0) and np.any(grads["att.query.w"] != 0.0)
 
 
 def free_run_params(cfg, vocab):

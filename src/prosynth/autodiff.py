@@ -26,10 +26,12 @@ arithmetic operators; call the functions.
 Such a caller keeps only the recurrence in its reverse loop. The cells'
 backwards give no weight gradients: lstm_step's gives the gate gradient,
 which is also the bias gradient, and location_attention_vjp's the rows its
-weight gradients are made of. The caller writes each step's rows into
-(T, .) arrays and contracts every weight gradient once after the loop, with
-lstm_weight_grads and location_attention_weight_grads; a single step is
-T = 1. Graph nodes hand Tensor.backward plain arrays only.
+weight gradients are made of. lstm_step's gives no input gradient either:
+it is wx @ gz, made in the loop only where the recurrence reads it. The
+caller writes each step's rows into (T, .) arrays and contracts every
+weight gradient once after the loop, with lstm_weight_grads and
+location_attention_weight_grads; a single step is T = 1. Graph nodes
+hand Tensor.backward plain arrays only.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -442,10 +444,11 @@ def lstm_step(x, h, c, wx, wh, b):
 
     x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
     i,f,g,o. Returns (h', c', backward), where backward(gh, gc) maps the
-    gradients of h' and c' to those of (x, h, c) and to the (4H,) gate
-    gradient gz, which is also b's. The weight gradients are
-    outer(x, gz) and outer(h, gz); lstm_weight_grads makes them, over the
-    rows of many steps or of one.
+    gradients of h' and c' to those of (h, c) and to the (4H,) gate
+    gradient gz, which is also b's. x's gradient is wx @ gz, the weight
+    gradients outer(x, gz) and outer(h, gz); lstm_weight_grads makes the
+    latter over the rows of many steps or of one, and a caller whose x
+    feeds nothing in its reverse loop contracts x's over those rows too.
     """
     hid = h.shape[0]
     if wx.shape != (x.shape[0], 4 * hid) or wh.shape != (hid, 4 * hid):
@@ -462,7 +465,7 @@ def lstm_step(x, h, c, wx, wh, b):
     def backward(gh, gc):
         gc_total = gc + gh * o * (1.0 - tc * tc)
         gz = np.concatenate([gc_total * g, gc_total * c, gc_total * i, gh * tc]) * ((1.0 - t * t) * scale2)
-        return wx @ gz, wh @ gz, gc_total * f, gz
+        return wh @ gz, gc_total * f, gz
 
     return h_new, c_new, backward
 
@@ -481,8 +484,8 @@ def lstm_layer(xs, wx, wh, b, reverse=False):
     xs first to last, or last to first when reverse is set. Returns the
     (T, H) Tensor whose row t is the h the cell gave after reading row t.
     The node's backward walks the steps in reverse, writing each step's
-    gate gradient as a row of a (T, 4H) array, and then contracts each
-    weight's gradient once (lstm_weight_grads).
+    gate gradient as a row of a (T, 4H) array, and then contracts the
+    input's gradient and each weight's once (lstm_weight_grads).
     """
     xs, wx, wh, b = _wrap(xs), _wrap(wx), _wrap(wh), _wrap(b)
     if xs.data.ndim != 2:
@@ -500,18 +503,17 @@ def lstm_layer(xs, wx, wh, b, reverse=False):
             backwards.append(step_backward)
 
     def backward(g):
-        gxs = np.empty_like(xs.data)
         gz = np.empty((steps, 4 * hid))
         gh = gc = np.zeros(hid)
         for k in range(steps - 1, -1, -1):
             t = order[k]
-            gxs[t], gh, gc, gz[t] = backwards[k](g[t] + gh, gc)
+            gh, gc, gz[t] = backwards[k](g[t] + gh, gc)
         hs = np.zeros_like(out)  # row t: the h the cell read with row t of xs
         if reverse:
             hs[:-1] = out[1:]
         else:
             hs[1:] = out[:-1]
-        return (gxs, *lstm_weight_grads(xs.data, hs, gz))
+        return (gz @ wx.data.T, *lstm_weight_grads(xs.data, hs, gz))
 
     return fused(out, (xs, wx, wh, b), backward)
 

@@ -33,20 +33,21 @@ the decode, and without graph building the loop keeps no backwards at all.
 The attention context x_c = a_t @ enc_cond enters every stage that reads it
 linearly: both LSTMs' input weights, the frame and stop readouts and the
 alpha and beta heads each multiply it by a block of C = context_dim rows.
-So the decode never forms x_c. It projects once per utterance,
-M = enc_cond @ W_ctx, with W_ctx those blocks side by side, (C, 4D + 4D +
-F + 1 + 2) (plain mode leaves the heads' two columns out), and each frame
-makes one a_t @ M. The LSTM cells read only their own input rows, with
-their context terms added to the bias argument; the heads and the readout
-take their projected terms. In the backward each frame adds M @ g_ctx to
-a_t's gradient, where g_ctx, a row of a (T + 1, .) array, is the gradient
-of that frame's a_t @ M: its lstm2 gate gradient and output gradient,
-and the next frame's lstm1 gate gradient and heads' logit gradients, the
-stages that add those terms. After the loop, M's
-gradient is the (N, T) alignment times those rows, and decoder_node then
-differentiates enc_cond @ W_ctx once per utterance, for enc_cond and for
-the context rows of the six weights. The location attention's kernel is
-composed once per decode as well (autodiff.location_kernel).
+Those blocks are one parameter, side by side: dec.context.w = W_ctx,
+(C, 4D + 4D + F + 1 + 2), whose column layout init_params gives. Every
+other weight holds only the rows of its other inputs. So the decode never
+forms x_c. It projects once per utterance, M = enc_cond @ W_ctx, and each
+frame makes one a_t @ M. The LSTM cells read their input rows, with their
+context terms added to the bias argument; the heads and the readout take
+their projected terms, and plain mode, which runs no heads, ignores their
+two columns. In the backward each frame adds M @ g_ctx to a_t's gradient,
+where g_ctx, a row of a (T + 1, .) array, is the gradient of that frame's
+a_t @ M: its lstm2 gate gradient and output gradient, and the next
+frame's lstm1 gate gradient and heads' logit gradients, the stages that
+add those terms. After the loop, M's gradient is the (N, T) alignment
+times those rows, and decoder_node then differentiates enc_cond @ W_ctx
+once per utterance, for enc_cond and W_ctx. The location attention's
+kernel is composed once per decode as well (autodiff.location_kernel).
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -174,12 +175,27 @@ class DecoderTrace:
 
 
 def init_params(cfg, vocab_size):
-    """Seeded Glorot init for every weight; returns name -> Tensor."""
+    """Seeded Glorot init for every weight; returns name -> Tensor.
+
+    Each weight that meets the attention context x_c is drawn whole, with
+    the fan-in of all its inputs, and keeps the rows of its other inputs:
+    dec.lstm1.wx s_p's, dec.lstm2.wx h1's, out.frame.w and out.stop.w
+    h2's, att.alpha.w s_p's then h2's. Their C = context_dim rows for x_c
+    are dec.context.w, (C, 4D + 4D + F + 1 + 2), in the column blocks
+    lstm1, lstm2, frame, stop, alpha and beta; beta's weight is its column
+    alone. Both heads' weights start at zero.
+    """
     rng = np.random.default_rng(cfg.seed)
     p = {}
+    context = []  # the x_c rows, as (C, .) blocks in dec.context.w's column order
 
     def par(name, data):
         p[name] = ad.parameter(np.asarray(data, dtype=np.float64), name=name)
+
+    def par_split(name, data, row):
+        # data's C rows from row on meet x_c; the rest stay under name
+        context.append(data[row:row + ctx].reshape(ctx, -1))
+        par(name, np.concatenate([data[:row], data[row + ctx:]]))
 
     emb_in = cfg.symbol_embedding + cfg.stress_embedding + cfg.phrase_embedding + 2
     conv_c = cfg.encoder_conv_channels
@@ -204,9 +220,11 @@ def init_params(cfg, vocab_size):
     par("dec.prenet1.b", np.zeros(cfg.prenet_hidden))
     par("dec.prenet2.w", ad.glorot(rng, cfg.prenet_hidden, cfg.prenet_out))
     par("dec.prenet2.b", np.zeros(cfg.prenet_out))
-    for name, in_dim in (("lstm1", cfg.prenet_out + ctx), ("lstm2", d + ctx)):
-        for part, data in zip(("wx", "wh", "b"), ad.lstm_weights(rng, in_dim, d)):
-            par(f"dec.{name}.{part}", data)
+    for name, own in (("lstm1", cfg.prenet_out), ("lstm2", d)):
+        wx, wh, b = ad.lstm_weights(rng, own + ctx, d)
+        par_split(f"dec.{name}.wx", wx, own)
+        par(f"dec.{name}.wh", wh)
+        par(f"dec.{name}.b", b)
     for name in ("h1", "c1", "h2", "c2"):
         par(f"dec.init.{name}", np.zeros(d))
 
@@ -218,15 +236,15 @@ def init_params(cfg, vocab_size):
     par("att.location.w", ad.glorot(rng, cfg.location_filters, a))
     par("att.v", rng.uniform(-0.1, 0.1, size=a))
     # selection heads start neutral (alpha = beta = 0.5)
-    par("att.alpha.w", np.zeros(cfg.prenet_out + ctx + d))
+    par("att.alpha.w", np.zeros(cfg.prenet_out + d))
     par("att.alpha.b", 0.0)
-    par("att.beta.w", np.zeros(ctx))
     par("att.beta.b", 0.0)
 
-    par("out.frame.w", ad.glorot(rng, d + ctx, cfg.frame_width))
+    par_split("out.frame.w", ad.glorot(rng, d + ctx, cfg.frame_width), d)
     par("out.frame.b", np.zeros(cfg.frame_width))
-    par("out.stop.w", ad.glorot(rng, d + ctx, 1).reshape(-1))
+    par_split("out.stop.w", ad.glorot(rng, d + ctx, 1).reshape(-1), d)
     par("out.stop.b", 0.0)
+    par("dec.context.w", np.concatenate(context + [np.zeros((ctx, 2))], axis=1))
 
     kp = cfg.postnet_kernel
     par("post.conv1.w", ad.glorot(rng, kp * cfg.frame_width, cfg.postnet_channels,
@@ -289,30 +307,17 @@ _PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.
 _LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
 _LSTM2_KEYS = ("dec.lstm2.wx", "dec.lstm2.wh", "dec.lstm2.b")
 _ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
-_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")  # att.beta.w meets x_c alone
+_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")
 _READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 _CELLS = ("h1", "c1", "h2", "c2")  # start from the dec.init.* parameters
 _INIT_KEYS = tuple(f"dec.init.{k}" for k in _CELLS)
-_PLAIN_KEYS = _PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
-_AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS + ("att.beta.w",)
+_PLAIN_KEYS = (_PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
+               + ("dec.context.w",))
+_AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
 
 
 def _weights(params, keys):
     return [params[k].data for k in keys]
-
-
-def _context_blocks(params, cfg, attention_mode):
-    """(key, first row, block) for each weight whose C = context_dim rows
-    from the first row on meet x_c: both LSTMs' wx and the frame and stop
-    readouts, then, in augmented mode, the alpha and beta heads. block is
-    those rows as a (C, columns) view of the parameter's array. Side by
-    side, in this order, the blocks are W_ctx, (C, 4D + 4D + F + 1 [+ 2]),
-    and each frame's context terms are a_t @ (enc_cond @ W_ctx)."""
-    c, p, d = cfg.context_dim, cfg.prenet_out, cfg.decoder_rnn_width
-    rows = (("dec.lstm1.wx", p), ("dec.lstm2.wx", d), ("out.frame.w", d), ("out.stop.w", d))
-    if attention_mode == "augmented":
-        rows += (("att.alpha.w", p), ("att.beta.w", 0))
-    return [(k, row, params[k].data[row:row + c].reshape(c, -1)) for k, row in rows]
 
 
 def location_kernel(params):
@@ -367,14 +372,14 @@ def prenet_grads(weights, xs, hiddens, outs, g):
 
 def selection_heads(params, s_p, ctx_heads, h2):
     """The augmented step's stage weights [alpha, beta]:
-    alpha = sigmoid([s_p, x_c, h2] . w_alpha + b_alpha) and
-    beta = sigmoid(x_c . w_beta + b_beta), where x_c enters as its
-    projected terms ctx_heads = [x_c . w_alpha[x_c rows], x_c . w_beta].
-    Returns (heads, backward); backward(g) gives the logits' gradient,
-    which is also ctx_heads', and h2's. selection_heads_grads gives the
-    rest."""
+    alpha = sigmoid([s_p, h2] . w_alpha + x_c . c_alpha + b_alpha) and
+    beta = sigmoid(x_c . c_beta + b_beta), where c_alpha and c_beta are
+    the heads' columns of dec.context.w and x_c enters as its projected
+    terms ctx_heads = [x_c . c_alpha, x_c . c_beta]. Returns (heads,
+    backward); backward(g) gives the logits' gradient, which is also
+    ctx_heads', and h2's. selection_heads_grads gives the rest."""
     aw, ab, bb = _weights(params, _HEAD_KEYS)
-    aw_s, aw_h = aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]
+    aw_s, aw_h = aw[:s_p.shape[0]], aw[s_p.shape[0]:]
     heads = 0.5 * (1.0 + np.tanh(0.5 * (np.array([s_p @ aw_s + h2 @ aw_h + ab, bb]) + ctx_heads)))  # stable logistic
 
     def backward(g):
@@ -387,34 +392,31 @@ def selection_heads(params, s_p, ctx_heads, h2):
 def selection_heads_grads(weights, s_ps, h2s, g_logits):
     """The rest of selection_heads' backward over T frames, from the (T, P)
     and (T, D) rows of s_p and h2 and the (T, 2) logit gradients: the
-    (T, P) gradients of s_p, then those of the rows of w_alpha that s_p
-    and h2 meet (s_p's first, as one vector), of b_alpha and of b_beta.
-    weights holds the arrays of _HEAD_KEYS."""
+    (T, P) gradients of s_p, then those of w_alpha, of b_alpha and of
+    b_beta. weights holds the arrays of _HEAD_KEYS."""
     ga = g_logits[:, 0]
     return (np.outer(ga, weights[0][:s_ps.shape[1]]), ga @ np.concatenate([s_ps, h2s], axis=1), ga.sum(),
             g_logits[:, 1].sum())
 
 
 def frame_output(params, h2, ctx_out):
-    """The readout as one (F+1,) vector: the frame [h2, x_c] @ W + b, then
-    the stop logit [h2, x_c] . w_stop + b_stop, where x_c enters as its
-    projected terms ctx_out = x_c @ [W, w_stop][x_c rows], an (F+1,)
-    vector. Its backward is frame_output_grads."""
+    """The readout as one (F+1,) vector: the frame h2 @ W + x_c @ C_frame
+    + b, then the stop logit h2 . w_stop + x_c . c_stop + b_stop, where
+    C_frame and c_stop are the readout's columns of dec.context.w and x_c
+    enters as its projected terms ctx_out = x_c @ [C_frame, c_stop], an
+    (F+1,) vector. Its backward is frame_output_grads."""
     fw, fb, sw, sb = _weights(params, _READOUT_KEYS)
-    hid = h2.shape[0]
-    return np.concatenate([h2 @ fw[:hid] + fb, (h2 @ sw[:hid] + sb,)]) + ctx_out
+    return np.concatenate([h2 @ fw + fb, (h2 @ sw + sb,)]) + ctx_out
 
 
 def frame_output_grads(weights, h2s, g):
     """frame_output's backward over T frames, from the (T, D) rows of h2
     and the (T, F+1) output gradients g: the gradients of h2 and ctx_out
-    as (T, .) rows, of the rows of W that h2 meets, of b, of the rows of
-    w_stop that h2 meets and of b_stop. weights holds the arrays of
-    _READOUT_KEYS."""
+    as (T, .) rows, of W, of b, of w_stop and of b_stop. weights holds the
+    arrays of _READOUT_KEYS."""
     fw, _, sw, _ = weights
-    hid = h2s.shape[1]
     gy, gs = g[:, :-1], g[:, -1]
-    return gy @ fw[:hid].T + np.outer(gs, sw[:hid]), g, h2s.T @ gy, gy.sum(axis=0), h2s.T @ gs, gs.sum()
+    return gy @ fw.T + np.outer(gs, sw), g, h2s.T @ gy, gy.sum(axis=0), h2s.T @ gs, gs.sum()
 
 
 def init_decoder_state(params, cfg, ctx_proj):
@@ -439,13 +441,13 @@ class DecoderRows:
     terms a_t @ ctx_proj, and row 0 that of the zero terms before the
     first frame, which no weight reads. So the lstm1 and head columns of
     row t hold frame t's gate and logit gradients, and the lstm2 and
-    readout columns of row t + 1 frame t's. g_h2 holds the readout's h2
-    gradients, which the loop reads; the attention rows, the pre-net's
-    output and hidden rows and s_p's gradients from lstm1 are written by
-    the loop.
+    readout columns of row t + 1 frame t's; in plain mode the head columns
+    stay zero. g_h2 holds the readout's h2 gradients, which the loop reads;
+    the attention rows and the pre-net's output and hidden rows are written
+    by the loop.
     """
 
-    __slots__ = ("ctx", "g_h2", "gterms", "ge", "th", "s_p", "hidden", "g_s_p")
+    __slots__ = ("ctx", "g_h2", "gterms", "ge", "th", "s_p", "hidden")
 
     def __init__(self, cfg, steps, n_positions, columns, g_h2):
         a = cfg.attention_dim
@@ -456,22 +458,20 @@ class DecoderRows:
         self.th = np.empty((steps, n_positions, a))
         self.s_p = np.empty((steps, cfg.prenet_out))
         self.hidden = np.empty((steps, cfg.prenet_hidden))
-        self.g_s_p = np.empty((steps, cfg.prenet_out))
 
 
 def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev_true=None):
     """Advance one frame on plain arrays: returns (out_t, a_t, new state,
     backward), where out_t is frame_output's (F+1,) vector [y_t, stop
     logit]. ctx_proj is the utterance's context projection
-    enc_cond @ W_ctx (see _context_blocks), (N, 4D + 4D + F + 1 + 2) in
-    augmented mode, so a_t @ ctx_proj holds every term of
-    x_c = a_t @ enc_cond that a stage adds: the two LSTMs' context terms,
-    which go in through their bias argument, the readout's and the
-    selection heads' (plain mode runs no heads and leaves their two
-    columns out). kernel is the decode's location_kernel. prev_true is the
-    true previous frame under teacher forcing, None when decoding
-    free-running. attention_mode is one of ATTENTION_MODES; any other value
-    is a ValueError.
+    enc_cond @ W_ctx, W_ctx = dec.context.w, (N, 4D + 4D + F + 1 + 2), so
+    a_t @ ctx_proj holds every term of x_c = a_t @ enc_cond that a stage
+    adds: the two LSTMs' context terms, which go in through their bias
+    argument, the readout's and the selection heads' (plain mode runs no
+    heads and ignores their two columns). kernel is the decode's
+    location_kernel. prev_true is the true previous frame under teacher
+    forcing, None when decoding free-running. attention_mode is one of
+    ATTENTION_MODES; any other value is a ValueError.
 
     While ad.grad_enabled(), backward(t, g_next, rows) is the frame's step
     of the reverse loop, for frame index t: it takes the gradients of the
@@ -480,8 +480,8 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
     rows.ctx, writes its rows there, and returns the gradients of the same
     entries of state. It runs the two LSTM cells' backwards, the
     attention's softmax/tanh chain, the augmented step's and the heads'
-    and routes the state; every weight gradient is left to the
-    contractions over rows. Under no_grad backward is None.
+    and routes the state; every weight gradient, and s_p's, is left to
+    the contractions over rows. Under no_grad backward is None.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
@@ -490,8 +490,7 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
     heads_at = 2 * d4 + state["y_prev"].shape[0] + 1  # the columns after the LSTMs' and the readout's
     s_p, hidden = prenet_double_feed(params, prev_true, state["y_prev"])
     wx1, wh1, b1 = _weights(params, _LSTM1_KEYS)
-    h1, c1, lstm1_backward = ad.lstm_step(s_p, state["h1"], state["c1"], wx1[:s_p.shape[0]], wh1,
-                                          b1 + ctx_prev[:d4])
+    h1, c1, lstm1_backward = ad.lstm_step(s_p, state["h1"], state["c1"], wx1, wh1, b1 + ctx_prev[:d4])
     prev_align = np.zeros(ctx_proj.shape[0]) if a_prev is None else a_prev
     b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"], kernel)
     augment = attention_mode == "augmented" and a_prev is not None
@@ -502,8 +501,7 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
         a_t = b_t
     ctx = a_t @ ctx_proj
     wx2, wh2, b2 = _weights(params, _LSTM2_KEYS)
-    h2, c2, lstm2_backward = ad.lstm_step(h1, state["h2"], state["c2"], wx2[:h1.shape[0]], wh2,
-                                          b2 + ctx[d4:2 * d4])
+    h2, c2, lstm2_backward = ad.lstm_step(h1, state["h2"], state["c2"], wx2, wh2, b2 + ctx[d4:2 * d4])
     out_t = frame_output(params, h2, ctx[2 * d4:heads_at])
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
@@ -518,7 +516,8 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
     def backward(t, g_next, rows):
         rows.s_p[t], rows.hidden[t] = s_p, hidden
         g_ctx = rows.ctx[t + 1]  # complete: frame t + 1 wrote its lstm1 and head columns
-        g_h1, g_h2_prev, g_c2_prev, g_ctx[d4:2 * d4] = lstm2_backward(g_next["h2"] + rows.g_h2[t], g_next["c2"])
+        g_h2_prev, g_c2_prev, g_ctx[d4:2 * d4] = lstm2_backward(g_next["h2"] + rows.g_h2[t], g_next["c2"])
+        g_h1 = wx2 @ g_ctx[d4:2 * d4]
         g_at = g_next["a_prev"] + g_next["cum"] + ctx_proj @ g_ctx
         if augment:
             g_bt, g_a_prev, g_alpha, g_beta = augment_backward(g_at)
@@ -527,7 +526,7 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
         else:
             g_bt = g_at
         g_query, g_prev_align, g_cum, rows.gterms[t], rows.ge[t], rows.th[t] = attention_backward(g_bt)
-        rows.g_s_p[t], g_h1_prev, g_c1_prev, rows.ctx[t, :d4] = lstm1_backward(
+        g_h1_prev, g_c1_prev, rows.ctx[t, :d4] = lstm1_backward(
             g_next["h1"] + g_h1 + g_query, g_next["c1"])
         if augment:
             g_prev_align = g_prev_align + g_a_prev
@@ -540,19 +539,18 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
 def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
     """Run the decoder recurrence on the plain arrays enc_cond and enc_proj.
 
-    The context projection enc_cond @ W_ctx and the location kernel are
-    made once, here, for every frame's decoder_step. With targets, a (T, F)
-    array, every frame is fed the true previous one and the decode runs T
-    frames; without, the decoder runs free until the stop probability
-    clears cfg.stop_threshold, or truncates at cfg.max_decode_ratio times
-    the input length. Returns (out, alignment, truncated, steps): out is
+    The context projection enc_cond @ W_ctx, W_ctx = dec.context.w, and
+    the location kernel are made once, here, for every frame's
+    decoder_step. With targets, a (T, F) array, every frame is fed the
+    true previous one and the decode runs T frames; without, the decoder
+    runs free until the stop probability clears cfg.stop_threshold, or
+    truncates at cfg.max_decode_ratio times the input length. Returns (out, alignment, truncated, steps): out is
     (T, F+1) with [y_t, stop logit] rows, the alignment is (N, T), and
     steps holds each frame's (h1, h2, backward) while graph building is on
     and is empty under no_grad.
     """
     n = enc_cond.shape[0]
-    w_ctx = np.concatenate([block for *_, block in _context_blocks(params, cfg, attention_mode)], axis=1)
-    ctx_proj = enc_cond @ w_ctx
+    ctx_proj = enc_cond @ params["dec.context.w"].data
     kernel = location_kernel(params)
     state = init_decoder_state(params, cfg, ctx_proj)
     record = ad.grad_enabled()
@@ -587,19 +585,18 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     frames in reverse through each one's backward, which holds only the
     recurrence and writes its rows into a DecoderRows. After the loop every
     weight gradient is one contraction over those rows: the pre-net's, both
-    LSTMs', the heads', the attention's and the context projection's. The
-    last is differentiated once more, as enc_cond @ W_ctx, for enc_cond and
-    the context rows of the six weights in W_ctx. It depends on its output
-    gradient alone, so a second backward adds the same again.
+    LSTMs', the heads', the attention's and the context projection's;
+    lstm1's input gradient, which reaches only the pre-net, is one
+    contraction too. The context projection is differentiated once more,
+    as enc_cond @ W_ctx, for enc_cond and W_ctx = dec.context.w. It
+    depends on its output gradient alone, so a second backward adds the
+    same again.
     """
     out, alignment, _, steps = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode, targets)
     keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
-    # the arrays the forward read (SGD assigns new ones); W_ctx itself is
-    # made again in the backward rather than kept
-    weights = {k: params[k].data for k in keys}
-    blocks = _context_blocks(params, cfg, attention_mode)
-    columns = sum(block.shape[1] for *_, block in blocks)
-    n, width = enc_cond.shape
+    weights = {k: params[k].data for k in keys}  # the arrays the forward read (SGD assigns new ones)
+    w_ctx = weights["dec.context.w"]
+    n = enc_cond.shape[0]
     d4 = 4 * cfg.decoder_rnn_width
     heads_at = 2 * d4 + cfg.frame_width + 1
     final = {k: np.zeros(cfg.decoder_rnn_width) for k in _CELLS}
@@ -613,7 +610,7 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
         h1s, h2s, backwards = zip(*steps)
         h1s, h2s = np.stack(h1s), np.stack(h2s)
         g_h2, _, *g_readout = frame_output_grads(arrays(_READOUT_KEYS), h2s, g)
-        rows = DecoderRows(cfg, frames, n, columns, g_h2)
+        rows = DecoderRows(cfg, frames, n, w_ctx.shape[1], g_h2)
         rows.ctx[1:, 2 * d4:heads_at] = g
         g_state = final
         for t in range(frames - 1, -1, -1):
@@ -625,13 +622,12 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
         h2_prev = np.concatenate([weights["dec.init.h2"][None], h2s[:-1]])
         grads.update(zip(_LSTM1_KEYS, ad.lstm_weight_grads(rows.s_p, h1_prev, rows.ctx[:-1, :d4])))
         grads.update(zip(_LSTM2_KEYS, ad.lstm_weight_grads(h1s, h2_prev, rows.ctx[1:, d4:2 * d4])))
-        g_s_p = rows.g_s_p
+        g_s_p = rows.ctx[:-1, :d4] @ weights["dec.lstm1.wx"].T
         if attention_mode == "augmented":
             g_s_p_heads, *g_heads = selection_heads_grads(arrays(_HEAD_KEYS), rows.s_p, h2_prev,
                                                           rows.ctx[:-1, heads_at:])
             g_s_p = g_s_p + g_s_p_heads
             grads.update(zip(_HEAD_KEYS, g_heads))
-            grads["att.beta.w"] = np.zeros(0)  # all of its rows meet x_c
         # the pre-net's inputs: the true and the predicted previous frame,
         # both zero before the first frame
         fw = cfg.frame_width
@@ -648,14 +644,8 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
         grads.update(zip(_ATTENTION_KEYS, g_attention))
 
         g_ctx_proj = alignment @ rows.ctx[1:]
-        g_w_ctx = enc_cond.data.T @ g_ctx_proj
-        col = 0
-        for k, row, block in blocks:  # each stage gave the gradient of the rows x_c does not meet
-            g_block = g_w_ctx[:, col:col + block.shape[1]].reshape(width, *grads[k].shape[1:])
-            grads[k] = np.concatenate([grads[k][:row], g_block, grads[k][row:]])
-            col += block.shape[1]
-        g_enc_cond = g_ctx_proj @ np.concatenate([block for *_, block in blocks], axis=1).T
-        return [g_enc_cond, g_enc_proj, *(grads[k] for k in keys)]
+        grads["dec.context.w"] = enc_cond.data.T @ g_ctx_proj
+        return [g_ctx_proj @ w_ctx.T, g_enc_proj, *(grads[k] for k in keys)]
 
     node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
     return node, alignment
@@ -805,7 +795,7 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     the last one and the result is bit-identical to an uninterrupted run. A
     resume whose cfg differs from that config.json in any field but epochs,
     or whose attention_mode differs from the checkpoint's, is a
-    ConfigError.
+    ConfigError. A corpus without train or val utterances is a DataError.
 
     Each batch's forward, backward and optimiser step run with Python's
     cyclic garbage collector paused, since training graphs hold no
@@ -818,6 +808,8 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     val_utts = corpus.split("val")
     if not train_utts:
         raise DataError("train: corpus has no training utterances")
+    if not val_utts:
+        raise DataError("train: corpus has no validation utterances")
     if corpus.config.feature_width != cfg.frame_width:
         raise ConfigError(f"frame_width {cfg.frame_width} != corpus feature width {corpus.config.feature_width}")
     missing = [u.utt_id for u in corpus.utterances if u.utt_id not in prosody_table]

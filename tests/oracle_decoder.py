@@ -12,14 +12,15 @@ one of two forms, chosen by an ops table:
   function over rows at T = 1, so only the routing between stages and
   the order of the sums over frames differ from the library. Like the
   library, it projects the context once per utterance,
-  M = enc_cond @ W_ctx over the context rows of every weight that x_c
-  meets, and each frame reads its context terms from a_t @ M: the LSTMs
-  through their bias argument, the heads and the readout as their
-  projected terms;
+  M = enc_cond @ W_ctx with W_ctx = dec.context.w, and each frame reads
+  its context terms from a_t @ M: the LSTMs through their bias argument,
+  the heads and the readout as their projected terms;
 - COMPOSED: each stage is rebuilt from engine primitives and the ops in
   oracle_ops.py, one node per primitive op, so nothing of the library's
-  hand-written backwards is used. Each frame forms x_c = a_t @ enc_cond
-  and every stage reads it whole.
+  hand-written backwards is used. Each frame forms x_c = a_t @ enc_cond,
+  and every stage reads [its other inputs, x_c] through its whole weight,
+  rebuilt with engine ops as the weight's own rows with its columns of
+  dec.context.w (context_block) in x_c's place.
 
 Both forms run the decoder LSTMs as oracle_ops.lstm_node, the engine's
 lstm_step as one node. The state's "ctx" entry is the previous frame's
@@ -37,9 +38,25 @@ from oracle_ops import (as_node, attention_stage_node, clamp_max, div, logsumexp
                         threshold_keep)
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
-HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")  # what the library's heads stage reads
+HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")
 READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
+CONTEXT_BLOCKS = ("lstm1", "lstm2", "frame", "stop", "alpha", "beta")  # dec.context.w's columns, in order
+
+
+def context_columns(params, stage):
+    """The slice of dec.context.w's columns that hold the rows of stage's
+    whole weight that x_c meets, stage one of CONTEXT_BLOCKS: 4D for each
+    LSTM, F for the frame, 1 for the stop logit and for each head."""
+    d4, f = 4 * params["dec.lstm1.wh"].shape[0], params["out.frame.b"].shape[0]
+    widths = (d4, d4, f, 1, 1, 1)
+    i = CONTEXT_BLOCKS.index(stage)
+    lo = sum(widths[:i])
+    return slice(lo, lo + widths[i])
+
+
+def context_block(params, stage):
+    return params["dec.context.w"][:, context_columns(params, stage)]
 
 
 # -- FUSED: the library's stages, one node each ---------------------------------------
@@ -59,10 +76,6 @@ def fused_prenet(params, prev_true, prev_pred):
 
 
 def fused_selection_heads(params, s_p, ctx_heads, h2):
-    # the stage reads the rows of att.alpha.w that s_p and h2 meet, and
-    # hands their gradient over as one vector
-    aw = params["att.alpha.w"]
-    aw_own = ad.concat([aw[:s_p.shape[0]], aw[aw.shape[0] - h2.shape[0]:]])
     heads, step_backward = seq2seq.selection_heads(params, s_p.data, ctx_heads.data, h2.data)
 
     def backward(g):
@@ -71,34 +84,26 @@ def fused_selection_heads(params, s_p, ctx_heads, h2):
                                                     g_logits[None])
         return (g_s_p, g_logits, g_h2, *g_w)
 
-    return as_node((heads, backward), (s_p, ctx_heads, h2, aw_own, *(params[k] for k in HEAD_KEYS[1:])))
+    return as_node((heads, backward), (s_p, ctx_heads, h2, *(params[k] for k in HEAD_KEYS)))
 
 
 def fused_frame_output(params, h2, ctx_out):
-    hid = h2.shape[0]
     out = seq2seq.frame_output(params, h2.data, ctx_out.data)
     return as_node((out, lambda g: seq2seq.frame_output_grads(weights(params, READOUT_KEYS), h2.data[None], g[None])),
-                   (h2, ctx_out, params["out.frame.w"][:hid], params["out.frame.b"], params["out.stop.w"][:hid],
-                    params["out.stop.b"]))
+                   (h2, ctx_out, *(params[k] for k in READOUT_KEYS)))
 
 
 def fused_context(params, cfg, enc_cond, attention_mode):
-    """M = enc_cond @ W_ctx, W_ctx the context rows of the two LSTMs' wx,
-    of the frame and stop readouts and, in augmented mode, of the alpha and
-    beta heads, side by side in that order: (N, 4D + 4D + F + 1 [+ 2])."""
-    c, p, d = cfg.context_dim, cfg.prenet_out, cfg.decoder_rnn_width
-    blocks = (("dec.lstm1.wx", p), ("dec.lstm2.wx", d), ("out.frame.w", d), ("out.stop.w", d))
-    if attention_mode == "augmented":
-        blocks += (("att.alpha.w", p), ("att.beta.w", 0))
-    w_ctx = ad.concat([ad.reshape(params[k][row:row + c], (c, -1)) for k, row in blocks], axis=1)
-    return ad.matmul(enc_cond, w_ctx)
+    """M = enc_cond @ W_ctx, W_ctx = dec.context.w: (N, 4D + 4D + F + 1 + 2),
+    whose head columns plain mode ignores."""
+    return ad.matmul(enc_cond, params["dec.context.w"])
 
 
 def fused_lstm(layer, params, x, ctx, h, c):
     # layer 1 reads the first 4D context terms, layer 2 the next 4D
     d4 = 4 * h.shape[0]
     terms = ctx[:d4] if layer == 1 else ctx[d4:2 * d4]
-    return lstm_node(x, h, c, params[f"dec.lstm{layer}.wx"][:x.shape[0]], params[f"dec.lstm{layer}.wh"],
+    return lstm_node(x, h, c, params[f"dec.lstm{layer}.wx"], params[f"dec.lstm{layer}.wh"],
                      ad.add(params[f"dec.lstm{layer}.b"], terms))
 
 
@@ -185,17 +190,26 @@ def composed_prenet(params, prev_true, prev_pred):
     return ad.relu(ad.add(ad.matmul(h, params["dec.prenet2.w"]), params["dec.prenet2.b"]))
 
 
+def context_vector(params, stage):
+    """A one-column context block as a (C,) vector."""
+    return ad.reshape(context_block(params, stage), (-1,))
+
+
 def composed_selection_heads(params, s_p, x_c, h2):
-    head_in = ad.concat([s_p, x_c, h2])
-    alpha = sigmoid(ad.add(ad.matmul(head_in, params["att.alpha.w"]), params["att.alpha.b"]))
-    beta = sigmoid(ad.add(ad.matmul(x_c, params["att.beta.w"]), params["att.beta.b"]))
+    # alpha's whole weight meets [s_p, x_c, h2], beta's x_c alone
+    aw, p = params["att.alpha.w"], s_p.shape[0]
+    w_alpha = ad.concat([aw[:p], context_vector(params, "alpha"), aw[p:]])
+    alpha = sigmoid(ad.add(ad.matmul(ad.concat([s_p, x_c, h2]), w_alpha), params["att.alpha.b"]))
+    beta = sigmoid(ad.add(ad.matmul(x_c, context_vector(params, "beta")), params["att.beta.b"]))
     return ad.concat([ad.reshape(alpha, (1,)), ad.reshape(beta, (1,))])
 
 
 def composed_frame_output(params, h2, x_c):
     readout = ad.concat([h2, x_c])
-    y = ad.add(ad.matmul(readout, params["out.frame.w"]), params["out.frame.b"])
-    stop = ad.add(ad.matmul(readout, params["out.stop.w"]), params["out.stop.b"])
+    w_frame = ad.concat([params["out.frame.w"], context_block(params, "frame")])
+    w_stop = ad.concat([params["out.stop.w"], context_vector(params, "stop")])
+    y = ad.add(ad.matmul(readout, w_frame), params["out.frame.b"])
+    stop = ad.add(ad.matmul(readout, w_stop), params["out.stop.b"])
     return ad.concat([y, ad.reshape(stop, (1,))])
 
 
@@ -208,8 +222,8 @@ def composed_context(params, cfg, enc_cond, attention_mode):
 
 
 def composed_lstm(layer, params, x, x_c, h, c):
-    return lstm_node(ad.concat([x, x_c]), h, c, params[f"dec.lstm{layer}.wx"], params[f"dec.lstm{layer}.wh"],
-                     params[f"dec.lstm{layer}.b"])
+    wx = ad.concat([params[f"dec.lstm{layer}.wx"], context_block(params, f"lstm{layer}")])
+    return lstm_node(ad.concat([x, x_c]), h, c, wx, params[f"dec.lstm{layer}.wh"], params[f"dec.lstm{layer}.b"])
 
 
 COMPOSED = SimpleNamespace(context=composed_context, prenet=composed_prenet, lstm=composed_lstm,

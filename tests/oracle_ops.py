@@ -33,14 +33,15 @@ def data(x):
 
 def lstm_node(x, h, c, wx, wh, b):
     """autodiff.lstm_step as one node over its six inputs, each a Tensor or
-    an array: returns (h', c') as the two halves of that node."""
+    an array: returns (h', c') as the two halves of that node. x's
+    gradient is wx @ gz, from the step's gate gradient gz."""
     inputs = (x, h, c, wx, wh, b)
     h_new, c_new, step_backward = ad.lstm_step(*map(data, inputs))
     hid = h_new.shape[0]
 
     def backward(g):
-        g_x, g_h, g_c, gz = step_backward(g[:hid], g[hid:])
-        return (g_x, g_h, g_c, *ad.lstm_weight_grads(data(x)[None], data(h)[None], gz[None]))
+        g_h, g_c, gz = step_backward(g[:hid], g[hid:])
+        return (data(wx) @ gz, g_h, g_c, *ad.lstm_weight_grads(data(x)[None], data(h)[None], gz[None]))
 
     hc = as_node((np.concatenate([h_new, c_new]), backward), inputs)
     return hc[:hid], hc[hid:]

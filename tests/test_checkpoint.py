@@ -90,6 +90,14 @@ def test_sgd_state_wrong_shape_raises():
 # -- all-or-nothing restores ---------------------------------------------------------
 
 
+def _parent_layout(t):
+    """The layout in which each weight that meets x_c held its x_c rows: a
+    (P + C)-row dec.lstm1.wx and no dec.context.w."""
+    w_ctx = t.pop("model.dec.context.w")
+    wx = t["model.dec.lstm1.wx"]
+    t["model.dec.lstm1.wx"] = np.concatenate([wx, w_ctx[:, :wx.shape[1]]])
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (lambda t: t.update({"model.post.conv2.b": np.zeros(3)}), "shape"),  # the last parameter restored
     (lambda t: t.pop("model.post.conv2.b"), "model.post.conv2.b"),
@@ -112,10 +120,11 @@ def test_sgd_state_wrong_shape_raises():
     (lambda t: t.update({"meta.history": np.zeros(6)}), "meta.history"),
     (lambda t: t.update({"meta.history": np.zeros((2, 3))}), "meta.history"),
     (lambda t: t.update({"meta.history": np.array([[0.5, 1.0, 1.0, 1.0]])}), "meta.history"),
+    (_parent_layout, "model.dec.lstm1.wx"),
 ], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "model_nan", "velocity_inf",
         "epoch_missing", "epoch_empty", "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative",
         "epoch_nan", "mode_missing", "mode_out_of_range", "mode_fraction", "mode_two_values", "history_missing",
-        "history_six_values", "history_width_3", "history_epoch_fraction"])
+        "history_six_values", "history_width_3", "history_epoch_fraction", "parent_layout"])
 def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
     assert list(params)[-1] == "post.conv2.b"

@@ -225,6 +225,14 @@ TINY = dict(encoder_rnn_width=2, decoder_rnn_width=4, prenet_hidden=4, prenet_ou
             location_filters=2, location_kernel=3, frame_width=2, postnet_channels=2)
 
 
+def perturb_heads(params, rng):
+    """Move the selection heads off their zero init, att.alpha.w and the
+    heads' two columns of dec.context.w (its last), so they pass gradient
+    on."""
+    params["att.alpha.w"].data = rng.normal(scale=0.1, size=params["att.alpha.w"].data.shape)
+    params["dec.context.w"].data[:, -2:] = rng.normal(scale=0.1, size=(params["dec.context.w"].data.shape[0], 2))
+
+
 @pytest.mark.parametrize("mode", ["augmented", "plain"])
 def test_decoder_step_fd(mode):
     # the decoder node over three frames: frames 1 and 2 take the step with
@@ -232,10 +240,11 @@ def test_decoder_step_fd(mode):
     # recurrent input
     cfg = seq2seq.ModelConfig(**TINY)
     params = seq2seq.init_params(cfg, vocab_size=5)
-    rng = np.random.default_rng(31)
+    rng = np.random.default_rng(32)
     for k, p in params.items():
-        if k != "att.alpha.w":  # zero, so that alpha is the logistic of its bias alone
+        if k != "att.alpha.w":  # zero, so that alpha is the logistic of its bias alone ...
             p.data = np.asarray(p.data + rng.normal(scale=0.3, size=p.data.shape))
+    params["dec.context.w"].data[:, oracle.context_columns(params, "alpha")] = 0.0  # ... and x_c's
     # the fed-back prediction is data, not a gradient path; zero pre-net
     # weights on it keep the forward from depending on it, so finite
     # differences see no such path either
@@ -265,17 +274,12 @@ def test_decoder_step_fd(mode):
         assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
 
 
-# the rows of each weight that x_c meets, for TINY: P = prenet_out = 3,
-# D = decoder_rnn_width = 4, C = context_dim = 6
-CONTEXT_ROWS = {"dec.lstm1.wx": slice(3, 9), "dec.lstm2.wx": slice(4, 10), "out.frame.w": slice(4, 10),
-                "out.stop.w": slice(4, 10), "att.alpha.w": slice(3, 9), "att.beta.w": slice(0, 6)}
-
-
 @pytest.mark.parametrize("mode", ["augmented", "plain"])
 def test_context_projection_fd(mode):
     # the context projection enc_cond @ W_ctx is differentiated once per
-    # utterance: its gradient reaches enc_cond and the rows of the six
-    # weights that x_c meets (four in plain mode, which runs no heads)
+    # utterance: its gradient reaches enc_cond and W_ctx = dec.context.w,
+    # every column block of which meets x_c (all but the heads' two in
+    # plain mode, which runs no heads)
     cfg = seq2seq.ModelConfig(**TINY)
     params = seq2seq.init_params(cfg, vocab_size=5)
     rng = np.random.default_rng(35)
@@ -294,11 +298,12 @@ def test_context_projection_fd(mode):
         out, _ = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
         return ad.sum_(ad.mul(out, w))
 
-    keys = sorted(CONTEXT_ROWS) if mode == "augmented" else sorted(set(CONTEXT_ROWS) - {"att.alpha.w", "att.beta.w"})
+    w_ctx = params["dec.context.w"]
     build().backward()
-    for k in keys:  # the check is not vacuous: x_c's rows get a gradient
-        assert np.max(np.abs(params[k].grad[CONTEXT_ROWS[k]])) > 1e-6, k
-    for p in [enc_cond] + [params[k] for k in keys]:
+    for stage in oracle.CONTEXT_BLOCKS:  # the check is not vacuous: every block gets a gradient
+        g = w_ctx.grad[:, oracle.context_columns(params, stage)]
+        assert (np.max(np.abs(g)) > 1e-6) == (mode == "augmented" or stage not in ("alpha", "beta")), stage
+    for p in (enc_cond, w_ctx):
         err = ad.finite_diff_check(build, p)
         assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
 
@@ -336,8 +341,8 @@ def test_prenet_double_feed_fd_every_input(feed):
 
 
 def test_selection_heads_fd_every_input():
-    # x_c enters as its two projected terms; att.beta.w, which meets x_c
-    # alone, is not an input of the stage
+    # x_c enters as its two projected terms; the heads' columns of
+    # dec.context.w are not inputs of the stage
     cfg, params, rng = decoder_params(32)
     s_p, ctx_heads, h2 = (ad.parameter(rng.normal(size=n), name=name) for n, name in
                           ((cfg.prenet_out, "s_p"), (2, "ctx_heads"), (cfg.decoder_rnn_width, "h2")))
@@ -401,9 +406,7 @@ def test_teacher_forced_matches_composed(mode, utterance):
                 lambda *a: oracle.teacher_forced(oracle.COMPOSED, *a)):
         params = seq2seq.init_params(cfg, vocab)
         params["att.v"].data = params["att.v"].data * 10.0  # most steps then have 0 < gamma < 1
-        rng = np.random.default_rng(40)
-        for k in ("att.alpha.w", "att.beta.w"):  # off their zero init, so the heads pass gradient on
-            params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
+        perturb_heads(params, np.random.default_rng(40))
         loss, trace = run(params, cfg, utt, np.array([0.3, -0.2]), mode)
         loss.backward()
         results.append((loss.data, trace, {k: p.grad for k, p in params.items()}))
@@ -446,9 +449,7 @@ def test_teacher_forced_matches_fused_on_a_long_utterance(mode, long_utterance):
     for run in (seq2seq.teacher_forced, lambda *a: oracle.teacher_forced(oracle.FUSED, *a)):
         params = seq2seq.init_params(cfg, vocab)
         params["att.v"].data = params["att.v"].data * 10.0
-        rng = np.random.default_rng(42)
-        for k in ("att.alpha.w", "att.beta.w"):
-            params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
+        perturb_heads(params, np.random.default_rng(42))
         loss, trace = run(params, cfg, utt, np.array([-0.4, 0.5]), mode)
         loss.backward()
         results.append((loss.data, trace, {k: p.grad for k, p in params.items()}))
@@ -472,9 +473,8 @@ def free_run_params(cfg, vocab):
     params = seq2seq.init_params(cfg, vocab)
     params["att.v"].data = params["att.v"].data * 10.0
     params["out.stop.w"].data = params["out.stop.w"].data * -10.0
-    rng = np.random.default_rng(41)
-    for k in ("att.alpha.w", "att.beta.w"):
-        params[k].data = rng.normal(scale=0.1, size=params[k].data.shape)
+    params["dec.context.w"].data[:, oracle.context_columns(params, "stop")] *= -10.0
+    perturb_heads(params, np.random.default_rng(41))
     return params
 
 

@@ -1,7 +1,7 @@
 """seq2seq: the strict config loader and the config's value checks, decode
 truncation, the training output directory, graph-free inference (values
-bit-identical to grad mode, no graph recorded), and the collector pause in
-train."""
+bit-identical to grad mode, no graph recorded), the corpus splits that train
+needs, and the collector pause in train."""
 
 import dataclasses
 import gc
@@ -13,7 +13,7 @@ import pytest
 
 from prosynth import align, seq2seq, synthdata
 from prosynth import autodiff as ad
-from prosynth.errors import ConfigError
+from prosynth.errors import ConfigError, DataError
 
 TINY = dict(encoder_rnn_width=4, decoder_rnn_width=6, prenet_hidden=6, prenet_out=4, attention_dim=6,
             location_filters=2, location_kernel=3, postnet_channels=3, symbol_embedding=4,
@@ -157,6 +157,18 @@ def test_train_unusable_out_dir_fails_before_training(tmp_path, corpus, table):
         seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain",
                       out_dir=blocker / "run", log=epochs.append)
     assert epochs == []
+
+
+def test_train_without_validation_split_fails_before_training(tmp_path, table, monkeypatch):
+    # validation_count = 0 is a valid corpus, but each epoch logs the val
+    # split's loss and alignment entropy
+    corpus = synthdata.generate_corpus(synthdata.CorpusConfig(utterance_count=5, validation_count=0, seed=9))
+    batches = []
+    monkeypatch.setattr(seq2seq, "_train_batch", lambda *args: batches.append(args) or 0.0)
+    with pytest.raises(DataError, match="no validation utterances"):
+        seq2seq.train(corpus, table, seq2seq.ModelConfig(epochs=1, **TINY), "plain", out_dir=tmp_path / "run")
+    assert batches == []
+    assert not (tmp_path / "run").exists()
 
 
 # -- graph-free inference ------------------------------------------------------------

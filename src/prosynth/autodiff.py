@@ -17,21 +17,24 @@ sequence as one node. Two cells come as functions on plain arrays that
 return their value together with their backward, without making a node:
 lstm_step, one LSTM cell update whose initial weights lstm_weights draws in
 the same gate layout, and location_attention_vjp, whose kernel
-location_kernel composes. A caller that runs many cells and routes their
-gradients itself, as lstm_layer does for a sequence and the decoder for a
-whole utterance, uses those and wraps its result in one node with fused.
-Other modules build their own nodes the same way. Tensors define no
-arithmetic operators; call the functions.
+location_kernel composes and whose padded input location_input builds. A
+caller that runs many cells and routes their gradients itself, as
+lstm_layer does for a sequence and the decoder for a whole utterance, uses
+those and wraps its result in one node with fused. Other modules build
+their own nodes the same way. Tensors define no arithmetic operators; call
+the functions.
 
-Such a caller keeps only the recurrence in its reverse loop. The cells'
+Such a caller keeps only the recurrence in its loop, forward and reverse.
+lstm_step owns only the recurrence: it takes its input term x @ wx + b
+precomputed, so a caller whose inputs are known up front projects them all
+at once, as lstm_layer does with one (T, I) @ (I, 4H) matmul. The cells'
 backwards give no weight gradients: lstm_step's gives the gate gradient,
-which is also the bias gradient, and location_attention_vjp's the rows its
-weight gradients are made of. lstm_step's gives no input gradient either:
-it is wx @ gz, made in the loop only where the recurrence reads it. The
-caller writes each step's rows into (T, .) arrays and contracts every
-weight gradient once after the loop, with lstm_weight_grads and
-location_attention_weight_grads; a single step is T = 1. Graph nodes
-hand Tensor.backward plain arrays only.
+which is also the input term's, and location_attention_vjp's the rows its
+weight gradients are made of. The caller writes each step's rows into
+(T, .) arrays and contracts every weight gradient, and each input gradient
+that no later step reads, once after the loop, with lstm_weight_grads and
+location_attention_weight_grads; a single step is T = 1. Graph nodes hand
+Tensor.backward plain arrays only.
 
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
@@ -392,17 +395,6 @@ def _conv_same_grads(g, xp, w):
     return _windows(gp, k) @ w[::-1].transpose(0, 2, 1).reshape(k * cout, cin), gw
 
 
-@functools.lru_cache(maxsize=64)
-def _window_index(n, k):
-    """Read-only (N, 2K) flat indices of the K-row windows of a padded
-    (N + K - 1, 2) array: entry (t, 2j + c) is 2 (t + j) + c, row t + j and
-    channel c. Taking them gives the windows; adding a gradient of the
-    windows back through them gives the padded array's."""
-    index = np.add.outer(2 * np.arange(n), np.arange(2 * k))
-    index.flags.writeable = False
-    return index
-
-
 def conv1d(x, w, bias=None):
     """'Same'-padded 1-D convolution over time.
 
@@ -439,39 +431,46 @@ def _gate_constants(hid):
     return consts
 
 
-def lstm_step(x, h, c, wx, wh, b):
-    """One LSTM cell update on plain arrays, with its backward.
+def lstm_step(xw, h, c, wh):
+    """One LSTM cell update on plain arrays, with its backward; it owns only
+    the recurrence.
 
-    x: (I,), h/c: (H,), wx: (I,4H), wh: (H,4H), b: (4H,); gate order
-    i,f,g,o. Returns (h', c', backward), where backward(gh, gc) maps the
-    gradients of h' and c' to those of (h, c) and to the (4H,) gate
-    gradient gz, which is also b's. x's gradient is wx @ gz, the weight
-    gradients outer(x, gz) and outer(h, gz); lstm_weight_grads makes the
-    latter over the rows of many steps or of one, and a caller whose x
-    feeds nothing in its reverse loop contracts x's over those rows too.
+    xw: the input term x @ wx + b, (..., 4H), h/c: (..., H), wh: (H, 4H);
+    gate order i,f,g,o. Any leading batch shape works, the same for xw, h
+    and c: a (B, H) state runs B cells in one call. Returns (h', c',
+    backward), where backward(gh, gc) maps the gradients of h' and c' to
+    those of (h, c) and to the (..., 4H) gate gradient gz, which is also
+    xw's and b's. x's gradient is gz @ wx.T, the weight gradients
+    outer(x, gz) and outer(h, gz); lstm_weight_grads makes the latter over
+    the rows of many steps or of one, and a caller whose x feeds nothing in
+    its reverse loop contracts x's over those rows too.
     """
-    hid = h.shape[0]
-    if wx.shape != (x.shape[0], 4 * hid) or wh.shape != (hid, 4 * hid):
-        raise ShapeError(f"lstm_step: weight shapes {wx.shape}/{wh.shape} do not fit "
-                         f"input {x.shape} and state {h.shape}")
+    hid = h.shape[-1]
+    if wh.shape != (hid, 4 * hid) or xw.shape != h.shape[:-1] + (4 * hid,) or c.shape != h.shape:
+        raise ShapeError(f"lstm_step: input term {xw.shape} and weight {wh.shape} do not fit "
+                         f"state {h.shape}/{c.shape}")
     scale, shift, scale2 = _gate_constants(hid)
-    t = np.tanh((x @ wx + h @ wh + b) * scale)  # all four gates in one tanh
-    act = t * scale + shift
-    i, f, g, o = act[:hid], act[hid:2 * hid], act[2 * hid:3 * hid], act[3 * hid:]
+    t = h @ wh
+    t += xw
+    t *= scale
+    np.tanh(t, out=t)  # all four gates in one tanh
+    act = t * scale
+    act += shift
+    i, f, g, o = act[..., :hid], act[..., hid:2 * hid], act[..., 2 * hid:3 * hid], act[..., 3 * hid:]
     c_new = f * c + i * g
     tc = np.tanh(c_new)
     h_new = o * tc
 
     def backward(gh, gc):
         gc_total = gc + gh * o * (1.0 - tc * tc)
-        gz = np.concatenate([gc_total * g, gc_total * c, gc_total * i, gh * tc]) * ((1.0 - t * t) * scale2)
-        return wh @ gz, gc_total * f, gz
+        gz = np.concatenate([gc_total * g, gc_total * c, gc_total * i, gh * tc], axis=-1) * ((1.0 - t * t) * scale2)
+        return gz @ wh.T, gc_total * f, gz
 
     return h_new, c_new, backward
 
 
 def lstm_weight_grads(xs, hs, gz):
-    """The gradients of lstm_step's (wx, wh, b) summed over T steps, from
+    """The gradients of (wx, wh, b) summed over T steps of lstm_step, from
     the (T, I) inputs xs, the (T, H) states hs the steps read and their
     (T, 4H) gate gradients gz: one contraction each."""
     return xs.T @ gz, hs.T @ gz, gz.sum(axis=0)
@@ -480,24 +479,33 @@ def lstm_weight_grads(xs, hs, gz):
 def lstm_layer(xs, wx, wh, b, reverse=False):
     """An LSTM layer over a (T, I) sequence as one graph node.
 
-    The cell (see lstm_step) starts from a zero state and reads the rows of
-    xs first to last, or last to first when reverse is set. Returns the
-    (T, H) Tensor whose row t is the h the cell gave after reading row t.
-    The node's backward walks the steps in reverse, writing each step's
-    gate gradient as a row of a (T, 4H) array, and then contracts the
-    input's gradient and each weight's once (lstm_weight_grads).
+    The input terms of every step are one (T, I) @ (I, 4H) matmul,
+    xs @ wx + b, made before the loop; the cell (see lstm_step) then starts
+    from a zero state and reads their rows first to last, or last to first
+    when reverse is set. Shapes are checked once per sequence: a sequence
+    that is not (T, I), or weights that do not fit it, is a ShapeError.
+    Returns the (T, H) Tensor whose row t is the h the cell gave after
+    reading row t. The node's backward walks the steps in reverse, writing
+    each step's gate gradient as a row of a (T, 4H) array, and then
+    contracts the input's gradient and each weight's once
+    (lstm_weight_grads).
     """
     xs, wx, wh, b = _wrap(xs), _wrap(wx), _wrap(wh), _wrap(b)
     if xs.data.ndim != 2:
         raise ShapeError(f"lstm_layer: expected a (T, I) sequence, got shape {xs.data.shape}")
     steps, hid = xs.data.shape[0], wh.data.shape[0]
+    if not (wx.data.shape == (xs.data.shape[1], 4 * hid) and wh.data.shape == (hid, 4 * hid)
+            and b.data.shape == (4 * hid,)):
+        raise ShapeError(f"lstm_layer: lstm_step weights wx {wx.data.shape}, wh {wh.data.shape} and b "
+                         f"{b.data.shape} do not fit a sequence of shape {xs.data.shape}")
     order = range(steps - 1, -1, -1) if reverse else range(steps)
+    xw = xs.data @ wx.data + b.data
     out = np.empty((steps, hid))
     h = c = np.zeros(hid)
     record = grad_enabled()
     backwards = []
     for t in order:
-        h, c, step_backward = lstm_step(xs.data[t], h, c, wx.data, wh.data, b.data)
+        h, c, step_backward = lstm_step(xw[t], h, c, wh.data)
         out[t] = h
         if record:
             backwards.append(step_backward)
@@ -519,49 +527,76 @@ def lstm_layer(xs, wx, wh, b, reverse=False):
 
 
 def location_kernel(conv_w, loc_w):
-    """The (K, 2, A) kernel of location_attention_vjp: conv_w (K, 2, F)
-    with odd K composed with loc_w (F, A). The location term is linear in
-    both, so a convolution with conv_w followed by loc_w is one
-    convolution with this kernel. A ShapeError when they do not fit."""
+    """The flat (2K, A) kernel of location_attention_vjp: conv_w (K, 2, F)
+    with odd K composed with loc_w (F, A), row 2j + c holding tap j of
+    channel c. The location term is linear in both, so a convolution with
+    conv_w followed by loc_w is one convolution with this kernel. A
+    ShapeError when they do not fit."""
     if not (conv_w.ndim == 3 and conv_w.shape[0] % 2 == 1 and conv_w.shape[1] == 2
             and loc_w.ndim == 2 and loc_w.shape[0] == conv_w.shape[2]):
         raise ShapeError(f"location_attention: kernel shapes do not fit: {np.shape(conv_w)}, {np.shape(loc_w)}")
     k, _, f = conv_w.shape
-    return (conv_w.reshape(2 * k, f) @ loc_w).reshape(k, 2, loc_w.shape[1])
+    return conv_w.reshape(2 * k, f) @ loc_w
 
 
-def location_attention_vjp(query, enc_proj, prev_align, cum_align, kernel, query_w, v):
+@functools.lru_cache(maxsize=64)
+def window_index(n, k):
+    """Read-only (N, 2K) flat indices of the K-row windows of a padded
+    (N + K - 1, 2) array: entry (t, 2j + c) is 2 (t + j) + c, row t + j and
+    channel c. Taking them gives the windows; adding a gradient of the
+    windows back through them gives the padded array's."""
+    index = np.add.outer(2 * np.arange(n), np.arange(2 * k))
+    index.flags.writeable = False
+    return index
+
+
+def location_input(prev_align, cum_align, k):
+    """The padded input of location_attention_vjp for a kernel of odd
+    width k: prev_align and cum_align, (..., N) each, side by side as the
+    two channels of rows k // 2 .. k // 2 + N - 1 of a zero (..., N + K - 1,
+    2) array."""
+    n, pad = prev_align.shape[-1], k // 2
+    loc = np.zeros(prev_align.shape[:-1] + (n + k - 1, 2))
+    loc[..., pad:pad + n, 0] = prev_align
+    loc[..., pad:pad + n, 1] = cum_align
+    return loc
+
+
+def location_attention_vjp(query, enc_proj, loc, kernel, index, query_w, v):
     """Location-sensitive additive attention on plain arrays, with its
     backward.
 
-    query: (D,), enc_proj: (N, A), prev_align/cum_align: (N,), kernel:
-    (K, 2, A) with odd K (see location_kernel), query_w: (D, A), v: (A,).
-    loc = conv1d([prev_align, cum_align], kernel), one matmul of the
-    (N, 2K) windows of the padded [prev_align, cum_align], gathered by one
-    index, against the kernel's (2K, A) form, and the result is
-    softmax(tanh(enc_proj + loc + query @ query_w) @ v), an (N,)
-    distribution. Returns (result, backward), where backward(g) gives the
-    gradients of (query, prev_align, cum_align) and the step's rows for
-    location_attention_weight_grads: gterms, the (N, A) gradient of the
-    tanh's argument, which is also enc_proj's, ge, the (N,) gradient of
-    the scores, and th, the (N, A) tanh.
+    query: (D,), enc_proj: (N, A), loc: the C-contiguous (N + K - 1, 2)
+    padded [prev_align, cum_align] of location_input, for an odd K, kernel:
+    the flat (2K, A) location_kernel, index: window_index(N, K), query_w:
+    (D, A), v: (A,). loc = conv1d([prev_align, cum_align], kernel) is one
+    matmul of the (N, 2K) windows of loc, gathered by index, against the
+    kernel, and the result is softmax(tanh(enc_proj + loc + query @
+    query_w) @ v), an (N,) distribution. Returns (result, backward), where
+    backward(g) gives the gradients of (query, prev_align, cum_align) and
+    the step's rows for location_attention_weight_grads: gterms, the
+    (N, A) gradient of the tanh's argument, which is also enc_proj's, ge,
+    the (N,) gradient of the scores, and th, the (N, A) tanh.
+
+    The windows are copied out of loc before this returns and backward
+    never reads it, so a decoder may keep one buffer for a whole decode and
+    write each step's alignment into it in place, also while it records
+    backwards: location_attention_weight_grads takes the alignments
+    themselves, not the buffer.
     """
-    fits = enc_proj.ndim == 2 and kernel.ndim == 3 and query.ndim == 1
+    fits = enc_proj.ndim == 2 and kernel.ndim == 2 and query.ndim == 1 and loc.ndim == 2
     if fits:
         n, a = enc_proj.shape
-        k = kernel.shape[0]
-        fits = (prev_align.shape == cum_align.shape == (n,) and kernel.shape == (k, 2, a) and k % 2 == 1
+        k = loc.shape[0] - n + 1
+        fits = (loc.shape[1] == 2 and k % 2 == 1 and kernel.shape == (2 * k, a) and index.shape == (n, 2 * k)
                 and query_w.shape == (query.shape[0], a) and v.shape == (a,))
     if not fits:
         raise ShapeError("location_attention: shapes do not fit: " + ", ".join(
-            str(np.shape(t)) for t in (query, enc_proj, prev_align, cum_align, kernel, query_w, v)))
-    pad = k // 2
-    loc_pad = np.zeros((n + 2 * pad, 2))
-    loc_pad[pad:pad + n, 0] = prev_align
-    loc_pad[pad:pad + n, 1] = cum_align
-    index = _window_index(n, k)
-    flat = kernel.reshape(2 * k, a)
-    th = np.tanh(enc_proj + loc_pad.take(index) @ flat + query @ query_w)
+            str(np.shape(t)) for t in (query, enc_proj, loc, kernel, index, query_w, v)))
+    th = loc.take(index) @ kernel
+    th += enc_proj
+    th += query @ query_w
+    np.tanh(th, out=th)
     e = th @ v
     z = np.exp(e - e.max())
     data = z / z.sum()
@@ -570,7 +605,8 @@ def location_attention_vjp(query, enc_proj, prev_align, cum_align, kernel, query
         ge = data * (g - np.dot(g, data))
         gterms = np.outer(ge, v) * (1.0 - th * th)
         # the windows' gradient, added back onto the padded rows they read
-        g_windows = gterms @ flat.T
+        g_windows = gterms @ kernel.T
+        pad = k // 2
         gin = np.bincount(index.ravel(), g_windows.ravel(), 2 * (n + 2 * pad)).reshape(-1, 2)[pad:pad + n]
         return query_w @ gterms.sum(axis=0), gin[:, 0], gin[:, 1], gterms, ge, th
 
@@ -581,16 +617,13 @@ def location_attention_weight_grads(queries, prev_aligns, cum_aligns, gterms, ge
     """The gradients of location_attention_vjp's enc_proj, conv_w, loc_w,
     query_w and v summed over T steps, from each step's (T, .) rows: the
     queries, alignments and cumulative alignments the steps read and the
-    gterms, ge and th their backwards gave. The composed kernel's gradient
-    is one (2K, T*N) @ (T*N, A) matmul over every step's windows, chained
-    once to conv_w and loc_w."""
+    gterms, ge and th their backwards gave. The padded inputs are rebuilt
+    here from the alignments (location_input). The composed kernel's
+    gradient is one (2K, T*N) @ (T*N, A) matmul over every step's windows,
+    chained once to conv_w and loc_w."""
     steps, n, a = gterms.shape
     k, _, f = conv_w.shape
-    pad = k // 2
-    loc_pad = np.zeros((steps, n + 2 * pad, 2))
-    loc_pad[:, pad:pad + n, 0] = prev_aligns
-    loc_pad[:, pad:pad + n, 1] = cum_aligns
-    windows = loc_pad.reshape(steps, -1)[:, _window_index(n, k)]
+    windows = location_input(prev_aligns, cum_aligns, k).reshape(steps, -1)[:, window_index(n, k)]
     g_kernel = windows.reshape(steps * n, 2 * k).T @ gterms.reshape(steps * n, a)
     return (gterms.sum(axis=0), (g_kernel @ loc_w.T).reshape(k, 2, f), conv_w.reshape(2 * k, f).T @ g_kernel,
             queries.T @ gterms.sum(axis=1), ths.reshape(steps * n, a).T @ ges.reshape(steps * n))

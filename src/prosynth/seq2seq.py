@@ -37,17 +37,25 @@ Those blocks are one parameter, side by side: dec.context.w = W_ctx,
 (C, 4D + 4D + F + 1 + 2), whose column layout init_params gives. Every
 other weight holds only the rows of its other inputs. So the decode never
 forms x_c. It projects once per utterance, M = enc_cond @ W_ctx, and each
-frame makes one a_t @ M. The LSTM cells read their input rows, with their
-context terms added to the bias argument; the heads and the readout take
-their projected terms, and plain mode, which runs no heads, ignores their
-two columns. In the backward each frame adds M @ g_ctx to a_t's gradient,
+frame makes one a_t @ M. Each LSTM cell's input term is its input's
+product plus its bias and context terms, x @ wx + (b + terms); the heads
+and the readout take their projected terms, and plain mode, which runs no
+heads, ignores their two columns. In the backward each frame adds M @ g_ctx to a_t's gradient,
 where g_ctx, a row of a (T + 1, .) array, is the gradient of that frame's
 a_t @ M: its lstm2 gate gradient and output gradient, and the next
 frame's lstm1 gate gradient and heads' logit gradients, the stages that
 add those terms. After the loop, M's gradient is the (N, T) alignment
 times those rows, and decoder_node then differentiates enc_cond @ W_ctx
-once per utterance, for enc_cond and W_ctx. The location attention's
-kernel is composed once per decode as well (autodiff.location_kernel).
+once per utterance, for enc_cond and W_ctx.
+
+Everything a frame reads that is fixed for the decode is made once, before
+the frame loop, into one DecoderWeights record, which every stage and every
+*_grads function of the backward takes in place of params. The decode also
+owns one padded location buffer [a_prev, cum], which each frame reads and
+the loop updates in place, and writes each frame's output row and alignment
+column into arrays preallocated for the longest decode. A free run stops
+when the stable logistic 0.5 * (1 + tanh(logit / 2)) of the stop logit
+clears stop_threshold, which no stop logit, however negative, can overflow.
 
 Training is teacher-forced, deterministic for a fixed seed, with the
 prosody conditioning forced to zero for the first few epochs. Validation
@@ -58,6 +66,7 @@ from __future__ import annotations
 
 import gc
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -301,7 +310,9 @@ def encode(params, symbols, prosody_vec):
 # rest, every weight gradient and the input gradients that feed only stages
 # outside the loop, comes from the stage's *_grads function over (T, .)
 # rows, run once per utterance; one frame is T = 1. The pre-net and the
-# readout have no part in the loop and only a *_grads function.
+# readout have no part in the loop and only a *_grads function. Every stage
+# and every *_grads function reads its weights from one DecoderWeights
+# record, built once per decode.
 
 _PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
 _LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
@@ -316,61 +327,116 @@ _PLAIN_KEYS = (_PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTIO
 _AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
 
 
-def _weights(params, keys):
-    return [params[k].data for k in keys]
+class DecoderWeights:
+    """Every array the frames of one decode read, fetched from params once
+    per decode, so the frame loop makes no params lookup.
+
+    Built from params and the decode's (N, C) enc_cond and (N, A) enc_proj
+    arrays, it holds:
+
+    - ctx_proj = enc_cond @ W_ctx, W_ctx = dec.context.w (kept as w_ctx),
+      the context projection every frame reads, and enc_proj;
+    - the attention's flat (2K, A) location_kernel, its window_index for N
+      positions and its query and v weights, and the kernel's two factors,
+      which only the weight gradients read;
+    - the pre-net's weights, with prenet_w1_free = w1[:F] + w1[F:]: in a
+      free-running decode both halves of the pre-net input are the same
+      prediction, so its first layer is one (F, .) matmul;
+    - both LSTMs' wx, wh and b, and the dec.init.* start state;
+    - the alpha head's weight split at the s_p/h2 boundary, and both heads'
+      biases as floats;
+    - the readout's frame and stop weights side by side, (D, F+1), and its
+      (F+1,) bias.
+
+    The arrays are those params held when the record was built; an
+    optimiser step assigns new ones, so a record stays the forward's.
+    """
+
+    __slots__ = ("ctx_proj", "enc_proj", "w_ctx", "kernel", "index", "conv_w", "loc_w", "query_w", "v",
+                 "prenet_w1", "prenet_w1_free", "prenet_b1", "prenet_w2", "prenet_b2",
+                 "lstm1_wx", "lstm1_wh", "lstm1_b", "lstm2_wx", "lstm2_wh", "lstm2_b", "init",
+                 "alpha_w_s", "alpha_w_h", "alpha_b", "beta_b", "readout_w", "readout_b",
+                 "frame_width", "d4", "heads_at", "pad")
+
+    def __init__(self, params, enc_cond, enc_proj):
+        data = {k: params[k].data for k in _AUGMENTED_KEYS}
+        self.w_ctx = data["dec.context.w"]
+        self.ctx_proj = enc_cond @ self.w_ctx
+        self.enc_proj = enc_proj
+        self.conv_w, self.loc_w, self.query_w, self.v = (data[k] for k in _ATTENTION_KEYS)
+        self.kernel = ad.location_kernel(self.conv_w, self.loc_w)
+        width = self.conv_w.shape[0]
+        self.index = ad.window_index(enc_proj.shape[0], width)
+        self.pad = width // 2
+        w1, self.prenet_b1, self.prenet_w2, self.prenet_b2 = (data[k] for k in _PRENET_KEYS)
+        f = w1.shape[0] // 2
+        self.prenet_w1, self.prenet_w1_free = w1, w1[:f] + w1[f:]
+        self.lstm1_wx, self.lstm1_wh, self.lstm1_b = (data[k] for k in _LSTM1_KEYS)
+        self.lstm2_wx, self.lstm2_wh, self.lstm2_b = (data[k] for k in _LSTM2_KEYS)
+        self.init = tuple(data[k] for k in _INIT_KEYS)
+        p = self.prenet_w2.shape[1]
+        self.alpha_w_s, self.alpha_w_h = data["att.alpha.w"][:p], data["att.alpha.w"][p:]
+        self.alpha_b, self.beta_b = float(data["att.alpha.b"]), float(data["att.beta.b"])
+        fw, fb, sw, sb = (data[k] for k in _READOUT_KEYS)
+        self.readout_w = np.concatenate([fw, sw[:, None]], axis=1)
+        self.readout_b = np.append(fb, sb)
+        self.frame_width = f
+        self.d4 = 4 * self.lstm1_wh.shape[0]
+        self.heads_at = 2 * self.d4 + f + 1  # the columns after the LSTMs' and the readout's
 
 
-def location_kernel(params):
-    """The composed location kernel att.location.conv @ att.location.w
-    that initial_attention reads (see autodiff.location_kernel)."""
-    return ad.location_kernel(*_weights(params, _ATTENTION_KEYS[:2]))
-
-
-def initial_attention(params, query, enc_proj, prev_align, cum_align, kernel):
+def initial_attention(weights, query, loc):
     """Additive content+location attention over encoder positions.
 
-    Location features come from a 1-D convolution over the stacked previous
-    and cumulative alignment vectors with kernel, the location_kernel of
-    params. Returns (b_t, backward); backward(g) gives the gradients of
+    Location features come from a 1-D convolution over the previous and
+    cumulative alignment vectors with the location kernel of weights, a
+    DecoderWeights; loc is the decode's padded (N + K - 1, 2) location
+    buffer holding them (autodiff.location_input), which a decode updates
+    in place. Returns (b_t, backward); backward(g) gives the gradients of
     (query, prev_align, cum_align) and the frame's rows for
     autodiff.location_attention_weight_grads, which gives the enc_proj and
-    weight gradients.
+    weight gradients. A buffer whose rows do not fit the encoder's
+    positions is a DataError.
     """
-    n = prev_align.shape[0]
-    if enc_proj.shape[0] != n:
-        raise DataError(f"attention: {enc_proj.shape[0]} encoder rows vs {n} alignment entries")
-    return ad.location_attention_vjp(query, enc_proj, prev_align, cum_align, kernel,
-                                     *_weights(params, _ATTENTION_KEYS[2:]))
+    n = weights.enc_proj.shape[0]
+    if loc.shape[0] != n + 2 * weights.pad:
+        raise DataError(f"attention: {n} encoder rows vs a location buffer of {loc.shape[0]} rows")
+    return ad.location_attention_vjp(query, weights.enc_proj, loc, weights.kernel, weights.index, weights.query_w,
+                                     weights.v)
 
 
-def prenet_double_feed(params, prev_true, prev_pred):
+def prenet_double_feed(weights, prev_true, prev_pred):
     """Pre-net over x = [true, predicted] under teacher forcing, the
-    prediction duplicated when prev_true is None (free-running decode).
+    prediction duplicated when prev_true is None (free-running decode),
+    where the first layer is one matmul with the two halves of its weight
+    summed (weights.prenet_w1_free).
 
     Two relu layers. Returns (out, hidden), hidden being the first layer's
     output. Both frames are data, since the decoder feeds its prediction
     back as a constant, so only the weights have gradients: prenet_grads.
     """
-    first = prev_pred if prev_true is None else np.asarray(prev_true, dtype=np.float64)
-    if first.shape != prev_pred.shape:
-        raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
-    w1, b1, w2, b2 = _weights(params, _PRENET_KEYS)
-    hidden = np.maximum(np.concatenate([first, prev_pred]) @ w1 + b1, 0.0)
-    return np.maximum(hidden @ w2 + b2, 0.0), hidden
+    if prev_true is None:
+        pre = prev_pred @ weights.prenet_w1_free
+    else:
+        first = np.asarray(prev_true, dtype=np.float64)
+        if first.shape != prev_pred.shape:
+            raise ValueError(f"prenet_double_feed: frame widths differ {first.shape} vs {prev_pred.shape}")
+        pre = np.concatenate([first, prev_pred]) @ weights.prenet_w1
+    hidden = np.maximum(pre + weights.prenet_b1, 0.0)
+    return np.maximum(hidden @ weights.prenet_w2 + weights.prenet_b2, 0.0), hidden
 
 
 def prenet_grads(weights, xs, hiddens, outs, g):
     """The pre-net's backward over T frames: the gradients of its four
-    weights (the arrays of _PRENET_KEYS, in weights) from the (T, 2F)
-    inputs xs, the (T, .) hidden and output rows that prenet_double_feed
-    gave and the (T, P) output gradients g."""
-    w2 = weights[2]
+    weights (in _PRENET_KEYS order, w1 whole) from the (T, 2F) inputs xs,
+    the (T, .) hidden and output rows that prenet_double_feed gave and the
+    (T, P) output gradients g."""
     g2 = g * (outs > 0.0)
-    g1 = (g2 @ w2.T) * (hiddens > 0.0)
+    g1 = (g2 @ weights.prenet_w2.T) * (hiddens > 0.0)
     return xs.T @ g1, g1.sum(axis=0), hiddens.T @ g2, g2.sum(axis=0)
 
 
-def selection_heads(params, s_p, ctx_heads, h2):
+def selection_heads(weights, s_p, ctx_heads, h2):
     """The augmented step's stage weights [alpha, beta]:
     alpha = sigmoid([s_p, h2] . w_alpha + x_c . c_alpha + b_alpha) and
     beta = sigmoid(x_c . c_beta + b_beta), where c_alpha and c_beta are
@@ -378,9 +444,9 @@ def selection_heads(params, s_p, ctx_heads, h2):
     terms ctx_heads = [x_c . c_alpha, x_c . c_beta]. Returns (heads,
     backward); backward(g) gives the logits' gradient, which is also
     ctx_heads', and h2's. selection_heads_grads gives the rest."""
-    aw, ab, bb = _weights(params, _HEAD_KEYS)
-    aw_s, aw_h = aw[:s_p.shape[0]], aw[s_p.shape[0]:]
-    heads = 0.5 * (1.0 + np.tanh(0.5 * (np.array([s_p @ aw_s + h2 @ aw_h + ab, bb]) + ctx_heads)))  # stable logistic
+    aw_h = weights.alpha_w_h
+    logits = np.array([s_p @ weights.alpha_w_s + h2 @ aw_h + weights.alpha_b, weights.beta_b]) + ctx_heads
+    heads = 0.5 * (1.0 + np.tanh(0.5 * logits))  # stable logistic
 
     def backward(g):
         g_logits = g * heads * (1.0 - heads)
@@ -393,43 +459,40 @@ def selection_heads_grads(weights, s_ps, h2s, g_logits):
     """The rest of selection_heads' backward over T frames, from the (T, P)
     and (T, D) rows of s_p and h2 and the (T, 2) logit gradients: the
     (T, P) gradients of s_p, then those of w_alpha, of b_alpha and of
-    b_beta. weights holds the arrays of _HEAD_KEYS."""
+    b_beta."""
     ga = g_logits[:, 0]
-    return (np.outer(ga, weights[0][:s_ps.shape[1]]), ga @ np.concatenate([s_ps, h2s], axis=1), ga.sum(),
+    return (np.outer(ga, weights.alpha_w_s), ga @ np.concatenate([s_ps, h2s], axis=1), ga.sum(),
             g_logits[:, 1].sum())
 
 
-def frame_output(params, h2, ctx_out):
+def frame_output(weights, h2, ctx_out):
     """The readout as one (F+1,) vector: the frame h2 @ W + x_c @ C_frame
-    + b, then the stop logit h2 . w_stop + x_c . c_stop + b_stop, where
-    C_frame and c_stop are the readout's columns of dec.context.w and x_c
-    enters as its projected terms ctx_out = x_c @ [C_frame, c_stop], an
-    (F+1,) vector. Its backward is frame_output_grads."""
-    fw, fb, sw, sb = _weights(params, _READOUT_KEYS)
-    return np.concatenate([h2 @ fw + fb, (h2 @ sw + sb,)]) + ctx_out
+    + b, then the stop logit h2 . w_stop + x_c . c_stop + b_stop, made as
+    h2 @ [W, w_stop] + [b, b_stop] + ctx_out, where C_frame and c_stop are
+    the readout's columns of dec.context.w and x_c enters as its projected
+    terms ctx_out = x_c @ [C_frame, c_stop], an (F+1,) vector. Its
+    backward is frame_output_grads."""
+    return h2 @ weights.readout_w + weights.readout_b + ctx_out
 
 
 def frame_output_grads(weights, h2s, g):
     """frame_output's backward over T frames, from the (T, D) rows of h2
     and the (T, F+1) output gradients g: the gradients of h2 and ctx_out
-    as (T, .) rows, of W, of b, of w_stop and of b_stop. weights holds the
-    arrays of _READOUT_KEYS."""
-    fw, _, sw, _ = weights
-    gy, gs = g[:, :-1], g[:, -1]
-    return gy @ fw.T + np.outer(gs, sw), g, h2s.T @ gy, gy.sum(axis=0), h2s.T @ gs, gs.sum()
+    as (T, .) rows, then of W, of b, of w_stop and of b_stop."""
+    g_w = h2s.T @ g
+    g_b = g.sum(axis=0)
+    return g @ weights.readout_w.T, g, g_w[:, :-1], g_b[:-1], g_w[:, -1], g_b[-1]
 
 
-def init_decoder_state(params, cfg, ctx_proj):
-    """The state before the first frame of a decode whose context
-    projection is ctx_proj (see decoder_step)."""
-    n_positions, width = ctx_proj.shape
+def init_decoder_state(weights):
+    """The state before the first frame of a decode that reads weights, a
+    DecoderWeights (see decoder_step)."""
+    h1, c1, h2, c2 = weights.init
     return {
-        "h1": params["dec.init.h1"].data, "c1": params["dec.init.c1"].data,
-        "h2": params["dec.init.h2"].data, "c2": params["dec.init.c2"].data,
-        "ctx": np.zeros(width),  # x_c = 0, projected: no context yet
+        "h1": h1, "c1": c1, "h2": h2, "c2": c2,
+        "ctx": np.zeros(weights.ctx_proj.shape[1]),  # x_c = 0, projected: no context yet
         "a_prev": None,  # no alignment history at t = 0
-        "cum": np.zeros(n_positions),
-        "y_prev": np.zeros(cfg.frame_width),
+        "y_prev": np.zeros(weights.frame_width),
     }
 
 
@@ -460,58 +523,62 @@ class DecoderRows:
         self.hidden = np.empty((steps, cfg.prenet_hidden))
 
 
-def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev_true=None):
+def decoder_step(weights, state, loc, attention_mode, prev_true=None):
     """Advance one frame on plain arrays: returns (out_t, a_t, new state,
     backward), where out_t is frame_output's (F+1,) vector [y_t, stop
-    logit]. ctx_proj is the utterance's context projection
-    enc_cond @ W_ctx, W_ctx = dec.context.w, (N, 4D + 4D + F + 1 + 2), so
-    a_t @ ctx_proj holds every term of x_c = a_t @ enc_cond that a stage
-    adds: the two LSTMs' context terms, which go in through their bias
-    argument, the readout's and the selection heads' (plain mode runs no
-    heads and ignores their two columns). kernel is the decode's
-    location_kernel. prev_true is the true previous frame under teacher
-    forcing, None when decoding free-running. attention_mode is one of
-    ATTENTION_MODES; any other value is a ValueError.
+    logit]. weights is the decode's DecoderWeights. Its context projection
+    ctx_proj = enc_cond @ W_ctx, (N, 4D + 4D + F + 1 + 2), makes
+    a_t @ ctx_proj hold every term of x_c = a_t @ enc_cond that a stage
+    adds: the two LSTMs' context terms, which go into their input terms,
+    the readout's and the selection heads' (plain mode runs no heads and
+    ignores their two columns). The LSTM cells get their input terms whole,
+    s_p @ wx1 + (b1 + context terms) and h1 @ wx2 + (b2 + context terms).
+    loc is the decode's padded (N + K - 1, 2) location buffer, which holds
+    the state's previous and cumulative alignment; the step only reads it,
+    and the caller writes a_t into it before the next frame (see _decode).
+    prev_true is the true previous frame under teacher forcing, None when
+    decoding free-running. attention_mode is one of ATTENTION_MODES; any
+    other value is a ValueError.
 
     While ad.grad_enabled(), backward(t, g_next, rows) is the frame's step
     of the reverse loop, for frame index t: it takes the gradients of the
-    new state's h1, c1, h2, c2, a_prev and cum, reads the readout's h2
-    gradient from rows (a DecoderRows) and that of its context terms from
-    rows.ctx, writes its rows there, and returns the gradients of the same
-    entries of state. It runs the two LSTM cells' backwards, the
-    attention's softmax/tanh chain, the augmented step's and the heads'
-    and routes the state; every weight gradient, and s_p's, is left to
-    the contractions over rows. Under no_grad backward is None.
+    new state's h1, c1, h2, c2 and of the a_prev and cum it leaves in the
+    buffer, reads the readout's h2 gradient from rows (a DecoderRows) and
+    that of its context terms from rows.ctx, writes its rows there, and
+    returns the gradients of the same entries of state. It runs the two
+    LSTM cells' backwards, the attention's softmax/tanh chain, the
+    augmented step's and the heads' and routes the state; every weight
+    gradient, and s_p's, is left to the contractions over rows. Under
+    no_grad backward is None.
     """
     if attention_mode not in ATTENTION_MODES:
         raise ValueError(f"attention_mode must be one of {ATTENTION_MODES}, got {attention_mode!r}")
     ctx_prev, a_prev = state["ctx"], state["a_prev"]
-    d4 = 4 * state["h1"].shape[0]
-    heads_at = 2 * d4 + state["y_prev"].shape[0] + 1  # the columns after the LSTMs' and the readout's
-    s_p, hidden = prenet_double_feed(params, prev_true, state["y_prev"])
-    wx1, wh1, b1 = _weights(params, _LSTM1_KEYS)
-    h1, c1, lstm1_backward = ad.lstm_step(s_p, state["h1"], state["c1"], wx1, wh1, b1 + ctx_prev[:d4])
-    prev_align = np.zeros(ctx_proj.shape[0]) if a_prev is None else a_prev
-    b_t, attention_backward = initial_attention(params, h1, enc_proj, prev_align, state["cum"], kernel)
+    d4, heads_at = weights.d4, weights.heads_at
+    s_p, hidden = prenet_double_feed(weights, prev_true, state["y_prev"])
+    h1, c1, lstm1_backward = ad.lstm_step(s_p @ weights.lstm1_wx + (weights.lstm1_b + ctx_prev[:d4]),
+                                          state["h1"], state["c1"], weights.lstm1_wh)
+    b_t, attention_backward = initial_attention(weights, h1, loc)
     augment = attention_mode == "augmented" and a_prev is not None
     if augment:
-        heads, heads_backward = selection_heads(params, s_p, ctx_prev[heads_at:], state["h2"])
+        heads, heads_backward = selection_heads(weights, s_p, ctx_prev[heads_at:], state["h2"])
         a_t, augment_backward = align.augmented_step(b_t, a_prev, heads[0], heads[1])
     else:
         a_t = b_t
-    ctx = a_t @ ctx_proj
-    wx2, wh2, b2 = _weights(params, _LSTM2_KEYS)
-    h2, c2, lstm2_backward = ad.lstm_step(h1, state["h2"], state["c2"], wx2, wh2, b2 + ctx[d4:2 * d4])
-    out_t = frame_output(params, h2, ctx[2 * d4:heads_at])
+    ctx = a_t @ weights.ctx_proj
+    wx2 = weights.lstm2_wx
+    h2, c2, lstm2_backward = ad.lstm_step(h1 @ wx2 + (weights.lstm2_b + ctx[d4:2 * d4]), state["h2"], state["c2"],
+                                          weights.lstm2_wh)
+    out_t = frame_output(weights, h2, ctx[2 * d4:heads_at])
     new_state = {
         "h1": h1, "c1": c1, "h2": h2, "c2": c2,
         "ctx": ctx,
         "a_prev": a_t,  # the final alignment feeds both location features
-        "cum": state["cum"] + a_t,
         "y_prev": out_t[:-1],  # autoregressive input, gradient stays local
     }
     if not ad.grad_enabled():
         return out_t, a_t, new_state, None
+    ctx_proj = weights.ctx_proj
 
     def backward(t, g_next, rows):
         rows.s_p[t], rows.hidden[t] = s_p, hidden
@@ -536,39 +603,53 @@ def decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode, prev
     return out_t, a_t, new_state, backward
 
 
-def _decode(params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
-    """Run the decoder recurrence on the plain arrays enc_cond and enc_proj.
+def _decode(weights, cfg, attention_mode, targets=None):
+    """Run the decoder recurrence over the arrays of weights, the decode's
+    one DecoderWeights record.
 
-    The context projection enc_cond @ W_ctx, W_ctx = dec.context.w, and
-    the location kernel are made once, here, for every frame's
-    decoder_step. With targets, a (T, F) array, every frame is fed the
-    true previous one and the decode runs T frames; without, the decoder
-    runs free until the stop probability clears cfg.stop_threshold, or
-    truncates at cfg.max_decode_ratio times the input length. Returns (out, alignment, truncated, steps): out is
+    With targets, a (T, F) array, every frame is fed the true previous one
+    and the decode runs T frames; without, the decoder runs free until the
+    stop probability, the stable logistic 0.5 * (1 + tanh(logit / 2)) of
+    the stop logit, clears cfg.stop_threshold, or truncates at
+    cfg.max_decode_ratio times the input length. The decode owns one
+    location buffer, the zero-padded (N + K - 1, 2) [a_prev, cum] array of
+    autodiff.location_input that every frame's attention reads: after each
+    frame it writes a_t into the a_prev channel and adds it into the cum
+    channel, in place. The output rows and the alignment are preallocated
+    for the longest decode and written in place, and a free run's are cut
+    where it stopped. Returns (out, alignment, truncated, steps): out is
     (T, F+1) with [y_t, stop logit] rows, the alignment is (N, T), and
-    steps holds each frame's (h1, h2, backward) while graph building is on
-    and is empty under no_grad.
+    steps is (h1s, h2s, backwards), each frame's h1 and h2 as (T, D) rows
+    and its backward, while graph building is on, and None under no_grad.
     """
-    n = enc_cond.shape[0]
-    ctx_proj = enc_cond @ params["dec.context.w"].data
-    kernel = location_kernel(params)
-    state = init_decoder_state(params, cfg, ctx_proj)
-    record = ad.grad_enabled()
+    n = weights.enc_proj.shape[0]
     frames = cfg.max_decode_ratio * n if targets is None else targets.shape[0]
-    rows, aligns, steps = [], [], []
-    truncated = targets is None
+    out = np.empty((frames, weights.frame_width + 1))
+    alignment = np.empty((n, frames))
+    loc = np.zeros((n + 2 * weights.pad, 2))
+    prev_channel, cum_channel = loc[weights.pad:weights.pad + n].T  # views of the buffer's a_prev and cum
+    state = init_decoder_state(weights)
+    steps = None
+    if ad.grad_enabled():
+        width = cfg.decoder_rnn_width
+        steps = h1s, h2s, backwards = np.empty((frames, width)), np.empty((frames, width)), []
+    prev_true = None if targets is None else np.zeros(weights.frame_width)
+    threshold = cfg.stop_threshold
     for t in range(frames):
-        prev_true = None if targets is None else (targets[t - 1] if t > 0 else np.zeros(cfg.frame_width))
-        out_t, a_t, state, backward = decoder_step(params, state, ctx_proj, enc_proj, kernel, attention_mode,
-                                                   prev_true)
-        rows.append(out_t)
-        aligns.append(a_t)
-        if record:
-            steps.append((state["h1"], state["h2"], backward))
-        if targets is None and 1.0 / (1.0 + np.exp(-float(out_t[-1]))) > cfg.stop_threshold:
-            truncated = False
-            break
-    return np.stack(rows), np.stack(aligns, axis=1), truncated, steps
+        out[t], alignment[:, t], state, backward = decoder_step(weights, state, loc, attention_mode, prev_true)
+        a_t = state["a_prev"]
+        prev_channel[:] = a_t
+        cum_channel += a_t
+        if steps is not None:
+            h1s[t], h2s[t] = state["h1"], state["h2"]
+            backwards.append(backward)
+        if targets is None:
+            if 0.5 * (1.0 + math.tanh(0.5 * float(out[t, -1]))) > threshold:
+                # a copy, so a kept alignment does not hold the whole preallocated one
+                return out[:t + 1], alignment[:, :t + 1].copy(), False, steps
+        else:
+            prev_true = targets[t]
+    return out, alignment, targets is None, steps
 
 
 def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
@@ -580,7 +661,8 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     the mode uses (plain mode runs no selection heads); alignment is the
     (N, T) array.
 
-    The node's backward runs the readout's backward once, over the output
+    The forward and the backward read one DecoderWeights record. The
+    node's backward runs the readout's backward once, over the output
     gradient and the forward's h2 rows. Its frame loop then walks the
     frames in reverse through each one's backward, which holds only the
     recurrence and writes its rows into a DecoderRows. After the loop every
@@ -592,25 +674,19 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     depends on its output gradient alone, so a second backward adds the
     same again.
     """
-    out, alignment, _, steps = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode, targets)
+    weights = DecoderWeights(params, enc_cond.data, enc_proj.data)
+    out, alignment, _, steps = _decode(weights, cfg, attention_mode, targets)
     keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
-    weights = {k: params[k].data for k in keys}  # the arrays the forward read (SGD assigns new ones)
-    w_ctx = weights["dec.context.w"]
     n = enc_cond.shape[0]
-    d4 = 4 * cfg.decoder_rnn_width
-    heads_at = 2 * d4 + cfg.frame_width + 1
+    d4, heads_at = weights.d4, weights.heads_at
     final = {k: np.zeros(cfg.decoder_rnn_width) for k in _CELLS}
     final.update(a_prev=np.zeros(n), cum=np.zeros(n))
 
-    def arrays(group):
-        return [weights[k] for k in group]
-
     def backward(g):
-        frames = len(steps)
-        h1s, h2s, backwards = zip(*steps)
-        h1s, h2s = np.stack(h1s), np.stack(h2s)
-        g_h2, _, *g_readout = frame_output_grads(arrays(_READOUT_KEYS), h2s, g)
-        rows = DecoderRows(cfg, frames, n, w_ctx.shape[1], g_h2)
+        h1s, h2s, backwards = steps
+        frames = len(backwards)
+        g_h2, _, *g_readout = frame_output_grads(weights, h2s, g)
+        rows = DecoderRows(cfg, frames, n, weights.w_ctx.shape[1], g_h2)
         rows.ctx[1:, 2 * d4:heads_at] = g
         g_state = final
         for t in range(frames - 1, -1, -1):
@@ -618,34 +694,33 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
 
         grads = dict(zip(_INIT_KEYS, (g_state[k] for k in _CELLS)))
         grads.update(zip(_READOUT_KEYS, g_readout))
-        h1_prev = np.concatenate([weights["dec.init.h1"][None], h1s[:-1]])
-        h2_prev = np.concatenate([weights["dec.init.h2"][None], h2s[:-1]])
+        h1_prev = np.concatenate([weights.init[0][None], h1s[:-1]])
+        h2_prev = np.concatenate([weights.init[2][None], h2s[:-1]])
         grads.update(zip(_LSTM1_KEYS, ad.lstm_weight_grads(rows.s_p, h1_prev, rows.ctx[:-1, :d4])))
         grads.update(zip(_LSTM2_KEYS, ad.lstm_weight_grads(h1s, h2_prev, rows.ctx[1:, d4:2 * d4])))
-        g_s_p = rows.ctx[:-1, :d4] @ weights["dec.lstm1.wx"].T
+        g_s_p = rows.ctx[:-1, :d4] @ weights.lstm1_wx.T
         if attention_mode == "augmented":
-            g_s_p_heads, *g_heads = selection_heads_grads(arrays(_HEAD_KEYS), rows.s_p, h2_prev,
-                                                          rows.ctx[:-1, heads_at:])
+            g_s_p_heads, *g_heads = selection_heads_grads(weights, rows.s_p, h2_prev, rows.ctx[:-1, heads_at:])
             g_s_p = g_s_p + g_s_p_heads
             grads.update(zip(_HEAD_KEYS, g_heads))
         # the pre-net's inputs: the true and the predicted previous frame,
         # both zero before the first frame
-        fw = cfg.frame_width
+        fw = weights.frame_width
         xs = np.zeros((frames, 2 * fw))
         xs[1:, :fw] = targets[:-1]
         xs[1:, fw:] = out[:-1, :-1]
-        grads.update(zip(_PRENET_KEYS, prenet_grads(arrays(_PRENET_KEYS), xs, rows.hidden, rows.s_p, g_s_p)))
+        grads.update(zip(_PRENET_KEYS, prenet_grads(weights, xs, rows.hidden, rows.s_p, g_s_p)))
         aligns = alignment.T
         prev_aligns = np.zeros_like(aligns)
         prev_aligns[1:] = aligns[:-1]
         cum_aligns = np.cumsum(prev_aligns, axis=0)
         g_enc_proj, *g_attention = ad.location_attention_weight_grads(
-            h1s, prev_aligns, cum_aligns, rows.gterms, rows.ge, rows.th, *arrays(_ATTENTION_KEYS[:2]))
+            h1s, prev_aligns, cum_aligns, rows.gterms, rows.ge, rows.th, weights.conv_w, weights.loc_w)
         grads.update(zip(_ATTENTION_KEYS, g_attention))
 
         g_ctx_proj = alignment @ rows.ctx[1:]
         grads["dec.context.w"] = enc_cond.data.T @ g_ctx_proj
-        return [g_ctx_proj @ w_ctx.T, g_enc_proj, *(grads[k] for k in keys)]
+        return [g_ctx_proj @ weights.w_ctx.T, g_enc_proj, *(grads[k] for k in keys)]
 
     node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
     return node, alignment
@@ -719,7 +794,8 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     Builds no graph, so each step's values are freed as the decode moves on."""
     enc_cond = encode(params, symbols, prosody_vec)
     enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    out, alignment, truncated, _ = _decode(params, cfg, enc_cond.data, enc_proj.data, attention_mode)
+    weights = DecoderWeights(params, enc_cond.data, enc_proj.data)
+    out, alignment, truncated, _ = _decode(weights, cfg, attention_mode)
     y = out[:, :-1].copy()
     z = postnet(params, ad.Tensor(y))
     return DecoderTrace(

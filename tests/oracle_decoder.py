@@ -4,17 +4,19 @@ free-running decode (seq2seq.synthesize) are tested against.
 
 decoder_step, teacher_forced and synthesize below advance one frame at a
 time on autodiff Tensors and let Tensor.backward route every gradient. They run in
-one of two forms, chosen by an ops table:
+one of two forms, chosen by an ops table whose stages(params, enc_cond,
+enc_proj) gives the stage functions of one decode:
 
 - FUSED: each decoder stage is one node whose backward is the library
   stage's own (seq2seq's stage functions and align.augmented_step, each
   wrapped by as_node), with the weight gradients from the stage's
   function over rows at T = 1, so only the routing between stages and
   the order of the sums over frames differ from the library. Like the
-  library, it projects the context once per utterance,
-  M = enc_cond @ W_ctx with W_ctx = dec.context.w, and each frame reads
-  its context terms from a_t @ M: the LSTMs through their bias argument,
-  the heads and the readout as their projected terms;
+  library, its stages read one seq2seq.DecoderWeights record per decode,
+  it projects the context once per utterance, M = enc_cond @ W_ctx with
+  W_ctx = dec.context.w, and each frame reads its context terms from
+  a_t @ M: the LSTMs in their input terms x @ wx + (b + terms), the heads
+  and the readout as their projected terms;
 - COMPOSED: each stage is rebuilt from engine primitives and the ops in
   oracle_ops.py, one node per primitive op, so nothing of the library's
   hand-written backwards is used. Each frame forms x_c = a_t @ enc_cond,
@@ -60,36 +62,34 @@ def context_block(params, stage):
 
 
 # -- FUSED: the library's stages, one node each ---------------------------------------
+#
+# Each reads the library's DecoderWeights record, weights, built once per
+# decode as the library builds it; the params Tensors are the node's
+# inputs.
 
 
-def weights(params, keys):
-    return [params[k].data for k in keys]
-
-
-def fused_prenet(params, prev_true, prev_pred):
+def fused_prenet(params, weights, prev_true, prev_pred):
     pred = prev_pred.data
-    out, hidden = seq2seq.prenet_double_feed(params, prev_true, pred)
+    out, hidden = seq2seq.prenet_double_feed(weights, prev_true, pred)
     x = np.concatenate([pred if prev_true is None else prev_true, pred])
-    return as_node((out, lambda g: seq2seq.prenet_grads(weights(params, PRENET_KEYS), x[None], hidden[None],
-                                                        out[None], g[None])),
+    return as_node((out, lambda g: seq2seq.prenet_grads(weights, x[None], hidden[None], out[None], g[None])),
                    (params[k] for k in PRENET_KEYS))
 
 
-def fused_selection_heads(params, s_p, ctx_heads, h2):
-    heads, step_backward = seq2seq.selection_heads(params, s_p.data, ctx_heads.data, h2.data)
+def fused_selection_heads(params, weights, s_p, ctx_heads, h2):
+    heads, step_backward = seq2seq.selection_heads(weights, s_p.data, ctx_heads.data, h2.data)
 
     def backward(g):
         g_logits, g_h2 = step_backward(g)
-        g_s_p, *g_w = seq2seq.selection_heads_grads(weights(params, HEAD_KEYS), s_p.data[None], h2.data[None],
-                                                    g_logits[None])
+        g_s_p, *g_w = seq2seq.selection_heads_grads(weights, s_p.data[None], h2.data[None], g_logits[None])
         return (g_s_p, g_logits, g_h2, *g_w)
 
     return as_node((heads, backward), (s_p, ctx_heads, h2, *(params[k] for k in HEAD_KEYS)))
 
 
-def fused_frame_output(params, h2, ctx_out):
-    out = seq2seq.frame_output(params, h2.data, ctx_out.data)
-    return as_node((out, lambda g: seq2seq.frame_output_grads(weights(params, READOUT_KEYS), h2.data[None], g[None])),
+def fused_frame_output(params, weights, h2, ctx_out):
+    out = seq2seq.frame_output(weights, h2.data, ctx_out.data)
+    return as_node((out, lambda g: seq2seq.frame_output_grads(weights, h2.data[None], g[None])),
                    (h2, ctx_out, *(params[k] for k in READOUT_KEYS)))
 
 
@@ -100,7 +100,8 @@ def fused_context(params, cfg, enc_cond, attention_mode):
 
 
 def fused_lstm(layer, params, x, ctx, h, c):
-    # layer 1 reads the first 4D context terms, layer 2 the next 4D
+    # layer 1 reads the first 4D context terms, layer 2 the next 4D; like
+    # the library, the cell's input term is x @ wx + (b + context terms)
     d4 = 4 * h.shape[0]
     terms = ctx[:d4] if layer == 1 else ctx[d4:2 * d4]
     return lstm_node(x, h, c, params[f"dec.lstm{layer}.wx"], params[f"dec.lstm{layer}.wh"],
@@ -112,17 +113,11 @@ def readout_end(params, h2):
     return 8 * h2.shape[0] + params["out.frame.b"].shape[0] + 1
 
 
-def fused_heads_step(params, s_p, ctx, h2):
-    return fused_selection_heads(params, s_p, ctx[readout_end(params, h2):], h2)
-
-
-def fused_readout_step(params, h2, ctx):
-    return fused_frame_output(params, h2, ctx[8 * h2.shape[0]:readout_end(params, h2)])
-
-
-def fused_initial_attention(params, query, enc_proj, prev_align, cum_align):
-    b_t = seq2seq.initial_attention(params, query.data, enc_proj.data, prev_align.data, cum_align.data,
-                                    seq2seq.location_kernel(params))
+def fused_initial_attention(params, weights, query, enc_proj, prev_align, cum_align):
+    # the library reads the two alignments from a padded buffer; this one
+    # is made afresh each frame from the alignments given
+    loc = ad.location_input(prev_align.data, cum_align.data, params["att.location.conv"].shape[0])
+    b_t = seq2seq.initial_attention(weights, query.data, loc)
     return attention_stage_node(b_t, (query, enc_proj, prev_align, cum_align, *(params[k] for k in ATTENTION_KEYS)))
 
 
@@ -130,9 +125,20 @@ def fused_augmented_step(b_t, b_prev, alpha, beta):
     return as_node(align.augmented_step(b_t.data, b_prev.data, alpha.data, beta.data), (b_t, b_prev, alpha, beta))
 
 
-FUSED = SimpleNamespace(context=fused_context, prenet=fused_prenet, lstm=fused_lstm,
-                        initial_attention=fused_initial_attention, selection_heads=fused_heads_step,
-                        augmented_step=fused_augmented_step, frame_output=fused_readout_step, stack=stack)
+def fused_stages(params, enc_cond, enc_proj):
+    """The FUSED stages of one decode, bound to its one DecoderWeights."""
+    weights = seq2seq.DecoderWeights(params, enc_cond.data, enc_proj.data)
+    return SimpleNamespace(
+        context=fused_context, lstm=fused_lstm, augmented_step=fused_augmented_step, stack=stack,
+        prenet=lambda params, prev_true, prev_pred: fused_prenet(params, weights, prev_true, prev_pred),
+        initial_attention=lambda params, *args: fused_initial_attention(params, weights, *args),
+        selection_heads=lambda params, s_p, ctx, h2: fused_selection_heads(
+            params, weights, s_p, ctx[readout_end(params, h2):], h2),
+        frame_output=lambda params, h2, ctx: fused_frame_output(
+            params, weights, h2, ctx[8 * h2.shape[0]:readout_end(params, h2)]))
+
+
+FUSED = SimpleNamespace(stages=fused_stages)
 
 
 # -- COMPOSED: every stage from primitives -------------------------------------------
@@ -230,6 +236,7 @@ COMPOSED = SimpleNamespace(context=composed_context, prenet=composed_prenet, lst
                            initial_attention=composed_initial_attention, selection_heads=composed_selection_heads,
                            augmented_step=composed_augmented_step, frame_output=composed_frame_output,
                            stack=composed_stack)
+COMPOSED.stages = lambda params, enc_cond, enc_proj: COMPOSED
 
 
 # -- the per-frame decoder ----------------------------------------------------------------
@@ -276,6 +283,7 @@ def decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
     until the stop probability clears cfg.stop_threshold or the length
     reaches cfg.max_decode_ratio times the input length. Returns ((T, F+1)
     Tensor, (N, T) alignment array, truncated)."""
+    ops = ops.stages(params, enc_cond, enc_proj)
     context = ops.context(params, cfg, enc_cond, attention_mode)
     state = init_decoder_state(params, cfg, context)
     frames = cfg.max_decode_ratio * enc_cond.shape[0] if targets is None else targets.shape[0]
@@ -286,7 +294,7 @@ def decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
         out_t, a_t, state = decoder_step(ops, params, state, context, enc_proj, attention_mode, prev_true)
         outs.append(out_t)
         aligns.append(a_t.data)
-        if targets is None and 1.0 / (1.0 + np.exp(-float(out_t.data[-1]))) > cfg.stop_threshold:
+        if targets is None and 0.5 * (1.0 + np.tanh(0.5 * float(out_t.data[-1]))) > cfg.stop_threshold:
             truncated = False
             break
     return ops.stack(outs), np.stack(aligns, axis=1), truncated

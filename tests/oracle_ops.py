@@ -4,8 +4,10 @@ as_node makes one graph node of a library stage's (value, backward) pair,
 the form every hand-differentiated stage comes in; the tests check those
 stages on such nodes. A stage whose backward leaves its weight gradients
 to a function over (T, .) rows is checked through that function at T = 1,
-as lstm_node and attention_node do for the engine's two cells. A chain of
-lstm_node steps is the per-step reference for autodiff.lstm_layer.
+as lstm_node and attention_node do for the engine's two cells. cell_node
+is the LSTM cell alone, on its input term, for any batch shape, and
+layer_chain, one input projection and then one cell_node per step, is the
+per-step reference for autodiff.lstm_layer.
 
 The composed-primitive oracle in oracle_decoder.py rebuilds location
 attention, the augmented step and the decoder's selection heads from the
@@ -31,20 +33,53 @@ def data(x):
     return x.data if isinstance(x, ad.Tensor) else x
 
 
+def cell_node(xw, h, c, wh):
+    """autodiff.lstm_step as one node over its four inputs, each a Tensor or
+    an array of any leading batch shape: returns (h', c') as the two halves
+    of that node. The input term xw's gradient is the gate gradient gz."""
+    inputs = (xw, h, c, wh)
+    h_new, c_new, step_backward = ad.lstm_step(*map(data, inputs))
+    hid = h_new.shape[-1]
+
+    def backward(g):
+        g_h, g_c, gz = step_backward(g[..., :hid], g[..., hid:])
+        return gz, g_h, g_c, data(h).reshape(-1, hid).T @ gz.reshape(-1, 4 * hid)
+
+    hc = as_node((np.concatenate([h_new, c_new], axis=-1), backward), inputs)
+    return hc[..., :hid], hc[..., hid:]
+
+
 def lstm_node(x, h, c, wx, wh, b):
-    """autodiff.lstm_step as one node over its six inputs, each a Tensor or
+    """One LSTM cell on its input x, the input term x @ wx + b and then
+    autodiff.lstm_step, as one node over its six inputs, each a Tensor or
     an array: returns (h', c') as the two halves of that node. x's
     gradient is wx @ gz, from the step's gate gradient gz."""
     inputs = (x, h, c, wx, wh, b)
-    h_new, c_new, step_backward = ad.lstm_step(*map(data, inputs))
+    x, h, c, wx, wh, b = map(data, inputs)
+    h_new, c_new, step_backward = ad.lstm_step(x @ wx + b, h, c, wh)
     hid = h_new.shape[0]
 
     def backward(g):
         g_h, g_c, gz = step_backward(g[:hid], g[hid:])
-        return (data(wx) @ gz, g_h, g_c, *ad.lstm_weight_grads(data(x)[None], data(h)[None], gz[None]))
+        g_wx, g_wh, g_b = ad.lstm_weight_grads(x[None], h[None], gz[None])
+        return wx @ gz, g_h, g_c, g_wx, g_wh, g_b
 
     hc = as_node((np.concatenate([h_new, c_new]), backward), inputs)
     return hc[:hid], hc[hid:]
+
+
+def layer_chain(xs, wx, wh, b, reverse=False):
+    """autodiff.lstm_layer rebuilt from engine nodes: the input terms
+    xs @ wx + b as one matmul and one add over the (T, I) sequence, then one
+    cell_node per step from a zero state, in the layer's order."""
+    xw = ad.add(ad.matmul(xs, wx), b)
+    steps, hid = xs.shape[0], data(wh).shape[0]
+    h, c = ad.Tensor(np.zeros(hid)), ad.Tensor(np.zeros(hid))
+    rows = [None] * steps
+    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
+        h, c = cell_node(xw[t], h, c, wh)
+        rows[t] = h
+    return stack(rows)
 
 
 def attention_stage_node(stage_result, inputs):
@@ -66,11 +101,15 @@ def attention_stage_node(stage_result, inputs):
 
 def attention_node(*inputs):
     """autodiff.location_attention_vjp as one node over its inputs, each a
-    Tensor or an array, with the two kernel factors conv_w and loc_w in
-    place of the composed kernel."""
+    Tensor or an array, with the alignments prev and cum in place of their
+    padded buffer and the two kernel factors conv_w and loc_w in place of
+    the composed kernel."""
     query, enc_proj, prev, cum, conv_w, loc_w, query_w, v = map(data, inputs)
+    n, k = prev.shape[0], conv_w.shape[0]
+    loc = ad.location_input(prev, cum, k)
     kernel = ad.location_kernel(conv_w, loc_w)
-    return attention_stage_node(ad.location_attention_vjp(query, enc_proj, prev, cum, kernel, query_w, v), inputs)
+    return attention_stage_node(
+        ad.location_attention_vjp(query, enc_proj, loc, kernel, ad.window_index(n, k), query_w, v), inputs)
 
 
 def stack(rows):

@@ -308,10 +308,11 @@ def test_lstm_step_gates_match_separate_logistics():
     hid = 5
     x, h, c = rand(rng, 3) * 3.0, rand(rng, hid) * 3.0, rand(rng, hid)
     wx, wh, b = rand(rng, 3, 4 * hid), rand(rng, hid, 4 * hid), rand(rng, 4 * hid)
-    z = x @ wx + h @ wh + b
+    xw = x @ wx + b  # the cell takes its input term precomputed
+    z = xw + h @ wh
     i, f, o = (0.5 * (1.0 + np.tanh(0.5 * z[k * hid:(k + 1) * hid])) for k in (0, 1, 3))
     c_ref = f * c + i * np.tanh(z[2 * hid:3 * hid])
-    h_new, c_new, _ = ad.lstm_step(x, h, c, wx, wh, b)
+    h_new, c_new, _ = ad.lstm_step(xw, h, c, wh)
     assert np.array_equal(c_new, c_ref)
     assert np.array_equal(h_new, o * np.tanh(c_ref))
 
@@ -324,7 +325,7 @@ def test_lstm_weights_layout():
     assert np.array_equal(wx, ad.glorot(rng, 3, 8))
     assert np.array_equal(wh, ad.glorot(rng, 2, 8))
     assert np.array_equal(b, [0, 0, 1, 1, 0, 0, 0, 0])
-    h_new, c_new, _ = ad.lstm_step(np.zeros(3), np.zeros(2), np.ones(2), np.zeros((3, 8)), np.zeros((2, 8)), b)
+    h_new, c_new, _ = ad.lstm_step(np.zeros(3) @ np.zeros((3, 8)) + b, np.zeros(2), np.ones(2), np.zeros((2, 8)))
     assert np.allclose(c_new, 1.0 / (1.0 + np.exp(-1.0)))  # forget gate at sigmoid(1), input gate on a zero g
 
 
@@ -368,24 +369,13 @@ def test_lstm_layer_fd(reverse):
     check_grads(build, [xs, wx, wh, b])
 
 
-def _step_chain(xs, wx, wh, b, reverse):
-    """lstm_layer rebuilt from one oracle_ops.lstm_node per step."""
-    steps, hid = xs.shape[0], wh.shape[0]
-    h, c = ad.Tensor(np.zeros(hid)), ad.Tensor(np.zeros(hid))
-    rows = [None] * steps
-    for t in (range(steps - 1, -1, -1) if reverse else range(steps)):
-        h, c = ops.lstm_node(xs[t], h, c, wx, wh, b)
-        rows[t] = h
-    return ops.stack(rows)
-
-
 @pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reverse"])
 def test_lstm_layer_matches_step_chain(reverse):
     rng = np.random.default_rng(17)
     params = _layer_inputs(rng, steps=7)
     w = rand(rng, 7, 4)
     results = []
-    for build in (ad.lstm_layer, _step_chain):
+    for build in (ad.lstm_layer, ops.layer_chain):
         for p in params:
             p.zero_grad()
         out = build(*params, reverse=reverse)
@@ -404,6 +394,56 @@ def test_lstm_layer_rejects_bad_shapes():
         ad.lstm_layer(xs[0], wx, wh, b)
     with pytest.raises(ShapeError, match="lstm_step"):
         ad.lstm_layer(ad.concat([xs, xs], axis=1), wx, wh, b)
+
+
+def test_lstm_layer_rejects_misfit_bias():
+    rng = np.random.default_rng(19)
+    xs, wx, wh, b = _layer_inputs(rng)
+    with pytest.raises(ShapeError, match="lstm_step"):
+        ad.lstm_layer(xs, wx, wh, b[:-1])
+
+
+def test_lstm_step_batch_matches_single_calls():
+    # a (3, H) state runs three cells in one call; each row matches the
+    # (H,) call on that row, forward and backward, up to the rounding of
+    # one matrix product against three vector products
+    rng = np.random.default_rng(25)
+    hid = 5
+    xw, h, c = rand(rng, 3, 4 * hid) * 2.0, rand(rng, 3, hid), rand(rng, 3, hid)
+    wh = rand(rng, hid, 4 * hid)
+    gh, gc = rand(rng, 3, hid), rand(rng, 3, hid)
+    h_new, c_new, backward = ad.lstm_step(xw, h, c, wh)
+    batch = (h_new, c_new, *backward(gh, gc))
+    for k in range(3):
+        h_k, c_k, backward_k = ad.lstm_step(xw[k], h[k], c[k], wh)
+        for got, ref in zip(batch, (h_k, c_k, *backward_k(gh[k], gc[k]))):
+            assert got[k].shape == ref.shape
+            assert np.max(np.abs(got[k] - ref)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_lstm_step_batch_fd():
+    # three cells in one call over one wh: its gradient sums the three
+    rng = np.random.default_rng(26)
+    hid = 4
+    xw = ad.parameter(rand(rng, 3, 4 * hid), name="xw")
+    h = ad.parameter(rand(rng, 3, hid) * 0.5, name="h")
+    c = ad.parameter(rand(rng, 3, hid) * 0.5, name="c")
+    wh = ad.parameter(rand(rng, hid, 4 * hid) * 0.4, name="wh")
+    w = ad.Tensor(rand(rng, 3, 2 * hid))
+
+    def build():
+        h_new, c_new = ops.cell_node(xw, h, c, wh)
+        return ad.sum_(ad.mul(ad.concat([h_new, c_new], axis=1), w))
+
+    check_grads(build, [xw, h, c, wh])
+
+
+def test_lstm_step_rejects_bad_shapes():
+    rng = np.random.default_rng(27)
+    h, c, wh = rand(rng, 3, 4), rand(rng, 3, 4), rand(rng, 4, 16)
+    for xw, state in ((rand(rng, 2, 16), h), (rand(rng, 3, 12), h), (rand(rng, 3, 16), rand(rng, 3, 5))):
+        with pytest.raises(ShapeError, match="lstm_step"):
+            ad.lstm_step(xw, state, c, wh)
 
 
 def test_stack_fd():

@@ -68,9 +68,10 @@ def test_location_attention_matches_composed():
 def test_location_attention_rejects_bad_shapes():
     rng = np.random.default_rng(23)
     ins = list(attention_inputs(rng))
-    ins[3] = ins[3][:-1]  # cum_align one entry short
+    loc = ad.location_input(ins[2], ins[3], 3)[:-1]  # the padded [prev_align, cum_align] one row short
     with pytest.raises(ShapeError, match="location_attention"):
-        ad.location_attention_vjp(*ins[:4], ad.location_kernel(*ins[4:6]), *ins[6:])
+        ad.location_attention_vjp(ins[0], ins[1], loc, ad.location_kernel(*ins[4:6]), ad.window_index(6, 3),
+                                  *ins[6:])
     ins = list(attention_inputs(rng, k=4))  # even kernel
     with pytest.raises(ShapeError, match="location_attention"):
         ad.location_kernel(*ins[4:6])
@@ -319,6 +320,16 @@ def decoder_params(seed):
     return cfg, params, rng
 
 
+def stage_weights(params, cfg, n=3):
+    """The DecoderWeights record the stages read, over fixed encoder arrays
+    of n positions. Finite differences move params in place, and some of
+    the record's arrays are made from them, so each evaluation builds its
+    own."""
+    rng = np.random.default_rng(31)
+    return seq2seq.DecoderWeights(params, rng.normal(size=(n, cfg.context_dim)),
+                                  rng.normal(size=(n, cfg.attention_dim)))
+
+
 def check_every_input(build, inputs, step=1e-6, tol=1e-5):
     for p in inputs:
         err = ad.finite_diff_check(build, p, step=step)
@@ -333,9 +344,9 @@ def test_prenet_double_feed_fd_every_input(feed):
     w = ad.Tensor(rng.normal(size=cfg.prenet_out))
 
     def build():
-        return ad.matmul(oracle.fused_prenet(params, prev_true, ad.Tensor(pred)), w)
+        return ad.matmul(oracle.fused_prenet(params, stage_weights(params, cfg), prev_true, ad.Tensor(pred)), w)
 
-    out, _ = seq2seq.prenet_double_feed(params, prev_true, pred)
+    out, _ = seq2seq.prenet_double_feed(stage_weights(params, cfg), prev_true, pred)
     assert 0 < np.count_nonzero(out) < out.size  # both sides of the relu
     check_every_input(build, [params[k] for k in oracle.PRENET_KEYS])
 
@@ -349,7 +360,7 @@ def test_selection_heads_fd_every_input():
     w = ad.Tensor(np.array([0.7, -1.3]))
 
     def build():
-        return ad.matmul(oracle.fused_selection_heads(params, s_p, ctx_heads, h2), w)
+        return ad.matmul(oracle.fused_selection_heads(params, stage_weights(params, cfg), s_p, ctx_heads, h2), w)
 
     check_every_input(build, [s_p, ctx_heads, h2] + [params[k] for k in oracle.HEAD_KEYS])
 
@@ -361,7 +372,7 @@ def test_frame_output_fd_every_input():
     w = ad.Tensor(rng.normal(size=cfg.frame_width + 1))
 
     def build():
-        return ad.matmul(oracle.fused_frame_output(params, h2, ctx_out), w)
+        return ad.matmul(oracle.fused_frame_output(params, stage_weights(params, cfg), h2, ctx_out), w)
 
     check_every_input(build, [h2, ctx_out] + [params[k] for k in oracle.READOUT_KEYS])
 
@@ -373,13 +384,11 @@ def test_decoder_step_node_count(mode, made_nodes):
     cfg, params, rng = decoder_params(34)
     n = 5
     a_prev = rng.dirichlet(np.ones(n))
-    d, f = cfg.decoder_rnn_width, cfg.frame_width
-    ctx_proj = rng.normal(size=(n, 8 * d + f + (3 if mode == "augmented" else 1)))
-    enc_proj = rng.normal(size=(n, cfg.attention_dim))
-    state = {**seq2seq.init_decoder_state(params, cfg, ctx_proj), "a_prev": a_prev, "cum": a_prev}
+    weights = stage_weights(params, cfg, n)
+    state = {**seq2seq.init_decoder_state(weights), "a_prev": a_prev}
+    loc = ad.location_input(a_prev, a_prev, cfg.location_kernel)
     made_nodes.clear()
-    kernel = seq2seq.location_kernel(params)
-    seq2seq.decoder_step(params, state, ctx_proj, enc_proj, kernel, mode, prev_true=rng.normal(size=cfg.frame_width))
+    seq2seq.decoder_step(weights, state, loc, mode, prev_true=rng.normal(size=cfg.frame_width))
     assert made_nodes == []
 
 
@@ -507,3 +516,21 @@ def test_synthesize_matches_composed_free_run(mode, n, utterance):
         assert trace.truncated == ref.truncated == (frames == 6 * n)
         for key in ("y", "z", "stop_logits", "alignment"):
             assert np.max(np.abs(getattr(trace, key) - getattr(ref, key))) < 1e-10, key
+
+
+@pytest.mark.parametrize("mode", ["augmented", "plain"])
+def test_synthesize_matches_composed_on_the_longest_bench_decode(mode, long_utterance):
+    # the longest decode the synthesis benchmark runs: N = 34 symbols run
+    # to the length cap of 4 N = 136 frames, every frame reading and then
+    # updating the decode's one location buffer in place
+    vocab, utt = long_utterance
+    symbols = first_symbols(utt.symbols, 34)
+    vec = np.array([0.3, -0.2])
+    cfg = seq2seq.ModelConfig(stop_threshold=1.0, max_decode_ratio=4)  # a logistic never exceeds 1
+    params = free_run_params(cfg, vocab)
+    trace = seq2seq.synthesize(params, cfg, symbols, vec, mode)
+    ref = oracle.synthesize(oracle.COMPOSED, params, cfg, symbols, vec, mode)
+    assert trace.frame_count == ref.frame_count == 136
+    assert trace.truncated and ref.truncated
+    for key in ("y", "z", "stop_logits", "alignment"):
+        assert np.max(np.abs(getattr(trace, key) - getattr(ref, key))) < 1e-10, key

@@ -307,20 +307,16 @@ def test_predict_builds_no_graph(made_nodes):
 
 
 def test_predictor_matches_step_chain():
-    # one lstm_layer node per layer gives bit for bit what one cell node per
-    # step and layer, with time the outer loop and layers the inner, gives
+    # one lstm_layer node per layer gives bit for bit what one input
+    # projection and one cell node per step give, layer by layer
     rng = np.random.default_rng(9)
     seq = rng.normal(size=(6, 5))
     predictor = prosody.ProsodyPredictor(5, width=4, layers=3, seed=2)
     p = predictor.params
-    h = [ad.Tensor(np.zeros(4)) for _ in range(3)]
-    c = [ad.Tensor(np.zeros(4)) for _ in range(3)]
-    for t in range(seq.shape[0]):
-        x = ad.Tensor(seq[t])
-        for l in range(3):
-            h[l], c[l] = ops.lstm_node(x, h[l], c[l], p[f"lstm{l}.wx"], p[f"lstm{l}.wh"], p[f"lstm{l}.b"])
-            x = h[l]
-    chain = ad.add(ad.matmul(x, p["out.w"]), p["out.b"]).data
+    x = ad.Tensor(seq)
+    for l in range(3):
+        x = ops.layer_chain(x, p[f"lstm{l}.wx"], p[f"lstm{l}.wh"], p[f"lstm{l}.b"])
+    chain = ad.add(ad.matmul(x[-1], p["out.w"]), p["out.b"]).data
     out = predictor.predict(seq)
     assert (out.pace, out.pitch_span) == (chain[0], chain[1])
     assert np.array_equal(predictor.forward(seq).data, chain)

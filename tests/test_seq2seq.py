@@ -140,6 +140,19 @@ def test_decode_stops_when_threshold_cleared(corpus, params):
     assert not out.truncated
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_decode_with_a_very_negative_stop_logit_runs_to_the_cap(corpus, params, mode):
+    # exp(-logit) overflows for a stop logit below about -709; the stop
+    # test's logistic is the tanh form, which cannot, so the decode runs on
+    # to the length cap without a warning (warnings are errors here)
+    symbols = corpus.utterances[0].symbols
+    cfg = seq2seq.ModelConfig(max_decode_ratio=2, **TINY)
+    moved = {**params, "out.stop.b": ad.parameter(-800.0)}
+    out = seq2seq.synthesize(moved, cfg, symbols, [0.2, -0.1], mode)
+    assert out.truncated and out.frame_count == 2 * len(symbols)
+    assert np.all(out.stop_logits < -709.0)
+
+
 # -- training output directory -------------------------------------------------------
 
 

@@ -539,15 +539,12 @@ def location_kernel(conv_w, loc_w):
     return conv_w.reshape(2 * k, f) @ loc_w
 
 
-@functools.lru_cache(maxsize=64)
 def window_index(n, k):
-    """Read-only (N, 2K) flat indices of the K-row windows of a padded
+    """The (N, 2K) flat indices of the K-row windows of a padded
     (N + K - 1, 2) array: entry (t, 2j + c) is 2 (t + j) + c, row t + j and
     channel c. Taking them gives the windows; adding a gradient of the
     windows back through them gives the padded array's."""
-    index = np.add.outer(2 * np.arange(n), np.arange(2 * k))
-    index.flags.writeable = False
-    return index
+    return np.add.outer(2 * np.arange(n), np.arange(2 * k))
 
 
 def location_input(prev_align, cum_align, k):

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import fileio
-from .errors import DataError
+from .errors import ConfigError, DataError
 
 MIN_VOICED_FRAMES = 20
 MIN_STATS_UTTERANCES = 10
@@ -143,6 +143,11 @@ def apply_offset(norm, offset):
 
 @dataclass
 class PredictorConfig:
+    """The predictor's size and training hyperparameters. A value that
+    train_predictor cannot run with is a ConfigError at construction:
+    width, layers or batch_size below 1, negative epochs, a learning_rate
+    not above 0, a momentum outside [0, 1)."""
+
     width: int = 32
     layers: int = 3
     epochs: int = 60
@@ -150,6 +155,17 @@ class PredictorConfig:
     momentum: float = 0.9
     batch_size: int = 16
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("width", "layers", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if self.epochs < 0:
+            raise ConfigError(f"epochs must be at least 0, got {self.epochs}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0 <= self.momentum < 1:
+            raise ConfigError(f"momentum must be in [0, 1), got {self.momentum}")
 
 
 class ProsodyPredictor:

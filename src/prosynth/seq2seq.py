@@ -45,8 +45,14 @@ where g_ctx, a row of a (T + 1, .) array, is the gradient of that frame's
 a_t @ M: its lstm2 gate gradient and output gradient, and the next
 frame's lstm1 gate gradient and heads' logit gradients, the stages that
 add those terms. After the loop, M's gradient is the (N, T) alignment
-times those rows, and decoder_node then differentiates enc_cond @ W_ctx
-once per utterance, for enc_cond and W_ctx.
+times those rows.
+
+The location attention reads enc_cond through a second product, its
+memory projection enc_proj = enc_cond @ W_mem, W_mem = att.memory.w. A
+decode takes enc_cond alone and makes both products from it once per
+utterance, in its DecoderWeights record (below); after the loop
+decoder_node differentiates each once, for enc_cond and for W_ctx and
+W_mem.
 
 Everything a frame reads that is fixed for the decode is made once, before
 the frame loop, into one DecoderWeights record, which every stage and every
@@ -269,9 +275,14 @@ def init_params(cfg, vocab_size):
 
 
 def encoder_latents(params, symbols):
-    """Symbol sequence -> (N, 2H) latents, before prosody conditioning."""
-    if symbols.ids.max() >= params["enc.embed.symbol"].data.shape[0]:
-        raise DataError(f"symbol id {int(symbols.ids.max())} outside embedding table")
+    """Symbol sequence -> (N, 2H) latents, before prosody conditioning. An
+    id, stress or phrase value outside the rows of its embedding table is a
+    DataError naming the field."""
+    for name, table in (("ids", "symbol"), ("stress", "stress"), ("phrase", "phrase")):
+        values, rows = getattr(symbols, name), params[f"enc.embed.{table}"].data.shape[0]
+        if values.min() < 0 or values.max() >= rows:
+            bad = int(values[(values < 0) | (values >= rows)][0])
+            raise DataError(f"encoder: {name} value {bad} outside 0..{rows - 1}, the rows of enc.embed.{table}")
     sym = ad.index_rows(params["enc.embed.symbol"], symbols.ids)
     st = ad.index_rows(params["enc.embed.stress"], symbols.stress)
     ph = ad.index_rows(params["enc.embed.phrase"], symbols.phrase)
@@ -285,9 +296,13 @@ def encoder_latents(params, symbols):
 
 
 def prosody_embedding(params, prosody_vec):
-    """tanh of the unbiased 2x2 projection; zeros map exactly to zeros."""
-    vec = ad.Tensor(np.zeros(2) if prosody_vec is None else np.asarray(prosody_vec, dtype=np.float64))
-    return ad.tanh(ad.matmul(params["prosody.embed"], vec))
+    """tanh of the unbiased 2x2 projection; zeros map exactly to zeros,
+    and None means zeros. Any other prosody_vec than a finite (2,) array is
+    a ValueError."""
+    vec = np.zeros(2) if prosody_vec is None else np.asarray(prosody_vec, dtype=np.float64)
+    if vec.shape != (2,) or not np.all(np.isfinite(vec)):
+        raise ValueError(f"prosody vector must be None or a finite (2,) array, got {prosody_vec!r}")
+    return ad.tanh(ad.matmul(params["prosody.embed"], ad.Tensor(vec)))
 
 
 def encode(params, symbols, prosody_vec):
@@ -323,7 +338,7 @@ _READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
 _CELLS = ("h1", "c1", "h2", "c2")  # start from the dec.init.* parameters
 _INIT_KEYS = tuple(f"dec.init.{k}" for k in _CELLS)
 _PLAIN_KEYS = (_PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
-               + ("dec.context.w",))
+               + ("att.memory.w", "dec.context.w"))
 _AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
 
 
@@ -331,11 +346,13 @@ class DecoderWeights:
     """Every array the frames of one decode read, fetched from params once
     per decode, so the frame loop makes no params lookup.
 
-    Built from params and the decode's (N, C) enc_cond and (N, A) enc_proj
-    arrays, it holds:
+    Built from params and the decode's (N, C) enc_cond array, it holds
+    both per-utterance products of enc_cond:
 
     - ctx_proj = enc_cond @ W_ctx, W_ctx = dec.context.w (kept as w_ctx),
-      the context projection every frame reads, and enc_proj;
+      the context projection every frame reads;
+    - enc_proj = enc_cond @ W_mem, W_mem = att.memory.w (kept as w_mem),
+      the memory projection the attention reads;
     - the attention's flat (2K, A) location_kernel, its window_index for N
       positions and its query and v weights, and the kernel's two factors,
       which only the weight gradients read;
@@ -352,21 +369,20 @@ class DecoderWeights:
     optimiser step assigns new ones, so a record stays the forward's.
     """
 
-    __slots__ = ("ctx_proj", "enc_proj", "w_ctx", "kernel", "index", "conv_w", "loc_w", "query_w", "v",
+    __slots__ = ("ctx_proj", "enc_proj", "w_ctx", "w_mem", "kernel", "index", "conv_w", "loc_w", "query_w", "v",
                  "prenet_w1", "prenet_w1_free", "prenet_b1", "prenet_w2", "prenet_b2",
                  "lstm1_wx", "lstm1_wh", "lstm1_b", "lstm2_wx", "lstm2_wh", "lstm2_b", "init",
                  "alpha_w_s", "alpha_w_h", "alpha_b", "beta_b", "readout_w", "readout_b",
                  "frame_width", "d4", "heads_at", "pad")
 
-    def __init__(self, params, enc_cond, enc_proj):
+    def __init__(self, params, enc_cond):
         data = {k: params[k].data for k in _AUGMENTED_KEYS}
-        self.w_ctx = data["dec.context.w"]
-        self.ctx_proj = enc_cond @ self.w_ctx
-        self.enc_proj = enc_proj
+        self.w_ctx, self.w_mem = data["dec.context.w"], data["att.memory.w"]
+        self.ctx_proj, self.enc_proj = enc_cond @ self.w_ctx, enc_cond @ self.w_mem
         self.conv_w, self.loc_w, self.query_w, self.v = (data[k] for k in _ATTENTION_KEYS)
         self.kernel = ad.location_kernel(self.conv_w, self.loc_w)
         width = self.conv_w.shape[0]
-        self.index = ad.window_index(enc_proj.shape[0], width)
+        self.index = ad.window_index(enc_cond.shape[0], width)
         self.pad = width // 2
         w1, self.prenet_b1, self.prenet_w2, self.prenet_b2 = (data[k] for k in _PRENET_KEYS)
         f = w1.shape[0] // 2
@@ -652,14 +668,14 @@ def _decode(weights, cfg, attention_mode, targets=None):
     return out, alignment, targets is None, steps
 
 
-def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
+def decoder_node(params, cfg, enc_cond, attention_mode, targets):
     """The teacher-forced decode of one utterance as one graph node.
 
-    enc_cond (N, C) and enc_proj (N, A) are Tensors, targets a (T, F)
-    array. Returns (out, alignment): out is the (T, F+1) Tensor whose rows
-    are [y_t, stop logit], over enc_cond, enc_proj and every decoder weight
-    the mode uses (plain mode runs no selection heads); alignment is the
-    (N, T) array.
+    enc_cond (N, C) is a Tensor, targets a (T, F) array. Returns (out,
+    alignment): out is the (T, F+1) Tensor whose rows are [y_t, stop
+    logit], over enc_cond and every decoder weight the mode uses (plain
+    mode runs no selection heads), att.memory.w among them; alignment is
+    the (N, T) array.
 
     The forward and the backward read one DecoderWeights record. The
     node's backward runs the readout's backward once, over the output
@@ -669,12 +685,14 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
     weight gradient is one contraction over those rows: the pre-net's, both
     LSTMs', the heads', the attention's and the context projection's;
     lstm1's input gradient, which reaches only the pre-net, is one
-    contraction too. The context projection is differentiated once more,
-    as enc_cond @ W_ctx, for enc_cond and W_ctx = dec.context.w. It
-    depends on its output gradient alone, so a second backward adds the
-    same again.
+    contraction too. The node makes both products of enc_cond that the
+    decode reads, and differentiates each once more: the context
+    projection enc_cond @ W_ctx, for enc_cond and W_ctx = dec.context.w,
+    and the attention's memory projection enc_cond @ W_mem, for enc_cond
+    and W_mem = att.memory.w. It depends on its output gradient alone, so
+    a second backward adds the same again.
     """
-    weights = DecoderWeights(params, enc_cond.data, enc_proj.data)
+    weights = DecoderWeights(params, enc_cond.data)
     out, alignment, _, steps = _decode(weights, cfg, attention_mode, targets)
     keys = _AUGMENTED_KEYS if attention_mode == "augmented" else _PLAIN_KEYS
     n = enc_cond.shape[0]
@@ -720,9 +738,10 @@ def decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets):
 
         g_ctx_proj = alignment @ rows.ctx[1:]
         grads["dec.context.w"] = enc_cond.data.T @ g_ctx_proj
-        return [g_ctx_proj @ weights.w_ctx.T, g_enc_proj, *(grads[k] for k in keys)]
+        grads["att.memory.w"] = enc_cond.data.T @ g_enc_proj
+        return [g_ctx_proj @ weights.w_ctx.T + g_enc_proj @ weights.w_mem.T, *(grads[k] for k in keys)]
 
-    node = ad.fused(out, (enc_cond, enc_proj, *(params[k] for k in keys)), backward)
+    node = ad.fused(out, (enc_cond, *(params[k] for k in keys)), backward)
     return node, alignment
 
 
@@ -778,8 +797,7 @@ def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     """One teacher-forced pass; returns (total loss Tensor, DecoderTrace)."""
     targets = utterance.features
     enc_cond = encode(params, utterance.symbols, prosody_vec)
-    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    out, alignment = decoder_node(params, cfg, enc_cond, enc_proj, attention_mode, targets)
+    out, alignment = decoder_node(params, cfg, enc_cond, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]
     z = postnet(params, y)
     loss = ad.add(spectral_loss(y, z, targets), stop_loss(stop_vec, targets.shape[0], cfg.stop_pos_weight))
@@ -793,8 +811,7 @@ def synthesize(params, cfg, symbols, prosody_vec, attention_mode="augmented"):
     threshold, or truncates at max_decode_ratio times the input length.
     Builds no graph, so each step's values are freed as the decode moves on."""
     enc_cond = encode(params, symbols, prosody_vec)
-    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    weights = DecoderWeights(params, enc_cond.data, enc_proj.data)
+    weights = DecoderWeights(params, enc_cond.data)
     out, alignment, truncated, _ = _decode(weights, cfg, attention_mode)
     y = out[:, :-1].copy()
     z = postnet(params, ad.Tensor(y))

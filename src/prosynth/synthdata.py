@@ -97,15 +97,12 @@ class CorpusConfig:
     def vocab_size(self):
         return self.alphabet_size + 2
 
-    @property
-    def pitch_channel(self):
-        return self.feature_width - 1
-
 
 @dataclass
 class SymbolSequence:
     """Per-position symbolic input: phone id, 3-way stress, 4-way phrase
-    type, and flags for word-break and silence symbols."""
+    type, and flags for word-break and silence symbols. An empty sequence,
+    or fields of unequal length, is a ValueError."""
 
     ids: np.ndarray
     stress: np.ndarray
@@ -121,6 +118,9 @@ class SymbolSequence:
         self.silence = np.asarray(self.silence, dtype=bool)
         if self.ids.size == 0:
             raise ValueError("SymbolSequence: empty sequence")
+        sizes = {name: getattr(self, name).size for name in ("ids", "stress", "phrase", "word_break", "silence")}
+        if len(set(sizes.values())) != 1:
+            raise ValueError(f"SymbolSequence: fields of unequal length {sizes}")
 
     def __len__(self):
         return int(self.ids.size)

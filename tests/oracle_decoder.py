@@ -4,8 +4,9 @@ free-running decode (seq2seq.synthesize) are tested against.
 
 decoder_step, teacher_forced and synthesize below advance one frame at a
 time on autodiff Tensors and let Tensor.backward route every gradient. They run in
-one of two forms, chosen by an ops table whose stages(params, enc_cond,
-enc_proj) gives the stage functions of one decode:
+one of two forms, chosen by an ops table whose stages(params, enc_cond)
+gives the stage functions of one decode. Both read the attention's memory
+projection enc_proj = enc_cond @ att.memory.w, one matmul node per decode:
 
 - FUSED: each decoder stage is one node whose backward is the library
   stage's own (seq2seq's stage functions and align.augmented_step, each
@@ -125,9 +126,9 @@ def fused_augmented_step(b_t, b_prev, alpha, beta):
     return as_node(align.augmented_step(b_t.data, b_prev.data, alpha.data, beta.data), (b_t, b_prev, alpha, beta))
 
 
-def fused_stages(params, enc_cond, enc_proj):
+def fused_stages(params, enc_cond):
     """The FUSED stages of one decode, bound to its one DecoderWeights."""
-    weights = seq2seq.DecoderWeights(params, enc_cond.data, enc_proj.data)
+    weights = seq2seq.DecoderWeights(params, enc_cond.data)
     return SimpleNamespace(
         context=fused_context, lstm=fused_lstm, augmented_step=fused_augmented_step, stack=stack,
         prenet=lambda params, prev_true, prev_pred: fused_prenet(params, weights, prev_true, prev_pred),
@@ -236,7 +237,7 @@ COMPOSED = SimpleNamespace(context=composed_context, prenet=composed_prenet, lst
                            initial_attention=composed_initial_attention, selection_heads=composed_selection_heads,
                            augmented_step=composed_augmented_step, frame_output=composed_frame_output,
                            stack=composed_stack)
-COMPOSED.stages = lambda params, enc_cond, enc_proj: COMPOSED
+COMPOSED.stages = lambda params, enc_cond: COMPOSED
 
 
 # -- the per-frame decoder ----------------------------------------------------------------
@@ -277,13 +278,14 @@ def decoder_step(ops, params, state, context, enc_proj, attention_mode, prev_tru
     return out_t, a_t, new_state
 
 
-def decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets=None):
+def decode(ops, params, cfg, enc_cond, attention_mode, targets=None):
     """The decode as Tensor nodes, the counterpart of seq2seq._decode:
     teacher-forced over targets, a (T, F) array, or free-running without,
     until the stop probability clears cfg.stop_threshold or the length
     reaches cfg.max_decode_ratio times the input length. Returns ((T, F+1)
     Tensor, (N, T) alignment array, truncated)."""
-    ops = ops.stages(params, enc_cond, enc_proj)
+    ops = ops.stages(params, enc_cond)
+    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
     context = ops.context(params, cfg, enc_cond, attention_mode)
     state = init_decoder_state(params, cfg, context)
     frames = cfg.max_decode_ratio * enc_cond.shape[0] if targets is None else targets.shape[0]
@@ -305,8 +307,7 @@ def synthesize(ops, params, cfg, symbols, prosody_vec, attention_mode):
     """seq2seq.synthesize with the per-frame decoder: each frame is fed its
     own previous prediction. Returns a DecoderTrace."""
     enc_cond = seq2seq.encode(params, symbols, prosody_vec)
-    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    out, alignment, truncated = decode(ops, params, cfg, enc_cond, enc_proj, attention_mode)
+    out, alignment, truncated = decode(ops, params, cfg, enc_cond, attention_mode)
     y = out[:, :-1]
     z = seq2seq.postnet(params, y)
     return seq2seq.DecoderTrace(y=y.data.copy(), z=z.data.copy(), stop_logits=out.data[:, -1].copy(),
@@ -317,8 +318,7 @@ def teacher_forced(ops, params, cfg, utterance, prosody_vec, attention_mode):
     """seq2seq.teacher_forced with the per-frame decoder: (loss, trace)."""
     targets = utterance.features
     enc_cond = seq2seq.encode(params, utterance.symbols, prosody_vec)
-    enc_proj = ad.matmul(enc_cond, params["att.memory.w"])
-    out, alignment, _ = decode(ops, params, cfg, enc_cond, enc_proj, attention_mode, targets)
+    out, alignment, _ = decode(ops, params, cfg, enc_cond, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]
     z = seq2seq.postnet(params, y)
     loss = ad.add(seq2seq.spectral_loss(y, z, targets),

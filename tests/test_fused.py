@@ -234,6 +234,14 @@ def perturb_heads(params, rng):
     params["dec.context.w"].data[:, -2:] = rng.normal(scale=0.1, size=(params["dec.context.w"].data.shape[0], 2))
 
 
+def set_memory_projection(params, enc_cond, enc_proj):
+    """Set att.memory.w so that the node's memory projection enc_cond @
+    att.memory.w is the given (N, A) enc_proj; exact to rounding while N is
+    at most enc_cond's C columns."""
+    params["att.memory.w"].data = np.linalg.lstsq(enc_cond.data, enc_proj, rcond=None)[0]
+    assert np.allclose(enc_cond.data @ params["att.memory.w"].data, enc_proj, rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("mode", ["augmented", "plain"])
 def test_decoder_step_fd(mode):
     # the decoder node over three frames: frames 1 and 2 take the step with
@@ -254,22 +262,21 @@ def test_decoder_step_fd(mode):
     params["att.alpha.b"].data = np.asarray(-2.0)  # ... and a peaked d give 0 < gamma < 1
     n = 5
     enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)), name="enc_cond")
-    enc_proj = ad.parameter(rng.normal(size=(n, cfg.attention_dim)), name="enc_proj")
+    set_memory_projection(params, enc_cond, rng.normal(size=(n, cfg.attention_dim)))
     targets = rng.normal(size=(3, cfg.frame_width))
     w = ad.Tensor(rng.normal(size=(3, cfg.frame_width + 1)))
 
     def build():
-        out, _ = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
+        out, _ = seq2seq.decoder_node(params, cfg, enc_cond, mode, targets)
         return ad.sum_(ad.mul(out, w))
 
     if mode == "augmented":
-        _, alignment = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
+        _, alignment = seq2seq.decoder_node(params, cfg, enc_cond, mode, targets)
         for t in (1, 2):
             d = align.stage1_select(alignment[:, t - 1], 1.0 / (1.0 + np.exp(2.0)))[0]
             assert 0.12 < raw_score(d) < 1
             assert not np.allclose(alignment[:, t], d)  # b_t took part in the mix
-    checked = [enc_cond, enc_proj] + [p for k, p in sorted(params.items())
-                                      if k.split(".")[0] in ("dec", "att", "out") and k != "att.memory.w"]
+    checked = [enc_cond] + [p for k, p in sorted(params.items()) if k.split(".")[0] in ("dec", "att", "out")]
     for p in checked:
         err = ad.finite_diff_check(build, p, step=1e-5)
         assert err < 1e-4, f"{mode} {p.name}: rel err {err:.3e}"
@@ -291,12 +298,12 @@ def test_context_projection_fd(mode):
     params["att.alpha.b"].data = np.asarray(-2.0)
     n = 5
     enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)), name="enc_cond")
-    enc_proj = ad.Tensor(rng.normal(size=(n, cfg.attention_dim)))
+    set_memory_projection(params, enc_cond, rng.normal(size=(n, cfg.attention_dim)))
     targets = rng.normal(size=(4, cfg.frame_width))
     w = ad.Tensor(rng.normal(size=(4, cfg.frame_width + 1)))
 
     def build():
-        out, _ = seq2seq.decoder_node(params, cfg, enc_cond, enc_proj, mode, targets)
+        out, _ = seq2seq.decoder_node(params, cfg, enc_cond, mode, targets)
         return ad.sum_(ad.mul(out, w))
 
     w_ctx = params["dec.context.w"]
@@ -321,13 +328,12 @@ def decoder_params(seed):
 
 
 def stage_weights(params, cfg, n=3):
-    """The DecoderWeights record the stages read, over fixed encoder arrays
-    of n positions. Finite differences move params in place, and some of
+    """The DecoderWeights record the stages read, over a fixed enc_cond of
+    n positions. Finite differences move params in place, and some of
     the record's arrays are made from them, so each evaluation builds its
     own."""
     rng = np.random.default_rng(31)
-    return seq2seq.DecoderWeights(params, rng.normal(size=(n, cfg.context_dim)),
-                                  rng.normal(size=(n, cfg.attention_dim)))
+    return seq2seq.DecoderWeights(params, rng.normal(size=(n, cfg.context_dim)))
 
 
 def check_every_input(build, inputs, step=1e-6, tol=1e-5):

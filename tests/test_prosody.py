@@ -8,7 +8,7 @@ import pytest
 
 from prosynth import prosody, seq2seq, synthdata
 from prosynth import autodiff as ad
-from prosynth.errors import DataError
+from prosynth.errors import ConfigError, DataError
 from prosynth.prosody import (
     NormalizedProsody,
     PredictorConfig,
@@ -320,6 +320,25 @@ def test_predictor_matches_step_chain():
     out = predictor.predict(seq)
     assert (out.pace, out.pitch_span) == (chain[0], chain[1])
     assert np.array_equal(predictor.forward(seq).data, chain)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("width", 0), ("layers", 0), ("batch_size", 0), ("epochs", -1),
+    ("learning_rate", 0.0), ("learning_rate", -1.0), ("learning_rate", float("nan")),
+    ("momentum", 1.0), ("momentum", 1.5), ("momentum", -0.1),
+])
+def test_predictor_config_rejects_unusable_value(field, value):
+    with pytest.raises(ConfigError, match=field):
+        PredictorConfig(**{field: value})
+
+
+def test_predictor_config_accepts_edge_values():
+    PredictorConfig()
+    data = tiny_dataset(np.random.default_rng(10), n=2)
+    cfg = PredictorConfig(width=1, layers=1, epochs=1, learning_rate=1e-9, momentum=0.0, batch_size=1)
+    _, history = train_predictor(data, cfg)
+    assert len(history) == 1 and np.isfinite(history[0])
+    assert train_predictor(data, PredictorConfig(epochs=0))[1] == []
 
 
 def test_predictor_rejects_empty():

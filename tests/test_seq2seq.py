@@ -120,6 +120,38 @@ def test_config_accepts_edge_values():
     seq2seq.ModelConfig(stop_threshold=1.0)
 
 
+# -- input checks --------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("vec", [[np.nan, 0.0], [np.inf, 0.0], [0.1, -0.2, 0.3]], ids=["nan", "inf", "three"])
+@pytest.mark.parametrize("mode", MODES)
+def test_bad_prosody_vector_raises(corpus, params, vec, mode):
+    # unchecked, NaN gives non-finite frames or fails deep in align or the
+    # stop loss, and inf decodes without complaint
+    cfg = seq2seq.ModelConfig(**TINY)
+    u = corpus.utterances[0]
+    with pytest.raises(ValueError, match=r"prosody vector must be None or a finite \(2,\) array"):
+        seq2seq.synthesize(params, cfg, u.symbols, vec, mode)
+    with pytest.raises(ValueError, match=r"prosody vector must be None or a finite \(2,\) array"):
+        seq2seq.teacher_forced(params, cfg, u, vec, mode)
+
+
+@pytest.mark.parametrize("name, value, table", [
+    ("ids", -1, "symbol"), ("ids", None, "symbol"), ("stress", -1, "stress"), ("stress", 3, "stress"),
+    ("phrase", -1, "phrase"), ("phrase", 4, "phrase"),
+], ids=["id_negative", "id_vocab_size", "stress_negative", "stress_high", "phrase_negative", "phrase_high"])
+def test_encoder_rejects_symbols_outside_its_tables(corpus, params, name, value, table):
+    symbols = corpus.utterances[0].symbols
+    value = corpus.config.vocab_size if value is None else value
+    field = getattr(symbols, name).copy()
+    field[1] = value
+    bad = dataclasses.replace(symbols, **{name: field})
+    rows = params[f"enc.embed.{table}"].data.shape[0]
+    match = rf"{name} value {value} outside 0\.\.{rows - 1}, the rows of enc\.embed\.{table}"
+    with pytest.raises(DataError, match=match):
+        seq2seq.encoder_latents(params, bad)
+
+
 # -- truncation ----------------------------------------------------------------------
 
 

@@ -141,6 +141,16 @@ def test_symbol_string_rejects_out_of_range(text, phrase, match):
         synthdata.symbols_from_string(text, CorpusConfig(), phrase=phrase)
 
 
+@pytest.mark.parametrize("name", ["stress", "phrase", "word_break", "silence"])
+@pytest.mark.parametrize("change", [-1, 1], ids=["short", "long"])
+def test_symbol_sequence_rejects_fields_of_unequal_length(name, change):
+    fields = dict(ids=[1, 2, 3], stress=[0, 1, 0], phrase=[2, 2, 2], word_break=[False, True, False],
+                  silence=[True, False, False])
+    fields[name] = (fields[name] + fields[name])[:3 + change]
+    with pytest.raises(ValueError, match=rf"unequal length .*'{name}': {3 + change}"):
+        synthdata.SymbolSequence(**fields)
+
+
 def test_degenerate_config_rejected():
     with pytest.raises(ConfigError):
         CorpusConfig(alphabet_size=0)

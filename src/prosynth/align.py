@@ -161,7 +161,8 @@ def stage2_select(d, b_t, beta):
     if d.shape[0] != b_t.shape[0]:
         raise ValueError(f"stage2_select: length mismatch {d.shape[0]} vs {b_t.shape[0]}")
     m_b, m_b_backward = structure_metric(b_t)
-    m_d, m_d_backward = structure_metric(d)
+    # with m_b = 0, gamma is 0 for any m_d in [0, 1], so d's score is unused
+    m_d, m_d_backward = structure_metric(d) if m_b > 0.0 else (0.0, None)
     gamma = m_b * (1.0 - m_d)
     raw = (1.0 - gamma) * beta * d + gamma * (1.0 - beta) * b_t
     total = raw.sum()

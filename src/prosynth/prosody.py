@@ -173,10 +173,14 @@ class ProsodyPredictor:
 
     Each layer reads the whole output sequence of the one below; the top
     layer's final state feeds the output layer. Frozen predictors are
-    read-only and therefore thread-safe.
+    read-only and therefore thread-safe. An input_dim, width or layers below
+    1 is a ConfigError.
     """
 
     def __init__(self, input_dim, width=32, layers=3, seed=0):
+        for name, value in (("input_dim", input_dim), ("width", width), ("layers", layers)):
+            if value < 1:
+                raise ConfigError(f"{name} must be at least 1, got {value}")
         self.input_dim = input_dim
         self.width = width
         self.layers = layers

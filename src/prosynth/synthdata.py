@@ -211,17 +211,29 @@ def _build_symbols(cfg, rng):
 
 
 def render_targets(symbols, durations, pitch_contour, templates):
-    """Expand per-symbol templates by duration into a frame matrix; the last
-    channel is the pitch contour. An in-symbol sine envelope makes position
-    within a long symbol visible to the decoder."""
-    total = int(np.sum(durations))
-    width = templates.shape[1] + 1
-    feats = np.zeros((total, width))
-    row = 0
-    for sid, dur in zip(symbols.ids, durations):
-        env = 0.75 + 0.25 * np.sin(np.pi * (np.arange(dur) + 0.5) / dur)
-        feats[row:row + dur, :-1] = env[:, None] * templates[sid]
-        row += dur
+    """Expand per-symbol templates by duration into a (sum(durations),
+    templates.shape[1] + 1) frame matrix; the last channel is the pitch
+    contour. An in-symbol sine envelope makes position within a long symbol
+    visible to the decoder.
+
+    durations must be a 1-D integer array with one entry >= 1 per symbol,
+    and pitch_contour must have shape (sum(durations),); anything else is a
+    ValueError naming the field."""
+    durations = np.asarray(durations)
+    if durations.ndim != 1 or durations.dtype.kind not in "iu" or durations.size != len(symbols):
+        raise ValueError(f"render_targets: durations must be {len(symbols)} integers, "
+                         f"got {durations.dtype} of shape {durations.shape}")
+    if durations.min() < 1:
+        raise ValueError(f"render_targets: durations must be >= 1, got {durations.min()}")
+    durations = durations.astype(np.int64, copy=False)  # np.repeat refuses uint64 counts
+    total = int(durations.sum())
+    if np.shape(pitch_contour) != (total,):
+        raise ValueError(f"render_targets: pitch_contour must have shape ({total},), got {np.shape(pitch_contour)}")
+    dur = np.repeat(durations, durations)
+    pos = np.arange(total) - np.repeat(np.cumsum(durations) - durations, durations)
+    env = 0.75 + 0.25 * np.sin(np.pi * (pos + 0.5) / dur)
+    feats = np.empty((total, templates.shape[1] + 1))
+    feats[:, :-1] = env[:, None] * templates[np.repeat(symbols.ids, durations)]
     feats[:, -1] = pitch_contour
     return feats
 

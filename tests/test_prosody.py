@@ -332,6 +332,15 @@ def test_predictor_config_rejects_unusable_value(field, value):
         PredictorConfig(**{field: value})
 
 
+
+@pytest.mark.parametrize("field, kwargs", [
+    ("input_dim", {"input_dim": 0}), ("width", {"width": 0}), ("layers", {"layers": 0}),
+    ("width", {"width": -3}),
+])
+def test_predictor_rejects_unusable_size(field, kwargs):
+    with pytest.raises(ConfigError, match=field):
+        prosody.ProsodyPredictor(**{"input_dim": 5, **kwargs})
+
 def test_predictor_config_accepts_edge_values():
     PredictorConfig()
     data = tiny_dataset(np.random.default_rng(10), n=2)

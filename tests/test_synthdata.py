@@ -96,6 +96,48 @@ def test_render_shapes_and_silence_template():
     assert feats.shape == (6, cfg.feature_width)
 
 
+
+def _render_per_symbol(symbols, durations, pitch_contour, templates):
+    """The per-symbol loop render_targets once ran; the reference it must
+    match bit for bit."""
+    total = int(np.sum(durations))
+    feats = np.zeros((total, templates.shape[1] + 1))
+    row = 0
+    for sid, dur in zip(symbols.ids, durations):
+        env = 0.75 + 0.25 * np.sin(np.pi * (np.arange(dur) + 0.5) / dur)
+        feats[row:row + dur, :-1] = env[:, None] * templates[sid]
+        row += dur
+    feats[:, -1] = pitch_contour
+    return feats
+
+
+@pytest.mark.parametrize("cfg", [
+    CorpusConfig(),
+    CorpusConfig(base_duration_min=1, base_duration_max=40, pace_sigma=0.6),
+], ids=["default", "wide_durations"])
+def test_render_matches_per_symbol_loop_exactly(cfg):
+    corpus = generate_corpus(cfg)
+    for u in corpus.utterances:
+        want = _render_per_symbol(u.symbols, u.durations, u.pitch_contour, corpus.templates)
+        got = synthdata.render_targets(u.symbols, u.durations, u.pitch_contour, corpus.templates)
+        assert np.array_equal(got, want)
+        assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("durations, contour_len, match", [
+    ([2] * 11, 22, "durations must be 13"),
+    ([2] * 12 + [-2], 22, "durations must be >= 1"),
+    ([2.5] * 13, 32, "durations must be 13"),
+    ([2] * 13, 25, "pitch_contour must have shape"),
+], ids=["too_few", "negative", "fractional", "contour_length"])
+def test_render_rejects_inputs_that_do_not_fit(durations, contour_len, match):
+    cfg = CorpusConfig()
+    _, templates = synthdata._corpus_tables(cfg)
+    sym = synthdata.symbols_from_string(" ".join(["sil"] + [f"p{i % 12}:0" for i in range(11)] + ["sil"]), cfg)
+    assert len(sym) == 13
+    with pytest.raises(ValueError, match=match):
+        synthdata.render_targets(sym, np.array(durations), np.zeros(contour_len), templates)
+
 def test_frame_alignment_recoverable(corpus):
     for u in corpus.utterances[:10]:
         ali = u.frame_alignment

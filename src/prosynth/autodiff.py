@@ -36,6 +36,10 @@ that no later step reads, once after the loop, with lstm_weight_grads and
 location_attention_weight_grads; a single step is T = 1. Graph nodes hand
 Tensor.backward plain arrays only.
 
+backward_mean differentiates the mean of many losses one graph at a time,
+bit-identical to one backward through their sum, so a mini-batch's memory
+is one example's graph.
+
 Inside no_grad(), operations return constants: the value only, with no
 parents and no backward closure, so inference leaves no graph behind.
 grad_enabled() tells code that records backwards itself whether to.
@@ -651,6 +655,34 @@ def lstm_weights(rng, in_dim, hid):
     return wx, wh, b
 
 
+def backward_mean(loss_of, count):
+    """Backward of the mean of count scalar losses, one graph at a time.
+
+    Builds loss_of(i) for i = count - 1 down to 0, runs the backward of
+    loss / count at once, and drops the loss before building the next, so
+    only one loss's graph is alive at any time. Returns the mean as a
+    float, summed first to last. Leaves receive the same additions in the
+    same order as one backward through add(...add(l0, l1)..., l_last) / count,
+    whose creation ids put the last loss's terms first: the gradients are
+    bit-identical to that form, provided the losses share no interior node.
+    A loss that is not finite raises FloatingPointError from its backward,
+    after the later losses have added theirs. count below 1 is a ValueError.
+    """
+    if count < 1:
+        raise ValueError(f"backward_mean: count must be >= 1, got {count}")
+    scale = 1.0 / count
+    values = [0.0] * count
+    for i in range(count - 1, -1, -1):
+        loss = loss_of(i)
+        values[i] = float(loss.data)
+        mul(loss, scale).backward()
+        del loss  # else the name keeps this graph alive through the next build
+    total = values[0]
+    for v in values[1:]:  # not sum(), which compensates from Python 3.12 on
+        total += v
+    return total * scale
+
+
 class SGD:
     """Plain gradient descent with momentum over a name->Tensor dict.
 
@@ -676,6 +708,13 @@ class SGD:
         return float(np.sqrt(total))
 
     def step(self):
+        """One momentum update from the parameters' .grad, clipped to a
+        global norm of grad_clip when one is set. A gradient with a NaN or
+        an infinity is a FloatingPointError naming the first such parameter
+        by name, raised before any parameter or velocity changes."""
+        for name, p in sorted(self.params.items()):
+            if p.grad is not None and not np.all(np.isfinite(p.grad)):
+                raise FloatingPointError(f"SGD.step: non-finite gradient for {name!r}")
         scale = 1.0
         if self.grad_clip is not None:
             norm = self.global_grad_norm()

@@ -222,6 +222,12 @@ class ProsodyPredictor:
             self.params[k].data = arr
 
 
+def _predictor_loss(predictor, seq, target):
+    """Squared error of one prediction, averaged over its two values."""
+    diff = ad.add(predictor.forward(seq), ad.Tensor(-np.asarray(target, dtype=np.float64)))
+    return ad.mean_(ad.mul(diff, diff))
+
+
 def train_predictor(dataset, config=None, log=None):
     """Fit a ProsodyPredictor by MSE on (encoder outputs, normalised prosody).
 
@@ -241,16 +247,7 @@ def train_predictor(dataset, config=None, log=None):
         for start in range(0, len(order), config.batch_size):
             batch = order[start:start + config.batch_size]
             opt.zero_grad()
-            losses = []
-            for i in batch:
-                seq, target = dataset[i]
-                out = predictor.forward(seq)
-                diff = ad.add(out, ad.Tensor(-np.asarray(target, dtype=np.float64)))
-                losses.append(ad.mean_(ad.mul(diff, diff)))
-            total = losses[0]
-            for extra in losses[1:]:
-                total = ad.add(total, extra)
-            ad.mul(total, 1.0 / len(batch)).backward()
+            ad.backward_mean(lambda j: _predictor_loss(predictor, *dataset[batch[j]]), len(batch))
             opt.step()
         mse = evaluate_predictor(predictor, dataset)
         history.append(mse)

@@ -64,7 +64,9 @@ when the stable logistic 0.5 * (1 + tanh(logit / 2)) of the stop logit
 clears stop_threshold, which no stop logit, however negative, can overflow.
 
 Training is teacher-forced, deterministic for a fixed seed, with the
-prosody conditioning forced to zero for the first few epochs. Validation
+prosody conditioning forced to zero for the first few epochs. A step
+differentiates its batch one utterance at a time (autodiff.backward_mean),
+so its memory is one utterance's graph, whatever the batch size. Validation
 alignment entropy is logged every epoch as the convergence diagnostic.
 """
 
@@ -854,16 +856,13 @@ def validation_metrics(params, cfg, val_utts, prosody_table, attention_mode):
 def _train_batch(params, cfg, opt, utts, vecs, attention_mode):
     """One optimiser step on the mean teacher-forced loss of utts, each
     conditioned on its prosody vector in vecs; returns that loss as a float.
-    The graph is freed when this returns: nothing outside keeps a node."""
+    Each utterance's graph is built, differentiated and freed before the
+    next one's is built, last utterance first (see ad.backward_mean)."""
     opt.zero_grad()
-    losses = [teacher_forced(params, cfg, u, vec, attention_mode)[0] for u, vec in zip(utts, vecs)]
-    total = losses[0]
-    for extra in losses[1:]:
-        total = ad.add(total, extra)
-    batch_loss = ad.mul(total, 1.0 / len(utts))
-    batch_loss.backward()
+    loss = ad.backward_mean(
+        lambda i: teacher_forced(params, cfg, utts[i], vecs[i], attention_mode)[0], len(utts))
     opt.step()
-    return float(batch_loss.data)
+    return loss
 
 
 def _check_resume_config(path, cfg):
@@ -889,6 +888,13 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     resume whose cfg differs from that config.json in any field but epochs,
     or whose attention_mode differs from the checkpoint's, is a
     ConfigError. A corpus without train or val utterances is a DataError.
+
+    A batch's step is the mean of its utterances' losses, but each
+    utterance's graph is built, differentiated and freed before the next
+    one's is built, so a step holds one utterance's graph at a time. A
+    batch that raises, such as on a non-finite loss or gradient, leaves the
+    parameters and optimiser state unchanged, although their .grad may hold
+    part of the batch's sum until the next zero_grad.
 
     Each batch's forward, backward and optimiser step run with Python's
     cyclic garbage collector paused, since training graphs hold no

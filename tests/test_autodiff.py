@@ -618,6 +618,70 @@ def test_sgd_step_keeps_0d_parameters_arrays():
     assert ad.finite_diff_check(lambda: ad.mul(p, p), p) < 1e-8
 
 
+@pytest.mark.parametrize("grad_clip", [None, 5.0], ids=["no-clip", "clip"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_sgd_step_rejects_non_finite_gradient(bad, grad_clip):
+    # unchecked, a NaN entry reaches its parameter, and an inf one every
+    # parameter, through a clip scale of 0 and then 0 * inf; checked,
+    # nothing moves and the error names the first bad parameter by name
+    params = {k: ad.parameter(np.ones(3), name=k) for k in ("c", "a", "b")}
+    opt = ad.SGD(params, lr=0.1, momentum=0.9, grad_clip=grad_clip)
+    for p in params.values():
+        p.grad = np.full(3, 0.5)
+    opt.step()  # a non-zero velocity, so that an update would show
+    data = {k: p.data.copy() for k, p in params.items()}
+    velocity = {k: v.copy() for k, v in opt.velocity.items()}
+    params["a"].grad = np.full(3, 0.5)
+    params["b"].grad = np.array([0.5, bad, 0.5])
+    params["c"].grad = np.array([bad, 0.5, 0.5])
+    with pytest.raises(FloatingPointError, match="'b'"):
+        opt.step()
+    for k, p in params.items():
+        assert np.array_equal(p.data, data[k]), k
+        assert np.array_equal(opt.velocity[k], velocity[k]), k
+
+
+# -- the mean of many losses, one graph at a time -----------------------------------
+
+
+def _toy_losses(rng, count):
+    """Leaves w, used twice by every loss, and s, 0-d; and count losses."""
+    w = ad.parameter(rand(rng, 3, 2), name="w")
+    s = ad.parameter(0.7, name="s")
+    xs = [rand(rng, 4, 3) for _ in range(count)]
+
+    def loss_of(i):
+        h = ad.tanh(ad.matmul(xs[i], w))
+        return ad.sum_(ad.mul(ad.mul(h, ad.matmul(xs[i], w)), s))
+
+    return (w, s), loss_of
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_backward_mean_matches_one_backward_through_the_sum(count):
+    leaves, loss_of = _toy_losses(np.random.default_rng(21), count)
+    losses = [loss_of(i) for i in range(count)]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ad.add(total, extra)
+    mean = ad.mul(total, 1.0 / count)
+    mean.backward()
+    expected = [p.grad.copy() for p in leaves]
+    for p in leaves:
+        p.zero_grad()
+    assert ad.backward_mean(loss_of, count) == float(mean.data)
+    for p, g in zip(leaves, expected):
+        assert p.grad.shape == p.data.shape
+        assert np.array_equal(p.grad, g), p.name
+
+
+def test_backward_mean_rejects_no_losses():
+    calls = []
+    with pytest.raises(ValueError, match="count"):
+        ad.backward_mean(calls.append, 0)
+    assert calls == []
+
+
 # -- gradient routing ------------------------------------------------------------
 
 

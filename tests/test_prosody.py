@@ -293,6 +293,42 @@ def test_predictor_learns_signal():
     assert history[-1] <= history[-2] <= history[-3]  # settled by the end
 
 
+def _train_predictor_whole(dataset, config):
+    """Reference: train_predictor with the batch-wide form of its step, which
+    builds every sequence's graph and then runs one backward through their
+    mean. Returns the predictor."""
+    predictor = prosody.ProsodyPredictor(dataset[0][0].shape[1], width=config.width, layers=config.layers,
+                                         seed=config.seed)
+    opt = ad.SGD(predictor.params, lr=config.learning_rate, momentum=config.momentum)
+    for epoch in range(config.epochs):
+        order = np.random.default_rng((config.seed, epoch)).permutation(len(dataset))
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start:start + config.batch_size]
+            opt.zero_grad()
+            losses = []
+            for i in batch:
+                seq, target = dataset[i]
+                out = predictor.forward(seq)
+                diff = ad.add(out, ad.Tensor(-np.asarray(target, dtype=np.float64)))
+                losses.append(ad.mean_(ad.mul(diff, diff)))
+            total = losses[0]
+            for extra in losses[1:]:
+                total = ad.add(total, extra)
+            ad.mul(total, 1.0 / len(batch)).backward()
+            opt.step()
+    return predictor
+
+
+def test_train_predictor_matches_one_backward_through_each_batch():
+    # 37 sequences at batch 16: the last batch of each epoch is partial
+    data = tiny_dataset(np.random.default_rng(13), n=37)
+    cfg = PredictorConfig(width=6, layers=2, epochs=3, batch_size=16, seed=4)
+    predictor, _ = train_predictor(data, cfg)
+    expected = _train_predictor_whole(data, cfg)
+    for k, p in predictor.params.items():
+        assert np.array_equal(p.data, expected.params[k].data), k
+
+
 def test_predict_builds_no_graph(made_nodes):
     rng = np.random.default_rng(8)
     data = tiny_dataset(rng, n=4)

@@ -1,7 +1,8 @@
 """seq2seq: the strict config loader and the config's value checks, decode
 truncation, the training output directory, graph-free inference (values
 bit-identical to grad mode, no graph recorded), the corpus splits that train
-needs, and the collector pause in train."""
+needs, one training step against the batch-wide form of its backward, and
+the collector pause in train."""
 
 import dataclasses
 import gc
@@ -357,6 +358,96 @@ def test_teacher_forced_under_no_grad_keeps_no_step_backward(corpus, table, para
     alive.clear()
     loss, _ = seq2seq.teacher_forced(params, cfg, u, table[u.utt_id], mode)
     assert alive[-1] == u.features.shape[0] - 1
+
+
+# -- one training step -----------------------------------------------------------------
+
+
+def _train_batch_whole(params, cfg, opt, utts, vecs, attention_mode):
+    """Reference: the batch-wide form of _train_batch, which builds every
+    utterance's graph and then runs one backward through their mean."""
+    opt.zero_grad()
+    losses = [seq2seq.teacher_forced(params, cfg, u, vec, attention_mode)[0] for u, vec in zip(utts, vecs)]
+    total = losses[0]
+    for extra in losses[1:]:
+        total = ad.add(total, extra)
+    batch_loss = ad.mul(total, 1.0 / len(utts))
+    batch_loss.backward()
+    opt.step()
+    return float(batch_loss.data)
+
+
+def _model_and_optimiser(params, cfg):
+    """A copy of params and an SGD over it whose velocities are not zero."""
+    copy = {k: ad.parameter(p.data.copy(), name=k) for k, p in params.items()}
+    opt = ad.SGD(copy, lr=cfg.learning_rate, momentum=cfg.momentum, grad_clip=cfg.grad_clip)
+    rng = np.random.default_rng(12)
+    for v in opt.velocity.values():
+        v += rng.normal(scale=1e-3, size=v.shape)
+    return copy, opt
+
+
+def _batch(corpus, table):
+    utts = corpus.utterances[:3]
+    assert len({u.features.shape[0] for u in utts}) == 3
+    return utts, [table[u.utt_id] for u in utts]
+
+
+def _state(model, opt):
+    return ({k: p.data.copy() for k, p in model.items()}, {k: v.copy() for k, v in opt.velocity.items()})
+
+
+def _assert_same_state(a, b):
+    for part_a, part_b in zip(a, b):
+        for k in part_a:
+            assert np.array_equal(part_a[k], part_b[k]), k
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_batch_matches_one_backward_through_the_batch(corpus, table, params, mode):
+    cfg = seq2seq.ModelConfig(**TINY)
+    utts, vecs = _batch(corpus, table)
+    (model, opt), (ref_model, ref_opt) = _model_and_optimiser(params, cfg), _model_and_optimiser(params, cfg)
+    loss = seq2seq._train_batch(model, cfg, opt, utts, vecs, mode)
+    assert loss == _train_batch_whole(ref_model, cfg, ref_opt, utts, vecs, mode)
+    _assert_same_state(_state(model, opt), _state(ref_model, ref_opt))
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_batch_holds_one_graph_at_a_time(corpus, table, params, monkeypatch, mode):
+    real = seq2seq.teacher_forced
+    earlier = []
+
+    def teacher_forced(*args):
+        assert all(ref() is None for ref in earlier), "an earlier utterance's loss is still alive"
+        loss, trace = real(*args)
+        # a Tensor takes no weak reference; its backward closure lives as long as it does
+        earlier.append(weakref.ref(loss._backward))
+        return loss, trace
+
+    monkeypatch.setattr(seq2seq, "teacher_forced", teacher_forced)
+    cfg = seq2seq.ModelConfig(**TINY)
+    utts, vecs = _batch(corpus, table)
+    model, opt = _model_and_optimiser(params, cfg)
+    seq2seq._train_batch(model, cfg, opt, utts, vecs, mode)
+    assert len(earlier) == 3
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_train_batch_with_a_non_finite_loss_changes_nothing(corpus, table, params, mode):
+    # the NaN sits in the last frame, which no frame reads as its true
+    # previous frame, so it reaches the loss alone; the last utterance's
+    # backward has run by then, the optimiser step has not
+    cfg = seq2seq.ModelConfig(**TINY)
+    utts, vecs = _batch(corpus, table)
+    features = utts[1].features.copy()
+    features[-1, 0] = np.nan
+    utts[1] = dataclasses.replace(utts[1], features=features)
+    model, opt = _model_and_optimiser(params, cfg)
+    before = _state(model, opt)
+    with pytest.raises(FloatingPointError):
+        seq2seq._train_batch(model, cfg, opt, utts, vecs, mode)
+    _assert_same_state(_state(model, opt), before)
 
 
 # -- the collector during training -----------------------------------------------------

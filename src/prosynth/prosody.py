@@ -100,16 +100,14 @@ def compute_pitch_span(log_pitch, voiced, min_voiced=MIN_VOICED_FRAMES):
 
 
 def fit_speaker_stats(infos, min_count=MIN_STATS_UTTERANCES):
-    """Component-wise median and population standard deviation."""
+    """Component-wise median and population standard deviation. Fewer
+    than min_count infos, or a component without spread (see SpeakerStats),
+    is a ValueError."""
     if len(infos) < min_count:
         raise ValueError(f"fit_speaker_stats: need >= {min_count} utterances, got {len(infos)}")
     paces = np.array([p.pace for p in infos])
     spans = np.array([p.pitch_span for p in infos])
-    pace_std = float(np.std(paces))
-    span_std = float(np.std(spans))
-    if pace_std == 0.0 or span_std == 0.0:
-        raise ValueError("fit_speaker_stats: zero variance (degenerate corpus)")
-    return SpeakerStats(float(np.median(paces)), pace_std, float(np.median(spans)), span_std)
+    return SpeakerStats(float(np.median(paces)), float(np.std(paces)), float(np.median(spans)), float(np.std(spans)))
 
 
 def normalize(info, stats):
@@ -261,9 +259,7 @@ def evaluate_predictor(predictor, dataset):
     """Mean squared error over a dataset, computed without building a graph."""
     total = 0.0
     for seq, target in dataset:
-        out = predictor.forward(seq).data
-        diff = out - np.asarray(target, dtype=np.float64)
-        total += float(np.mean(diff * diff))
+        total += float(_predictor_loss(predictor, seq, target).data)
     return total / len(dataset)
 
 

@@ -54,6 +54,12 @@ utterance, in its DecoderWeights record (below); after the loop
 decoder_node differentiates each once, for enc_cond and for W_ctx and
 W_mem.
 
+Each weight is stored in the shape its stage reads, so a decode never
+assembles one and the backward returns each one's gradient whole: the
+readout's frame and stop projections of h2 are one (D, F+1) weight and one
+(F+1,) bias, the heads' biases one (2,) vector and the start state one
+(4, D) array (init_params names them). No parameter is 0-d.
+
 Everything a frame reads that is fixed for the decode is made once, before
 the frame loop, into one DecoderWeights record, which every stage and every
 *_grads function of the backward takes in place of params. The decode also
@@ -196,11 +202,18 @@ def init_params(cfg, vocab_size):
 
     Each weight that meets the attention context x_c is drawn whole, with
     the fan-in of all its inputs, and keeps the rows of its other inputs:
-    dec.lstm1.wx s_p's, dec.lstm2.wx h1's, out.frame.w and out.stop.w
-    h2's, att.alpha.w s_p's then h2's. Their C = context_dim rows for x_c
-    are dec.context.w, (C, 4D + 4D + F + 1 + 2), in the column blocks
-    lstm1, lstm2, frame, stop, alpha and beta; beta's weight is its column
-    alone. Both heads' weights start at zero.
+    dec.lstm1.wx s_p's, dec.lstm2.wx h1's, out.readout.w h2's, att.alpha.w
+    s_p's then h2's. Their C = context_dim rows for x_c are dec.context.w,
+    (C, 4D + 4D + F + 1 + 2), in the column blocks lstm1, lstm2, frame,
+    stop, alpha and beta; beta's weight is its column alone. Both heads'
+    weights start at zero.
+
+    The readout's two projections of h2 are one weight, out.readout.w
+    (D, F+1), the frame's F columns then the stop logit's one, each block
+    drawn with its own fan-out, and one (F+1,) bias, out.readout.b. The
+    heads' biases are att.heads.b, [b_alpha, b_beta], and the decoder's
+    start state is dec.init, (4, D), rows h1, c1, h2 and c2. No parameter
+    is 0-d.
     """
     rng = np.random.default_rng(cfg.seed)
     p = {}
@@ -242,8 +255,7 @@ def init_params(cfg, vocab_size):
         par_split(f"dec.{name}.wx", wx, own)
         par(f"dec.{name}.wh", wh)
         par(f"dec.{name}.b", b)
-    for name in ("h1", "c1", "h2", "c2"):
-        par(f"dec.init.{name}", np.zeros(d))
+    par("dec.init", np.zeros((4, d)))
 
     a = cfg.attention_dim
     par("att.query.w", ad.glorot(rng, d, a))
@@ -254,13 +266,11 @@ def init_params(cfg, vocab_size):
     par("att.v", rng.uniform(-0.1, 0.1, size=a))
     # selection heads start neutral (alpha = beta = 0.5)
     par("att.alpha.w", np.zeros(cfg.prenet_out + d))
-    par("att.alpha.b", 0.0)
-    par("att.beta.b", 0.0)
+    par("att.heads.b", np.zeros(2))
 
-    par_split("out.frame.w", ad.glorot(rng, d + ctx, cfg.frame_width), d)
-    par("out.frame.b", np.zeros(cfg.frame_width))
-    par_split("out.stop.w", ad.glorot(rng, d + ctx, 1).reshape(-1), d)
-    par("out.stop.b", 0.0)
+    frame = ad.glorot(rng, d + ctx, cfg.frame_width)
+    par_split("out.readout.w", np.concatenate([frame, ad.glorot(rng, d + ctx, 1)], axis=1), d)
+    par("out.readout.b", np.zeros(cfg.frame_width + 1))
     par("dec.context.w", np.concatenate(context + [np.zeros((ctx, 2))], axis=1))
 
     kp = cfg.postnet_kernel
@@ -335,11 +345,10 @@ _PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.
 _LSTM1_KEYS = ("dec.lstm1.wx", "dec.lstm1.wh", "dec.lstm1.b")
 _LSTM2_KEYS = ("dec.lstm2.wx", "dec.lstm2.wh", "dec.lstm2.b")
 _ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
-_HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")
-_READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
-_CELLS = ("h1", "c1", "h2", "c2")  # start from the dec.init.* parameters
-_INIT_KEYS = tuple(f"dec.init.{k}" for k in _CELLS)
-_PLAIN_KEYS = (_PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + _INIT_KEYS + _ATTENTION_KEYS + _READOUT_KEYS
+_HEAD_KEYS = ("att.alpha.w", "att.heads.b")
+_READOUT_KEYS = ("out.readout.w", "out.readout.b")
+_CELLS = ("h1", "c1", "h2", "c2")  # the rows of dec.init
+_PLAIN_KEYS = (_PRENET_KEYS + _LSTM1_KEYS + _LSTM2_KEYS + ("dec.init",) + _ATTENTION_KEYS + _READOUT_KEYS
                + ("att.memory.w", "dec.context.w"))
 _AUGMENTED_KEYS = _PLAIN_KEYS + _HEAD_KEYS
 
@@ -361,20 +370,22 @@ class DecoderWeights:
     - the pre-net's weights, with prenet_w1_free = w1[:F] + w1[F:]: in a
       free-running decode both halves of the pre-net input are the same
       prediction, so its first layer is one (F, .) matmul;
-    - both LSTMs' wx, wh and b, and the dec.init.* start state;
-    - the alpha head's weight split at the s_p/h2 boundary, and both heads'
-      biases as floats;
-    - the readout's frame and stop weights side by side, (D, F+1), and its
-      (F+1,) bias.
+    - both LSTMs' wx, wh and b, and the (4, D) start state dec.init;
+    - the alpha head's weight as two views, split at the s_p/h2 boundary,
+      and the heads' (2,) bias att.heads.b;
+    - the readout's (D, F+1) weight out.readout.w and (F+1,) bias
+      out.readout.b.
 
-    The arrays are those params held when the record was built; an
-    optimiser step assigns new ones, so a record stays the forward's.
+    It holds parameter arrays, views of them and the per-decode products;
+    it concatenates, appends or converts no parameter. The arrays are those
+    params held when the record was built; an optimiser step assigns new
+    ones, so a record stays the forward's.
     """
 
     __slots__ = ("ctx_proj", "enc_proj", "w_ctx", "w_mem", "kernel", "index", "conv_w", "loc_w", "query_w", "v",
                  "prenet_w1", "prenet_w1_free", "prenet_b1", "prenet_w2", "prenet_b2",
                  "lstm1_wx", "lstm1_wh", "lstm1_b", "lstm2_wx", "lstm2_wh", "lstm2_b", "init",
-                 "alpha_w_s", "alpha_w_h", "alpha_b", "beta_b", "readout_w", "readout_b",
+                 "alpha_w_s", "alpha_w_h", "heads_b", "readout_w", "readout_b",
                  "frame_width", "d4", "heads_at", "pad")
 
     def __init__(self, params, enc_cond):
@@ -391,13 +402,11 @@ class DecoderWeights:
         self.prenet_w1, self.prenet_w1_free = w1, w1[:f] + w1[f:]
         self.lstm1_wx, self.lstm1_wh, self.lstm1_b = (data[k] for k in _LSTM1_KEYS)
         self.lstm2_wx, self.lstm2_wh, self.lstm2_b = (data[k] for k in _LSTM2_KEYS)
-        self.init = tuple(data[k] for k in _INIT_KEYS)
+        self.init = data["dec.init"]
         p = self.prenet_w2.shape[1]
         self.alpha_w_s, self.alpha_w_h = data["att.alpha.w"][:p], data["att.alpha.w"][p:]
-        self.alpha_b, self.beta_b = float(data["att.alpha.b"]), float(data["att.beta.b"])
-        fw, fb, sw, sb = (data[k] for k in _READOUT_KEYS)
-        self.readout_w = np.concatenate([fw, sw[:, None]], axis=1)
-        self.readout_b = np.append(fb, sb)
+        self.heads_b = data["att.heads.b"]
+        self.readout_w, self.readout_b = (data[k] for k in _READOUT_KEYS)
         self.frame_width = f
         self.d4 = 4 * self.lstm1_wh.shape[0]
         self.heads_at = 2 * self.d4 + f + 1  # the columns after the LSTMs' and the readout's
@@ -457,13 +466,14 @@ def prenet_grads(weights, xs, hiddens, outs, g):
 def selection_heads(weights, s_p, ctx_heads, h2):
     """The augmented step's stage weights [alpha, beta]:
     alpha = sigmoid([s_p, h2] . w_alpha + x_c . c_alpha + b_alpha) and
-    beta = sigmoid(x_c . c_beta + b_beta), where c_alpha and c_beta are
-    the heads' columns of dec.context.w and x_c enters as its projected
-    terms ctx_heads = [x_c . c_alpha, x_c . c_beta]. Returns (heads,
-    backward); backward(g) gives the logits' gradient, which is also
-    ctx_heads', and h2's. selection_heads_grads gives the rest."""
-    aw_h = weights.alpha_w_h
-    logits = np.array([s_p @ weights.alpha_w_s + h2 @ aw_h + weights.alpha_b, weights.beta_b]) + ctx_heads
+    beta = sigmoid(x_c . c_beta + b_beta), where [b_alpha, b_beta] is
+    att.heads.b, c_alpha and c_beta are the heads' columns of
+    dec.context.w and x_c enters as its projected terms ctx_heads =
+    [x_c . c_alpha, x_c . c_beta]. Returns (heads, backward); backward(g)
+    gives the logits' gradient, which is also ctx_heads' and the biases',
+    and h2's. selection_heads_grads gives the rest."""
+    aw_h, b = weights.alpha_w_h, weights.heads_b
+    logits = np.array([s_p @ weights.alpha_w_s + h2 @ aw_h + b[0], b[1]]) + ctx_heads
     heads = 0.5 * (1.0 + np.tanh(0.5 * logits))  # stable logistic
 
     def backward(g):
@@ -476,19 +486,17 @@ def selection_heads(weights, s_p, ctx_heads, h2):
 def selection_heads_grads(weights, s_ps, h2s, g_logits):
     """The rest of selection_heads' backward over T frames, from the (T, P)
     and (T, D) rows of s_p and h2 and the (T, 2) logit gradients: the
-    (T, P) gradients of s_p, then those of w_alpha, of b_alpha and of
-    b_beta."""
+    (T, P) gradients of s_p, then those of w_alpha and of att.heads.b."""
     ga = g_logits[:, 0]
-    return (np.outer(ga, weights.alpha_w_s), ga @ np.concatenate([s_ps, h2s], axis=1), ga.sum(),
-            g_logits[:, 1].sum())
+    g_b = np.array([ga.sum(), g_logits[:, 1].sum()])
+    return np.outer(ga, weights.alpha_w_s), ga @ np.concatenate([s_ps, h2s], axis=1), g_b
 
 
 def frame_output(weights, h2, ctx_out):
-    """The readout as one (F+1,) vector: the frame h2 @ W + x_c @ C_frame
-    + b, then the stop logit h2 . w_stop + x_c . c_stop + b_stop, made as
-    h2 @ [W, w_stop] + [b, b_stop] + ctx_out, where C_frame and c_stop are
-    the readout's columns of dec.context.w and x_c enters as its projected
-    terms ctx_out = x_c @ [C_frame, c_stop], an (F+1,) vector. Its
+    """The readout as one (F+1,) vector, the frame then the stop logit:
+    h2 @ W + b + ctx_out, where W = out.readout.w is (D, F+1), b =
+    out.readout.b is (F+1,) and x_c enters as its projected terms ctx_out
+    = x_c @ C, C being the readout's F+1 columns of dec.context.w. Its
     backward is frame_output_grads."""
     return h2 @ weights.readout_w + weights.readout_b + ctx_out
 
@@ -496,10 +504,8 @@ def frame_output(weights, h2, ctx_out):
 def frame_output_grads(weights, h2s, g):
     """frame_output's backward over T frames, from the (T, D) rows of h2
     and the (T, F+1) output gradients g: the gradients of h2 and ctx_out
-    as (T, .) rows, then of W, of b, of w_stop and of b_stop."""
-    g_w = h2s.T @ g
-    g_b = g.sum(axis=0)
-    return g @ weights.readout_w.T, g, g_w[:, :-1], g_b[:-1], g_w[:, -1], g_b[-1]
+    as (T, .) rows, then of W and of b."""
+    return g @ weights.readout_w.T, g, h2s.T @ g, g.sum(axis=0)
 
 
 def init_decoder_state(weights):
@@ -712,10 +718,10 @@ def decoder_node(params, cfg, enc_cond, attention_mode, targets):
         for t in range(frames - 1, -1, -1):
             g_state = backwards[t](t, g_state, rows)
 
-        grads = dict(zip(_INIT_KEYS, (g_state[k] for k in _CELLS)))
-        grads.update(zip(_READOUT_KEYS, g_readout))
-        h1_prev = np.concatenate([weights.init[0][None], h1s[:-1]])
-        h2_prev = np.concatenate([weights.init[2][None], h2s[:-1]])
+        grads = dict(zip(_READOUT_KEYS, g_readout))
+        grads["dec.init"] = np.stack([g_state[k] for k in _CELLS])
+        h1_prev = np.concatenate([weights.init[:1], h1s[:-1]])
+        h2_prev = np.concatenate([weights.init[2:3], h2s[:-1]])
         grads.update(zip(_LSTM1_KEYS, ad.lstm_weight_grads(rows.s_p, h1_prev, rows.ctx[:-1, :d4])))
         grads.update(zip(_LSTM2_KEYS, ad.lstm_weight_grads(h1s, h2_prev, rows.ctx[1:, d4:2 * d4])))
         g_s_p = rows.ctx[:-1, :d4] @ weights.lstm1_wx.T
@@ -796,8 +802,13 @@ def stop_loss(stop_logits, true_length, pos_weight=1.0):
 
 
 def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
-    """One teacher-forced pass; returns (total loss Tensor, DecoderTrace)."""
+    """One teacher-forced pass; returns (total loss Tensor, DecoderTrace).
+    A target frame that is not finite is a DataError naming the utterance
+    and the frame, raised before the encoder runs."""
     targets = utterance.features
+    bad = np.flatnonzero(~np.isfinite(targets).all(axis=1))
+    if bad.size:
+        raise DataError(f"teacher_forced: target frame {bad[0]} of utterance {utterance.utt_id} is not finite")
     enc_cond = encode(params, utterance.symbols, prosody_vec)
     out, alignment = decoder_node(params, cfg, enc_cond, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]

@@ -41,8 +41,8 @@ from oracle_ops import (as_node, attention_stage_node, clamp_max, div, logsumexp
                         threshold_keep)
 
 PRENET_KEYS = ("dec.prenet1.w", "dec.prenet1.b", "dec.prenet2.w", "dec.prenet2.b")
-HEAD_KEYS = ("att.alpha.w", "att.alpha.b", "att.beta.b")
-READOUT_KEYS = ("out.frame.w", "out.frame.b", "out.stop.w", "out.stop.b")
+HEAD_KEYS = ("att.alpha.w", "att.heads.b")
+READOUT_KEYS = ("out.readout.w", "out.readout.b")
 ATTENTION_KEYS = ("att.location.conv", "att.location.w", "att.query.w", "att.v")
 CONTEXT_BLOCKS = ("lstm1", "lstm2", "frame", "stop", "alpha", "beta")  # dec.context.w's columns, in order
 
@@ -51,7 +51,7 @@ def context_columns(params, stage):
     """The slice of dec.context.w's columns that hold the rows of stage's
     whole weight that x_c meets, stage one of CONTEXT_BLOCKS: 4D for each
     LSTM, F for the frame, 1 for the stop logit and for each head."""
-    d4, f = 4 * params["dec.lstm1.wh"].shape[0], params["out.frame.b"].shape[0]
+    d4, f = 4 * params["dec.lstm1.wh"].shape[0], params["out.readout.b"].shape[0] - 1
     widths = (d4, d4, f, 1, 1, 1)
     i = CONTEXT_BLOCKS.index(stage)
     lo = sum(widths[:i])
@@ -111,7 +111,7 @@ def fused_lstm(layer, params, x, ctx, h, c):
 
 def readout_end(params, h2):
     # the context terms run [lstm1 (4D), lstm2 (4D), readout (F+1), heads]
-    return 8 * h2.shape[0] + params["out.frame.b"].shape[0] + 1
+    return 8 * h2.shape[0] + params["out.readout.b"].shape[0]
 
 
 def fused_initial_attention(params, weights, query, enc_proj, prev_align, cum_align):
@@ -206,18 +206,17 @@ def composed_selection_heads(params, s_p, x_c, h2):
     # alpha's whole weight meets [s_p, x_c, h2], beta's x_c alone
     aw, p = params["att.alpha.w"], s_p.shape[0]
     w_alpha = ad.concat([aw[:p], context_vector(params, "alpha"), aw[p:]])
-    alpha = sigmoid(ad.add(ad.matmul(ad.concat([s_p, x_c, h2]), w_alpha), params["att.alpha.b"]))
-    beta = sigmoid(ad.add(ad.matmul(x_c, context_vector(params, "beta")), params["att.beta.b"]))
+    alpha = sigmoid(ad.add(ad.matmul(ad.concat([s_p, x_c, h2]), w_alpha), params["att.heads.b"][0]))
+    beta = sigmoid(ad.add(ad.matmul(x_c, context_vector(params, "beta")), params["att.heads.b"][1]))
     return ad.concat([ad.reshape(alpha, (1,)), ad.reshape(beta, (1,))])
 
 
 def composed_frame_output(params, h2, x_c):
-    readout = ad.concat([h2, x_c])
-    w_frame = ad.concat([params["out.frame.w"], context_block(params, "frame")])
-    w_stop = ad.concat([params["out.stop.w"], context_vector(params, "stop")])
-    y = ad.add(ad.matmul(readout, w_frame), params["out.frame.b"])
-    stop = ad.add(ad.matmul(readout, w_stop), params["out.stop.b"])
-    return ad.concat([y, ad.reshape(stop, (1,))])
+    # the readout's whole weight meets [h2, x_c]: its frame and stop
+    # columns of dec.context.w sit under out.readout.w
+    x_c_rows = ad.concat([context_block(params, "frame"), context_block(params, "stop")], axis=1)
+    w = ad.concat([params["out.readout.w"], x_c_rows])
+    return ad.add(ad.matmul(ad.concat([h2, x_c]), w), params["out.readout.b"])
 
 
 def composed_stack(rows):
@@ -244,9 +243,9 @@ COMPOSED.stages = lambda params, enc_cond: COMPOSED
 
 
 def init_decoder_state(params, cfg, context):
+    init = params["dec.init"]
     return {
-        "h1": params["dec.init.h1"], "c1": params["dec.init.c1"],
-        "h2": params["dec.init.h2"], "c2": params["dec.init.c2"],
+        "h1": init[0], "c1": init[1], "h2": init[2], "c2": init[3],
         "ctx": ad.Tensor(np.zeros(context.shape[1])),
         "a_prev": None,
         "cum": ad.Tensor(np.zeros(context.shape[0])),

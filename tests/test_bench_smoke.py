@@ -20,7 +20,7 @@ def _reject(constant):
     raise ValueError(f"non-standard JSON constant {constant}")
 
 
-@pytest.mark.parametrize("workload", ["train_aug", "synth_long"])
+@pytest.mark.parametrize("workload", ["train_aug", "train_plain", "synth_long"])
 def test_traced_run_reports_finite_metrics(workload):
     cmd = [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
            "--seed", "1", "--seconds", "1", "--trace", "1"]

@@ -24,18 +24,14 @@ def test_tensor_table_roundtrip_keeps_0d_shape(tmp_path):
 
 
 def test_checkpoint_restores_scalar_parameters(tmp_path):
+    # the model has no 0-d parameter of its own, so the test adds one
     cfg = seq2seq.ModelConfig(seed=3)
-    params = seq2seq.init_params(cfg, vocab_size=14)
-    scalars = [k for k, p in params.items() if p.data.ndim == 0]
-    assert {"att.alpha.b", "att.beta.b", "out.stop.b"} <= set(scalars)
-    for i, k in enumerate(scalars):
-        params[k].data = np.asarray(0.25 * (i + 1))
+    params = {**seq2seq.init_params(cfg, vocab_size=14), "test.scalar": ad.parameter(np.asarray(0.25))}
     opt = ad.SGD(params, lr=0.1)
     seq2seq.save_checkpoint(tmp_path / "c.bin", params, opt, 1, [], "plain")
-    fresh = seq2seq.init_params(cfg, vocab_size=14)
+    fresh = {**seq2seq.init_params(cfg, vocab_size=14), "test.scalar": ad.parameter(np.asarray(0.0))}
     assert seq2seq.load_checkpoint(tmp_path / "c.bin", fresh, ad.SGD(fresh, lr=0.1)) == (1, [], "plain")
-    for k in scalars:
-        assert fresh[k].data.shape == () and fresh[k].data == params[k].data, k
+    assert fresh["test.scalar"].data.shape == () and fresh["test.scalar"].data == 0.25
 
 
 def _table_file(tmp_path):
@@ -98,12 +94,26 @@ def _parent_layout(t):
     t["model.dec.lstm1.wx"] = np.concatenate([wx, w_ctx[:, :wx.shape[1]]])
 
 
+def _separate_layout(t):
+    """The layout in which the readout's frame and stop weights and biases,
+    the two heads' biases and the start state's four rows were entries of
+    their own, 0-d where one value."""
+    for prefix in ("model.", "opt.velocity."):
+        w, b = t.pop(prefix + "out.readout.w"), t.pop(prefix + "out.readout.b")
+        t[prefix + "out.frame.w"], t[prefix + "out.stop.w"] = w[:, :-1], w[:, -1]
+        t[prefix + "out.frame.b"], t[prefix + "out.stop.b"] = b[:-1], np.asarray(b[-1])
+        alpha, beta = t.pop(prefix + "att.heads.b")
+        t[prefix + "att.alpha.b"], t[prefix + "att.beta.b"] = np.asarray(alpha), np.asarray(beta)
+        for name, row in zip(("h1", "c1", "h2", "c2"), t.pop(prefix + "dec.init")):
+            t[f"{prefix}dec.init.{name}"] = row
+
+
 @pytest.mark.parametrize("corrupt, match", [
     (lambda t: t.update({"model.post.conv2.b": np.zeros(3)}), "shape"),  # the last parameter restored
     (lambda t: t.pop("model.post.conv2.b"), "model.post.conv2.b"),
     (lambda t: t.pop("opt.velocity.post.conv2.b"), "opt.velocity.post.conv2.b"),
     (lambda t: t.update({"opt.velocity.att.v": np.zeros(2)}), "shape"),
-    (lambda t: t["model.out.frame.b"].__setitem__(0, np.nan), "model.out.frame.b"),
+    (lambda t: t["model.out.readout.b"].__setitem__(0, np.nan), "model.out.readout.b"),
     (lambda t: t["opt.velocity.att.v"].__setitem__(-1, np.inf), "opt.velocity.att.v"),
     (lambda t: t.pop("meta.next_epoch"), "meta.next_epoch"),
     (lambda t: t.update({"meta.next_epoch": np.zeros(0)}), "meta.next_epoch"),
@@ -121,10 +131,12 @@ def _parent_layout(t):
     (lambda t: t.update({"meta.history": np.zeros((2, 3))}), "meta.history"),
     (lambda t: t.update({"meta.history": np.array([[0.5, 1.0, 1.0, 1.0]])}), "meta.history"),
     (_parent_layout, "model.dec.lstm1.wx"),
+    (_separate_layout, "missing model.dec.init"),
 ], ids=["model_shape", "model_missing", "velocity_missing", "velocity_shape", "model_nan", "velocity_inf",
         "epoch_missing", "epoch_empty", "epoch_two_values", "epoch_0d", "epoch_fraction", "epoch_negative",
         "epoch_nan", "mode_missing", "mode_out_of_range", "mode_fraction", "mode_two_values", "history_missing",
-        "history_six_values", "history_width_3", "history_epoch_fraction", "parent_layout"])
+        "history_six_values", "history_width_3", "history_epoch_fraction", "parent_layout",
+        "separate_layout"])
 def test_bad_checkpoint_changes_nothing(tmp_path, corrupt, match):
     params = seq2seq.init_params(seq2seq.ModelConfig(seed=3), vocab_size=14)
     assert list(params)[-1] == "post.conv2.b"

@@ -259,7 +259,7 @@ def test_decoder_step_fd(mode):
     # differences see no such path either
     params["dec.prenet1.w"].data[cfg.frame_width:] = 0.0
     params["att.v"].data = params["att.v"].data * 100.0  # a peaked b_t ...
-    params["att.alpha.b"].data = np.asarray(-2.0)  # ... and a peaked d give 0 < gamma < 1
+    params["att.heads.b"].data[0] = -2.0  # ... and a peaked d give 0 < gamma < 1
     n = 5
     enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)), name="enc_cond")
     set_memory_projection(params, enc_cond, rng.normal(size=(n, cfg.attention_dim)))
@@ -295,7 +295,7 @@ def test_context_projection_fd(mode):
         p.data = np.asarray(p.data + rng.normal(scale=0.3, size=p.data.shape))
     params["dec.prenet1.w"].data[cfg.frame_width:] = 0.0  # the fed-back prediction is data
     params["att.v"].data = params["att.v"].data * 10.0  # b_t sharp enough that 0 < gamma < 1, not one-hot
-    params["att.alpha.b"].data = np.asarray(-2.0)
+    params["att.heads.b"].data[0] = -2.0
     n = 5
     enc_cond = ad.parameter(rng.normal(size=(n, cfg.context_dim)), name="enc_cond")
     set_memory_projection(params, enc_cond, rng.normal(size=(n, cfg.attention_dim)))
@@ -323,7 +323,7 @@ def decoder_params(seed):
     params = seq2seq.init_params(cfg, vocab_size=5)
     rng = np.random.default_rng(seed)
     for p in params.values():
-        p.data = np.asarray(p.data + rng.normal(scale=0.5, size=p.data.shape))  # 0-d stays an array
+        p.data = p.data + rng.normal(scale=0.5, size=p.data.shape)
     return cfg, params, rng
 
 
@@ -487,7 +487,7 @@ def free_run_params(cfg, vocab):
     rises over the first frames."""
     params = seq2seq.init_params(cfg, vocab)
     params["att.v"].data = params["att.v"].data * 10.0
-    params["out.stop.w"].data = params["out.stop.w"].data * -10.0
+    params["out.readout.w"].data[:, -1] *= -10.0
     params["dec.context.w"].data[:, oracle.context_columns(params, "stop")] *= -10.0
     perturb_heads(params, np.random.default_rng(41))
     return params

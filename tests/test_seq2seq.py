@@ -1,8 +1,9 @@
-"""seq2seq: the strict config loader and the config's value checks, decode
-truncation, the training output directory, graph-free inference (values
-bit-identical to grad mode, no graph recorded), the corpus splits that train
-needs, one training step against the batch-wide form of its backward, and
-the collector pause in train."""
+"""seq2seq: the strict config loader and the config's value checks, the
+checks on prosody vectors, symbols and target frames, decode truncation,
+the training output directory, graph-free inference (values bit-identical
+to grad mode, no graph recorded), a backward that reaches every parameter,
+the corpus splits that train needs, one training step against the
+batch-wide form of its backward, and the collector pause in train."""
 
 import dataclasses
 import gc
@@ -137,6 +138,41 @@ def test_bad_prosody_vector_raises(corpus, params, vec, mode):
         seq2seq.teacher_forced(params, cfg, u, vec, mode)
 
 
+def _with_target(utterance, frame, value):
+    features = utterance.features.copy()
+    features[frame, 1] = value
+    return dataclasses.replace(utterance, features=features)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", MODES)
+def test_non_finite_target_raises_before_encoding(corpus, table, params, monkeypatch, value, mode):
+    # unchecked, a middle frame fed as the true previous frame fails deep
+    # in align (augmented) or as a bare FloatingPointError (plain)
+    u = corpus.utterances[0]
+    middle = u.features.shape[0] // 2
+    encoded = []
+    monkeypatch.setattr(seq2seq, "encode", lambda *args: encoded.append(args))
+    with pytest.raises(DataError, match=rf"target frame {middle} of utterance {u.utt_id} is not finite"):
+        seq2seq.teacher_forced(params, seq2seq.ModelConfig(**TINY), _with_target(u, middle, value),
+                               table[u.utt_id], mode)
+    assert encoded == []
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize("mode", MODES)
+def test_train_with_a_non_finite_target_fails_before_any_checkpoint(tmp_path, corpus, table, value, mode):
+    bad = corpus.split("train")[-1]
+    middle = bad.features.shape[0] // 2
+    utterances = [_with_target(u, middle, value) if u is bad else u for u in corpus.utterances]
+    epochs = []
+    with pytest.raises(DataError, match=rf"target frame {middle} of utterance {bad.utt_id} is not finite"):
+        seq2seq.train(dataclasses.replace(corpus, utterances=utterances), table,
+                      seq2seq.ModelConfig(epochs=1, **TINY), mode, out_dir=tmp_path, log=epochs.append)
+    assert epochs == []
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("name, value, table", [
     ("ids", -1, "symbol"), ("ids", None, "symbol"), ("stress", -1, "stress"), ("stress", 3, "stress"),
     ("phrase", -1, "phrase"), ("phrase", 4, "phrase"),
@@ -180,7 +216,9 @@ def test_decode_with_a_very_negative_stop_logit_runs_to_the_cap(corpus, params, 
     # to the length cap without a warning (warnings are errors here)
     symbols = corpus.utterances[0].symbols
     cfg = seq2seq.ModelConfig(max_decode_ratio=2, **TINY)
-    moved = {**params, "out.stop.b": ad.parameter(-800.0)}
+    bias = params["out.readout.b"].data.copy()
+    bias[-1] = -800.0  # the stop logit's
+    moved = {**params, "out.readout.b": ad.parameter(bias)}
     out = seq2seq.synthesize(moved, cfg, symbols, [0.2, -0.1], mode)
     assert out.truncated and out.frame_count == 2 * len(symbols)
     assert np.all(out.stop_logits < -709.0)
@@ -288,6 +326,20 @@ def test_training_graph_is_acyclic(corpus, table, params, mode):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_teacher_forced_backward_reaches_every_parameter(corpus, table, params, mode):
+    # plain mode runs no selection heads
+    model = {k: ad.parameter(p.data.copy(), name=k) for k, p in params.items()}
+    u = corpus.utterances[0]
+    loss, _ = seq2seq.teacher_forced(model, seq2seq.ModelConfig(**TINY), u, table[u.utt_id], mode)
+    loss.backward()
+    unused = set() if mode == "augmented" else {"att.alpha.w", "att.heads.b"}
+    assert {k for k, p in model.items() if p.grad is None} == unused
+    for k, p in model.items():
+        if k not in unused:
+            assert p.grad.shape == p.data.shape and np.all(np.isfinite(p.grad)), k
 
 
 @pytest.mark.parametrize("mode", MODES)
@@ -434,15 +486,18 @@ def test_train_batch_holds_one_graph_at_a_time(corpus, table, params, monkeypatc
 
 
 @pytest.mark.parametrize("mode", MODES)
-def test_train_batch_with_a_non_finite_loss_changes_nothing(corpus, table, params, mode):
-    # the NaN sits in the last frame, which no frame reads as its true
-    # previous frame, so it reaches the loss alone; the last utterance's
-    # backward has run by then, the optimiser step has not
+def test_train_batch_with_a_non_finite_loss_changes_nothing(corpus, table, params, monkeypatch, mode):
+    # the middle utterance's loss is made NaN after its forward; the last
+    # utterance's backward has run by then, the optimiser step has not
+    real = seq2seq.teacher_forced
     cfg = seq2seq.ModelConfig(**TINY)
     utts, vecs = _batch(corpus, table)
-    features = utts[1].features.copy()
-    features[-1, 0] = np.nan
-    utts[1] = dataclasses.replace(utts[1], features=features)
+
+    def teacher_forced(params, cfg, utterance, *args):
+        loss, trace = real(params, cfg, utterance, *args)
+        return (ad.mul(loss, np.nan) if utterance is utts[1] else loss), trace
+
+    monkeypatch.setattr(seq2seq, "teacher_forced", teacher_forced)
     model, opt = _model_and_optimiser(params, cfg)
     before = _state(model, opt)
     with pytest.raises(FloatingPointError):

@@ -6,6 +6,11 @@ look-ahead limiter keeping de-emphasised audio 16-bit safe, silence-anchored
 training-segment selection, mel-spectrogram extraction, nearest-frame
 upsampling, and an autocorrelation pitch tracker for prosody statistics.
 
+Audio is framed one way, by `_frames`, a read-only strided view that the
+mel features, the pitch tracker and the limiter's block peaks share; every
+stage is array ops over whole frames or blocks. The one per-sample loop
+left is `deemphasis`, a recursive filter.
+
 All functions are pure and reentrant; batch them per utterance as you like.
 """
 
@@ -43,7 +48,9 @@ class AudioBuffer:
 
 @dataclass
 class MelConfig:
-    """Framing and filter-bank layout for mel feature extraction."""
+    """Framing and filter-bank layout for mel feature extraction. A hop or
+    rate below 1, a window shorter than the hop or no channel is a
+    ValueError naming the field."""
 
     hop: int = 256
     window: int = 1024
@@ -51,6 +58,9 @@ class MelConfig:
     rate: int = DEFAULT_RATE
 
     def __post_init__(self):
+        for name in ("hop", "rate"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"MelConfig: {name} must be >= 1, got {getattr(self, name)}")
         if self.hop > self.window:
             raise ValueError(f"MelConfig: hop {self.hop} exceeds window {self.window}")
         if self.channels < 1:
@@ -81,22 +91,20 @@ def mulaw_decode(code):
     code = np.asarray(code)
     if np.any(code < 0) or np.any(code > MULAW_LEVELS - 1):
         raise ValueError("mulaw_decode: code outside [0, 255]")
-    mu = MULAW_LEVELS - 1.0
-    y = (code + 0.5) / MULAW_LEVELS * 2.0 - 1.0
-    return np.sign(y) * (np.power(MULAW_LEVELS, np.abs(y)) - 1.0) / mu
+    return _expand((code + 0.5) / MULAW_LEVELS * 2.0 - 1.0)
+
+
+def _expand(y):
+    """Inverse of the mu-law compression, from [-1, 1] back to [-1, 1]."""
+    return np.sign(y) * (np.power(MULAW_LEVELS, np.abs(y)) - 1.0) / (MULAW_LEVELS - 1.0)
 
 
 def mulaw_max_roundtrip_error():
     """Analytic worst-case |x - decode(encode(x))| over [-1, 1]: the largest
     one-sided distance from any bin edge to that bin's decode point."""
     codes = np.arange(MULAW_LEVELS)
-    mu = MULAW_LEVELS - 1.0
-
-    def expand(y):
-        return np.sign(y) * (np.power(MULAW_LEVELS, np.abs(y)) - 1.0) / mu
-
-    lo = expand(codes / MULAW_LEVELS * 2.0 - 1.0)
-    hi = expand(np.minimum((codes + 1.0) / MULAW_LEVELS * 2.0 - 1.0, 1.0))
+    lo = _expand(codes / MULAW_LEVELS * 2.0 - 1.0)
+    hi = _expand(np.minimum((codes + 1.0) / MULAW_LEVELS * 2.0 - 1.0, 1.0))
     centre = mulaw_decode(codes)
     return float(np.max(np.maximum(hi - centre, centre - lo)))
 
@@ -115,7 +123,8 @@ def preemphasis(x, coeff=DEFAULT_EMPHASIS):
 
 
 def deemphasis(x, coeff=DEFAULT_EMPHASIS):
-    """Exact inverse of preemphasis: y[n] = x[n] + coeff * y[n-1]."""
+    """Exact inverse of preemphasis: y[n] = x[n] + coeff * y[n-1]. Each
+    output depends on the one before, so this is a per-sample loop."""
     if not 0.0 <= coeff < 1.0:
         raise ValueError(f"deemphasis: coeff must be in [0, 1), got {coeff}")
     y = np.asarray(x, dtype=np.float64).tolist()  # Python floats: 2.6x faster than numpy scalars
@@ -133,7 +142,8 @@ def agc_limit(x, lookahead=1024, block=512):
     Per-block required gain is computed over the block extended `lookahead`
     samples forward, eroded with the previous block (so the curve dips before
     a peak arrives), then raised-cosine interpolated between block
-    boundaries. In-range input passes through with unity gain.
+    boundaries. In-range input passes through with unity gain. Non-finite
+    input is a ValueError.
 
     Returns (limited samples, per-sample gain).
     """
@@ -142,28 +152,23 @@ def agc_limit(x, lookahead=1024, block=512):
     if block < 1:
         raise ValueError("agc_limit: block must be >= 1")
     x = np.asarray(x, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError("agc_limit: x has non-finite samples")
     n = x.size
-    gain = np.ones(n)
     if n == 0 or np.max(np.abs(x)) <= PCM16_LIMIT:
-        return x.copy(), gain
-    n_blocks = (n + block - 1) // block
-    required = np.ones(n_blocks)
-    for b in range(n_blocks):
-        peak = np.max(np.abs(x[b * block:(b + 1) * block + lookahead]))
-        if peak > PCM16_LIMIT:
-            required[b] = PCM16_LIMIT / peak
+        return x.copy(), np.ones(n)
+    # block b's peak spans x[b * block:(b + 1) * block + lookahead]; the zero
+    # padding keeps the last spans whole without raising any peak
+    span = block + lookahead
+    padded = np.concatenate([np.abs(x), np.zeros(span)])
+    peak = _frames(padded, span, block)[:(n + block - 1) // block].max(axis=1)
+    required = PCM16_LIMIT / np.maximum(peak, PCM16_LIMIT)
     # boundary control points: erode so every sample's gain stays at or
     # below its own block's required gain
-    bounds = np.empty(n_blocks + 1)
-    bounds[0] = required[0]
-    bounds[-1] = required[-1]
-    bounds[1:-1] = np.minimum(required[:-1], required[1:])
-    for b in range(n_blocks):
-        lo = b * block
-        hi = min(lo + block, n)
-        u = (np.arange(lo, hi) - lo) / block
-        ramp = 0.5 * (1.0 - np.cos(np.pi * u))
-        gain[lo:hi] = bounds[b] + (bounds[b + 1] - bounds[b]) * ramp
+    bounds = np.concatenate([required[:1], np.minimum(required[:-1], required[1:]), required[-1:]])
+    b, offset = np.divmod(np.arange(n), block)
+    ramp = 0.5 * (1.0 - np.cos(np.pi * (offset / block)))
+    gain = bounds[b] + (bounds[b + 1] - bounds[b]) * ramp
     return x * gain, gain
 
 
@@ -175,11 +180,12 @@ def frame_rms(x, frame):
     x = np.asarray(x, dtype=np.float64)
     if frame <= 0:
         raise ValueError("frame_rms: frame must be positive")
-    out = []
-    for start in range(0, x.size, frame):
-        seg = x[start:start + frame]
-        out.append(float(np.sqrt(np.mean(seg * seg))))
-    return np.asarray(out)
+    full = x[:x.size - x.size % frame].reshape(-1, frame)
+    tail = x[full.size:]
+    mean_square = (full * full).mean(axis=1)
+    if tail.size:
+        mean_square = np.append(mean_square, np.mean(tail * tail))
+    return np.sqrt(mean_square)
 
 
 def detect_silence(x, rate=DEFAULT_RATE, frame=256, rel_db=40.0, min_run_s=0.05):
@@ -194,19 +200,11 @@ def detect_silence(x, rate=DEFAULT_RATE, frame=256, rel_db=40.0, min_run_s=0.05)
         return []
     rms = frame_rms(x, frame)
     threshold = max(float(np.quantile(rms, 0.95)) * 10.0 ** (-rel_db / 20.0), 1e-12)
-    silent = rms < threshold
+    edges = np.diff(np.concatenate([[0], (rms < threshold).astype(np.int8), [0]]))
+    lo = np.flatnonzero(edges == 1) * frame
+    hi = np.minimum(np.flatnonzero(edges == -1) * frame, x.size)
     min_run = int(min_run_s * rate)
-    regions = []
-    start = None
-    for i, s in enumerate(np.append(silent, False)):
-        if s and start is None:
-            start = i
-        elif not s and start is not None:
-            lo, hi = start * frame, min(i * frame, x.size)
-            if hi - lo >= min_run:
-                regions.append((lo, hi))
-            start = None
-    return regions
+    return [(int(a), int(b)) for a, b in zip(lo, hi) if b - a >= min_run]
 
 
 def select_training_segments(x, seg_len, rate=DEFAULT_RATE, frame=256, rel_db=40.0,
@@ -215,7 +213,11 @@ def select_training_segments(x, seg_len, rate=DEFAULT_RATE, frame=256, rel_db=40
 
     Every offset lies in a detected silent region and leaves room for a full
     segment. Returns an empty list (with a warning) when nothing is silent.
+    A seg_len or stride below 1 is a ValueError.
     """
+    for name, value in (("seg_len", seg_len), ("stride", stride)):
+        if value < 1:
+            raise ValueError(f"select_training_segments: {name} must be >= 1, got {value}")
     x = np.asarray(x, dtype=np.float64)
     if seg_len > x.size:
         raise ValueError(f"select_training_segments: segment {seg_len} exceeds audio {x.size}")
@@ -223,13 +225,8 @@ def select_training_segments(x, seg_len, rate=DEFAULT_RATE, frame=256, rel_db=40
     if not regions:
         warnings.warn("select_training_segments: no silent regions found", stacklevel=2)
         return []
-    last_valid = x.size - seg_len
-    offsets = []
-    for lo, hi in regions:
-        for off in range(lo, hi, stride):
-            if off <= last_valid:
-                offsets.append(off)
-    return offsets
+    end = x.size - seg_len + 1  # one past the last offset that fits a whole segment
+    return [off for lo, hi in regions for off in range(lo, min(hi, end), stride)]
 
 
 # -- mel features ----------------------------------------------------------------------
@@ -251,18 +248,23 @@ def mel_filterbank(cfg):
     n_bins = cfg.window // 2 + 1
     freqs = np.arange(n_bins) * cfg.rate / cfg.window
     points = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(cfg.rate / 2.0), cfg.channels + 2))
-    fb = np.zeros((cfg.channels, n_bins))
-    for m in range(cfg.channels):
-        lower, centre, upper = points[m], points[m + 1], points[m + 2]
-        up = (freqs - lower) / (centre - lower)
-        down = (upper - freqs) / (upper - centre)
-        fb[m] = np.maximum(0.0, np.minimum(up, down))
-    return fb
+    lower, centre, upper = points[:-2, None], points[1:-1, None], points[2:, None]
+    up = (freqs - lower) / (centre - lower)
+    down = (upper - freqs) / (upper - centre)
+    return np.maximum(0.0, np.minimum(up, down))
 
 
 def hann_window(n):
     """Periodic Hann window of length n: w[0] = 0, peak 1 at n // 2."""
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
+
+
+def _frames(x, window, hop):
+    """Read-only (frames, window) view of x's non-centred frames, one every
+    hop samples; no frames when x is shorter than the window."""
+    if x.size < window:
+        return np.empty((0, window))
+    return np.lib.stride_tricks.sliding_window_view(x, window)[::hop]
 
 
 def frame_count(n_samples, cfg):
@@ -275,22 +277,15 @@ def frame_count(n_samples, cfg):
 def melspectrogram(x, cfg=None):
     """Log-compressed mel magnitudes, (frames, channels).
 
-    Hann-windowed magnitude spectrum per non-centred frame through the
-    triangular bank, natural log with floor 1e-5.
+    Hann-windowed magnitude spectra of all non-centred frames, from one
+    batched FFT, through the triangular bank; natural log with floor 1e-5.
     """
     cfg = cfg or MelConfig()
     x = np.asarray(x, dtype=np.float64)
-    frames = frame_count(x.size, cfg)
-    if frames == 0:
+    if frame_count(x.size, cfg) == 0:
         raise ValueError(f"melspectrogram: audio ({x.size} samples) shorter than window {cfg.window}")
-    win = hann_window(cfg.window)
-    fb = mel_filterbank(cfg)
-    out = np.empty((frames, cfg.channels))
-    for t in range(frames):
-        seg = x[t * cfg.hop:t * cfg.hop + cfg.window]
-        mag = np.abs(np.fft.rfft(seg * win))
-        out[t] = fb @ mag
-    return np.log(np.maximum(out, MEL_LOG_FLOOR))
+    mag = np.abs(np.fft.rfft(_frames(x, cfg.window, cfg.hop) * hann_window(cfg.window), axis=1))
+    return np.log(np.maximum(mag @ mel_filterbank(cfg).T, MEL_LOG_FLOOR))
 
 
 def upsample_nearest(mel, hop):
@@ -309,31 +304,32 @@ def estimate_pitch(x, rate=DEFAULT_RATE, fmin=50.0, fmax=500.0, window=1024, hop
 
     A frame is voiced when acf[lag]/acf[0] peaks above voicing_threshold
     inside the lag range for [fmin, fmax]. The biased estimator's taper
-    keeps the argmax on the fundamental rather than its multiples. Returns
-    (log_pitch, voiced mask); log_pitch is 0 on unvoiced frames.
+    keeps the argmax on the fundamental rather than its multiples. Frames
+    with (near) zero energy after mean removal are unvoiced. All frames
+    share one batched FFT pair. Returns (log_pitch, voiced mask); log_pitch
+    is 0 on unvoiced frames. An fmin or fmax of 0 or below is a ValueError.
     """
     x = np.asarray(x, dtype=np.float64)
-    frames = frame_count(x.size, MelConfig(hop=hop, window=window, rate=rate))
-    log_pitch = np.zeros(frames)
-    voiced = np.zeros(frames, dtype=bool)
+    MelConfig(hop=hop, window=window, rate=rate)  # checks the framing
+    for name, value in (("fmin", fmin), ("fmax", fmax)):
+        if value <= 0:
+            raise ValueError(f"estimate_pitch: {name} must be > 0, got {value}")
     lag_min = max(1, int(rate / fmax))
     lag_max = min(window - 1, int(np.ceil(rate / fmin)))
     if lag_max <= lag_min:
         raise ValueError("estimate_pitch: lag range is empty for this window")
-    for t in range(frames):
-        seg = x[t * hop:t * hop + window]
-        seg = seg - seg.mean()
-        energy = float(seg @ seg)
-        if energy < 1e-10:
-            continue
-        spec = np.fft.rfft(seg, 2 * window)
-        acf = np.fft.irfft(spec * np.conj(spec))[:window].real
-        lags = np.arange(lag_min, lag_max + 1)
-        rho = acf[lags] / acf[0]
-        k = int(np.argmax(rho))
-        if rho[k] > voicing_threshold:
-            voiced[t] = True
-            log_pitch[t] = np.log(rate / lags[k])
+    frames = _frames(x, window, hop)
+    seg = frames - frames.mean(axis=1, keepdims=True)
+    active = np.einsum("ij,ij->i", seg, seg) >= 1e-10
+    spec = np.fft.rfft(seg[active], 2 * window, axis=1)
+    acf = np.fft.irfft(spec * np.conj(spec), axis=1)[:, :window]
+    lags = np.arange(lag_min, lag_max + 1)
+    rho = acf[:, lags] / acf[:, :1]
+    peak = rho.max(axis=1) > voicing_threshold
+    voiced = active.copy()
+    voiced[active] = peak
+    log_pitch = np.zeros(len(frames))
+    log_pitch[voiced] = np.log(rate / lags[np.argmax(rho[peak], axis=1)])
     return log_pitch, voiced
 
 
@@ -341,8 +337,11 @@ def estimate_pitch(x, rate=DEFAULT_RATE, fmin=50.0, fmax=500.0, window=1024, hop
 
 
 def save_wav(path, samples, rate=DEFAULT_RATE):
-    """Write mono 16-bit little-endian PCM."""
+    """Write mono 16-bit little-endian PCM. Non-finite samples are a
+    ValueError."""
     samples = np.asarray(samples, dtype=np.float64)
+    if not np.all(np.isfinite(samples)):
+        raise ValueError("save_wav: samples has non-finite values")
     pcm = np.rint(np.clip(samples, -1.0, 1.0) * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)

@@ -801,14 +801,19 @@ def stop_loss(stop_logits, true_length, pos_weight=1.0):
 # -- passes ----------------------------------------------------------------------
 
 
+def _check_targets(utterance):
+    """A target frame that is not finite is a DataError naming the
+    utterance and the frame."""
+    bad = np.flatnonzero(~np.isfinite(utterance.features).all(axis=1))
+    if bad.size:
+        raise DataError(f"target frame {bad[0]} of utterance {utterance.utt_id} is not finite")
+
+
 def teacher_forced(params, cfg, utterance, prosody_vec, attention_mode):
     """One teacher-forced pass; returns (total loss Tensor, DecoderTrace).
-    A target frame that is not finite is a DataError naming the utterance
-    and the frame, raised before the encoder runs."""
+    Non-finite target frames fail _check_targets before the encoder runs."""
+    _check_targets(utterance)
     targets = utterance.features
-    bad = np.flatnonzero(~np.isfinite(targets).all(axis=1))
-    if bad.size:
-        raise DataError(f"teacher_forced: target frame {bad[0]} of utterance {utterance.utt_id} is not finite")
     enc_cond = encode(params, utterance.symbols, prosody_vec)
     out, alignment = decoder_node(params, cfg, enc_cond, attention_mode, targets)
     y, stop_vec = out[:, :-1], out[:, -1]
@@ -898,7 +903,9 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     the last one and the result is bit-identical to an uninterrupted run. A
     resume whose cfg differs from that config.json in any field but epochs,
     or whose attention_mode differs from the checkpoint's, is a
-    ConfigError. A corpus without train or val utterances is a DataError.
+    ConfigError. A corpus without train or val utterances, or with an
+    utterance missing from prosody_table or holding a non-finite target
+    frame, is a DataError raised before any training.
 
     A batch's step is the mean of its utterances' losses, but each
     utterance's graph is built, differentiated and freed before the next
@@ -925,6 +932,8 @@ def train(corpus, prosody_table, cfg, attention_mode="augmented", out_dir=None,
     missing = [u.utt_id for u in corpus.utterances if u.utt_id not in prosody_table]
     if missing:
         raise DataError(f"train: prosody table missing {len(missing)} utterances (e.g. {missing[0]})")
+    for u in corpus.utterances:
+        _check_targets(u)
 
     if out_dir is not None:
         Path(out_dir).mkdir(parents=True, exist_ok=True)  # an unusable path fails before any training

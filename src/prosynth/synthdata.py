@@ -188,26 +188,27 @@ def _pitch_wander(rng, total_frames):
     return 0.5 * np.sin(2 * np.pi * t / p1 + ph1) + 0.3 * np.sin(2 * np.pi * t / p2 + ph2)
 
 
+def _sequence(cfg, ids, stress, phrase):
+    """A SymbolSequence of one phrase type; the word-break and silence
+    flags follow from the ids, since no phone shares their ids."""
+    ids = np.asarray(ids, dtype=np.int64)
+    return SymbolSequence(ids, stress, np.full(ids.size, phrase), ids == cfg.word_break_id, ids == cfg.silence_id)
+
+
 def _build_symbols(cfg, rng):
     words = rng.integers(cfg.min_words, cfg.max_words + 1)
     phrase = int(rng.integers(0, len(PHRASE_TYPES)))
-    ids, stress, brk, sil = [cfg.silence_id], [0], [False], [True]
+    ids, stress = [cfg.silence_id], [0]
     for w in range(words):
         if w > 0:
             ids.append(cfg.word_break_id)
             stress.append(0)
-            brk.append(True)
-            sil.append(False)
         for _ in range(rng.integers(cfg.min_word_len, cfg.max_word_len + 1)):
             ids.append(int(rng.integers(0, cfg.alphabet_size)))
             stress.append(int(rng.integers(0, STRESS_LEVELS)))
-            brk.append(False)
-            sil.append(False)
     ids.append(cfg.silence_id)
     stress.append(0)
-    brk.append(False)
-    sil.append(True)
-    return SymbolSequence(ids, stress, np.full(len(ids), phrase), brk, sil), phrase
+    return _sequence(cfg, ids, stress, phrase), phrase
 
 
 def render_targets(symbols, durations, pitch_contour, templates):
@@ -303,18 +304,12 @@ def symbols_from_string(text, cfg, phrase=0):
     unknown token is a DataError."""
     if not 0 <= phrase < len(PHRASE_TYPES):
         raise DataError(f"phrase {phrase} outside 0..{len(PHRASE_TYPES) - 1}")
-    ids, stress, brk, sil = [], [], [], []
+    ids, stress = [], []
     for tok in text.split():
         if tok == "sil":
-            ids.append(cfg.silence_id)
-            stress.append(0)
-            brk.append(False)
-            sil.append(True)
+            pid, st = cfg.silence_id, 0
         elif tok == "wb":
-            ids.append(cfg.word_break_id)
-            stress.append(0)
-            brk.append(True)
-            sil.append(False)
+            pid, st = cfg.word_break_id, 0
         elif tok.startswith("p"):
             pid, _, st = tok[1:].partition(":")
             pid = _whole(pid, "symbol id")
@@ -323,15 +318,13 @@ def symbols_from_string(text, cfg, phrase=0):
             st = _whole(st, "stress") if st else 0
             if not 0 <= st < STRESS_LEVELS:
                 raise DataError(f"stress {st} outside 0..{STRESS_LEVELS - 1}")
-            ids.append(pid)
-            stress.append(st)
-            brk.append(False)
-            sil.append(False)
         else:
             raise DataError(f"unknown symbol token {tok!r}")
+        ids.append(pid)
+        stress.append(st)
     if not ids:
         raise DataError("empty symbol string")
-    return SymbolSequence(ids, stress, np.full(len(ids), phrase), brk, sil)
+    return _sequence(cfg, ids, stress, phrase)
 
 
 # -- disk format -----------------------------------------------------------------------

@@ -173,6 +173,20 @@ def test_train_with_a_non_finite_target_fails_before_any_checkpoint(tmp_path, co
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_train_with_a_non_finite_val_target_fails_before_any_step(tmp_path, corpus, table, step_spy, mode):
+    # validation runs only after an epoch's steps, so the frames are checked
+    # up front with the prosody table
+    bad = corpus.split("val")[0]
+    middle = bad.features.shape[0] // 2
+    utterances = [_with_target(u, middle, np.nan) if u is bad else u for u in corpus.utterances]
+    with pytest.raises(DataError, match=rf"target frame {middle} of utterance {bad.utt_id} is not finite"):
+        seq2seq.train(dataclasses.replace(corpus, utterances=utterances), table,
+                      seq2seq.ModelConfig(epochs=1, **TINY), mode, out_dir=tmp_path)
+    assert step_spy == []
+    assert not (tmp_path / "checkpoint.bin").exists()
+
+
 @pytest.mark.parametrize("name, value, table", [
     ("ids", -1, "symbol"), ("ids", None, "symbol"), ("stress", -1, "stress"), ("stress", 3, "stress"),
     ("phrase", -1, "phrase"), ("phrase", 4, "phrase"),
